@@ -34,21 +34,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache, cached_property
-from math import isqrt
 from typing import Callable, Optional
 
+from .bignat import as_int
 from .diagonal import normalize_psi
 from .semantics import (
-    Budget, OracleEnv, OracleUndecided, Truth, evaluate, t_and, t_implies,
-    t_or,
+    Budget, OracleEnv, OracleUndecided, Truth, evaluate, pair, t_and,
+    t_implies, t_or, unpair,
 )
 from .syntax import (
     And, Eq, Exists, Forall, Formula, Implies, Lt, Mul, Not, OracleAtom,
-    OracleFun, Var, conj, free_vars, length, numeral, register_oracle_atom,
-    render, substitute,
+    OracleFun, Var, conj, free_vars, length, numeral, render, substitute,
 )
-
-register_oracle_atom("Tr", 1)
 
 _U, _V, _W, _ALPHA = Var(0), Var(1), Var(2), Var(3)
 _BINDER_FLOOR = 4
@@ -256,25 +253,11 @@ def least_undefinable(universe: MicroUniverse) -> int:
 
 # -- the index-code oracle reading -------------------------------------------
 
-def _pair(a: int, y: int) -> int:
-    s = a + y
-    return s * (s + 1) // 2 + y + 1
-
-
-def _unpair(code: int) -> tuple[int, int]:
-    c = code - 1
-    w = (isqrt(8 * c + 1) - 1) // 2
-    y = c - w * (w + 1) // 2
-    return w - y, y
-
-
-def _as_index(value) -> Optional[int]:
-    if isinstance(value, int):
-        return value
-    try:
-        return value.to_int()
-    except Exception:
+def _index(value) -> int:
+    out = as_int(value)
+    if out is None:
         raise OracleUndecided("value too large for the catalogue")
+    return out
 
 
 def micro_env(universe: MicroUniverse,
@@ -284,7 +267,8 @@ def micro_env(universe: MicroUniverse,
     With a bundle supplied, the catalogue is extended by one slot
     carrying the bundle's outer sentence, whose pairing statements Tr
     judges under the plain-catalogue reading: the sentence describes
-    the least value no catalogue formula describes.
+    the least value no catalogue formula describes.  D(a, y) is the
+    Cantor code of (a, y) plus one, so no statement has code 0.
     """
     n_pure = len(universe.formulas)
     code_count = n_pure + (1 if bundle is not None else 0)
@@ -292,11 +276,11 @@ def micro_env(universe: MicroUniverse,
     berry_value: list[Optional[int]] = [None]
 
     def formula_fn(a) -> bool:
-        a = _as_index(a)
+        a = _index(a)
         return 0 <= a < code_count
 
     def len_fn(a):
-        a = _as_index(a)
+        a = _index(a)
         if 0 <= a < n_pure:
             return universe.facts[a].length
         if a == n_pure and bundle is not None:
@@ -304,10 +288,13 @@ def micro_env(universe: MicroUniverse,
         return 0
 
     def d_fn(a, y):
-        return _pair(_as_index(a), _as_index(y))
+        return pair(_index(a), _index(y)) + 1
 
     def tr_fn(code) -> bool:
-        a, y = _unpair(_as_index(code))
+        code = _index(code)
+        if code <= 0:
+            return False
+        a, y = unpair(code - 1)
         if 0 <= a < n_pure:
             got = _describe_status(universe.facts[a], y, horizon)
             if got is Truth.UNKNOWN:
@@ -345,7 +332,7 @@ def _upsilon_judge(bundle: BerryBundle, universe: MicroUniverse,
             if 0 <= a < n_pure:
                 return _describe_status(universe.facts[a], y, horizon)
             try:
-                return Truth.TRUE if env.atoms["Tr"](_pair(a, y)) \
+                return Truth.TRUE if env.atoms["Tr"](pair(a, y) + 1) \
                     else Truth.FALSE
             except OracleUndecided:
                 return Truth.UNKNOWN
@@ -354,7 +341,7 @@ def _upsilon_judge(bundle: BerryBundle, universe: MicroUniverse,
     memo: dict[int, Truth] = {}
 
     def judge(a: int, y: int) -> Truth:
-        code = _pair(a, y)
+        code = pair(a, y) + 1
         got = memo.get(code)
         if got is None:
             got = evaluate(bundle.normalized_upsilon, env, budget,

@@ -569,6 +569,13 @@ class BigNat:
         return f"BigNat(<{len(self._runs.runs)} runs, {self.digits24} digits>)"
 
 
+def as_int(value: "BigNat | int") -> "int | None":
+    """The plain int of a natural, or None when it cannot be one."""
+    if isinstance(value, BigNat):
+        return value.to_int() if value.is_materializable() else None
+    return value if isinstance(value, int) else None
+
+
 def _affine_pow(a: int, b: int, k: int, m: int) -> tuple[int, int]:
     """Compose x -> a*x + b (mod m) with itself k times."""
     ra, rb = 1, 0

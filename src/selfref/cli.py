@@ -24,9 +24,9 @@ from typing import Optional
 
 from .acceptance import run_all
 from .berry import (
-    berry_contradiction_report, build_bundle, least_undefinable,
-    length_audit, micro_universe, syntactic_tarski_experiment,
-    truth_oracle_property,
+    BudgetInsufficient, berry_contradiction_report, build_bundle,
+    least_undefinable, length_audit, micro_universe,
+    syntactic_tarski_experiment, truth_oracle_property,
 )
 from .bignat import BigNat, BigNatError
 from .coding import NotACode, decode, encode
@@ -535,15 +535,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         inputs, outputs = _COMMANDS[args.command](args, budget)
-    except _Usage as err:
+    except (_Usage, NotACode) as err:
+        # a NotACode escaping a command comes from coding an input that
+        # uses a symbol without a digit; decode reports its own verdict
         parser.print_usage(sys.stderr)
         print(f"selfref: {err}", file=sys.stderr)
         return 2
-    except _VerdictFailure as err:
+    except (_VerdictFailure, BudgetInsufficient) as err:
+        failure = (json.loads(str(err)) if isinstance(err, _VerdictFailure)
+                   else {"budget_insufficient": str(err)})
         report = {
             "command": args.command,
             "version": SCHEME_VERSION,
-            "verdict_failure": json.loads(str(err)),
+            "verdict_failure": failure,
             "budgets": dataclasses.asdict(budget),
             "wall_time_s": round(time.perf_counter() - start, 6),
         }

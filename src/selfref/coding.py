@@ -1,7 +1,9 @@
 """Numbering of expressions by base-24 digit strings.
 
-Each token of the canonical spelling is one digit.  The table below
-assigns ids 1..23; no token gets the digit 0, so the code of a
+Each token of the canonical spelling is one digit, except the micro
+catalogue symbols Tr and inst, which have none: an expression using
+them has no code.  The table below assigns ids 1..23; no token gets
+the digit 0, so the code of a
 nonempty token string never contains a zero digit and the string can
 be recovered from the value alone.  Concatenation of token strings is
 code(s)*24**|t| + code(t), which is what makes codes of numerals and
@@ -39,7 +41,7 @@ _NUM_TAIL = (TOKEN_IDS[")"],)
 
 
 class NotACode(ValueError):
-    """The value is not the code of any term or formula."""
+    """The value codes no term or formula, or the expression has no code."""
 
 
 def load_pinned_table() -> dict:
@@ -75,9 +77,8 @@ def encode(x) -> Nat:
             try:
                 chunks.append(TOKEN_IDS[piece])
             except KeyError:
-                raise BigNatError(
-                    f"token {piece!r} has no digit assigned"
-                ) from None
+                raise NotACode(f"{piece!r} has no digit, so an expression "
+                               f"using it has no code") from None
             if len(chunks) >= 4096:
                 flush()
             continue

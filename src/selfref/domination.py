@@ -27,18 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from pathlib import Path
 from typing import Optional, Union
 
-from .bignat import BigNat
+from .bignat import as_int
 from .diagonal import normalize_psi
 from .parser import parse_formula
 from .semantics import (Budget, BudgetExceeded, Evaluator, OracleEnv,
-                        OracleUndecided, Truth, evaluate)
-from .syntax import (Add, And, Eq, Exists, Forall, Formula, Implies, Lt, Not,
+                        OracleUndecided, Truth, Unknown, evaluate, pair,
+                        unpair)
+from .syntax import (Add, And, Exists, Forall, Formula, Implies, Lt, Not,
                      Nat, One, OracleAtom, OracleFun, Var, free_vars,
-                     register_oracle_atom, register_oracle_fun, substitute)
+                     substitute)
 
 __all__ = [
     "DefinedFunction", "F_fixed_input", "F_kotlarski", "MicroScheme",
@@ -46,9 +46,6 @@ __all__ = [
     "defined_function", "dominates_check", "micro_domination_env",
     "micro_scheme",
 ]
-
-register_oracle_atom("Tr", 1)
-register_oracle_fun("inst", 3)
 
 _U, _V, _ALPHA, _Z, _W = Var(0), Var(1), Var(2), Var(3), Var(4)
 # binders for a normalized truth property start above every variable
@@ -66,11 +63,6 @@ class UnresolvedPoint(Exception):
     def __init__(self, x: int):
         self.x = x
         super().__init__(f"no certified value at {x}")
-
-
-@dataclass(frozen=True)
-class Unknown:
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -273,24 +265,6 @@ def build_psi(upsilon: Formula) -> PsiBundle:
 # -- the micro environment ---------------------------------------------------------------
 
 
-def _pair(p: int, q: int) -> int:
-    return (p + q) * (p + q + 1) // 2 + q
-
-
-def _unpair(t: int) -> tuple[int, int]:
-    w = (isqrt(8 * t + 1) - 1) // 2
-    q = t - w * (w + 1) // 2
-    return w - q, q
-
-
-def _as_int(value: Nat) -> Optional[int]:
-    if isinstance(value, BigNat):
-        if not value.is_materializable():
-            return None
-        return value.to_int()
-    return value if isinstance(value, int) else None
-
-
 def micro_domination_env(scheme: Optional[MicroScheme] = None,
                          budget: Optional[Budget] = None) -> OracleEnv:
     """Interpret instance codes over the catalogue.
@@ -304,19 +278,19 @@ def micro_domination_env(scheme: Optional[MicroScheme] = None,
     size = len(scheme.formulas)
 
     def inst_fn(a: Nat, m: Nat, n: Nat) -> int:
-        a_i, m_i, n_i = _as_int(a), _as_int(m), _as_int(n)
+        a_i, m_i, n_i = as_int(a), as_int(m), as_int(n)
         if a_i is None or m_i is None or n_i is None:
             raise OracleUndecided("instance code beyond materializable range")
-        return _pair(a_i, _pair(m_i, n_i)) + 1
+        return pair(a_i, pair(m_i, n_i)) + 1
 
     def tr_fn(c: Nat) -> bool:
-        c_i = _as_int(c)
+        c_i = as_int(c)
         if c_i is None:
             raise OracleUndecided("code too large to judge")
         if c_i <= 0:
             return False
-        a, rest = _unpair(c_i - 1)
-        m, n = _unpair(rest)
+        a, rest = unpair(c_i - 1)
+        m, n = unpair(rest)
         if a >= size:
             return False
         verdict = evaluate(scheme.formulas[a], budget=budget,
@@ -326,7 +300,7 @@ def micro_domination_env(scheme: Optional[MicroScheme] = None,
         return verdict is Truth.TRUE
 
     def formula_fn(a: Nat) -> bool:
-        a_i = _as_int(a)
+        a_i = as_int(a)
         if a_i is None:
             return False
         return 0 <= a_i < size

@@ -26,6 +26,9 @@ _SINGLE = {
 
 _CONNECTIVES = {"∧": And, "∨": Or, "→": Implies, "↔": Iff}
 _TERM_OPS = {"+": Add, "·": Mul}
+# oracle names, longest first so a letter run is cut by longest match
+_NAMES = sorted({*syntax.ORACLE_ATOMS, *syntax.ORACLE_FUNS},
+                key=len, reverse=True)
 
 
 class ParseError(ValueError):
@@ -36,14 +39,10 @@ class ParseError(ValueError):
 
 def _split_letters(run: str, pos: int) -> list[tuple[str, int]]:
     """Cut a letter run into names, variables and quantifier aliases."""
-    names = sorted(
-        set(syntax.oracle_atoms()) | set(syntax.oracle_funs()),
-        key=len, reverse=True,
-    )
     out = []
     i = 0
     while i < len(run):
-        for name in names:
+        for name in _NAMES:
             if run.startswith(name, i):
                 out.append((name, pos + i))
                 i += len(name)
@@ -160,7 +159,7 @@ class _Parser:
         if tok.startswith("#"):
             self.pos += 1
             return numeral(int(tok[1:]))
-        if tok in syntax.oracle_funs():
+        if tok in syntax.ORACLE_FUNS:
             self.pos += 1
             self.expect("(")
             args = [self.term()]
@@ -225,7 +224,7 @@ class _Parser:
             body = self.formula()
             self.expect(")")
             return (Forall if tok == "∀" else Exists)(var, body)
-        if tok in syntax.oracle_atoms():
+        if tok in syntax.ORACLE_ATOMS:
             self.pos += 1
             self.expect("(")
             args = [self.term()]
@@ -272,23 +271,24 @@ def _numval(node: Term) -> int | None:
     return None
 
 
-def parse_formula(text: str) -> Formula:
+def _parse_whole(text: str, rule):
+    """Run one grammar rule over all of the text."""
     p = _Parser(_tokenize(text), len(text))
     try:
-        out = p.formula()
+        out = rule(p)
     except RecursionError:
-        raise ParseError("formula nesting too deep", 0) from None
+        raise ParseError("nesting too deep", 0) from None
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.peek()!r}", p.here())
     return out
+
+
+def parse_formula(text: str) -> Formula:
+    return _parse_whole(text, _Parser.formula)
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(_tokenize(text), len(text))
-    out = p.term()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input {p.peek()!r}", p.here())
-    return out
+    return _parse_whole(text, _Parser.term)
 
 
 def parse(text: str):

@@ -28,14 +28,14 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
-from .bignat import BigNat
+from .bignat import as_int
 from .coding import NotACode, decode, quote
 from .diagonal import (FixedPointCertificate, diagonal_sentence,
                        normalize_psi, taut_equiv)
 from .enumeration import formulas_of_length
 from .parser import parse_formula, parse_term
-from .semantics import (Budget, OracleEnv, OracleUndecided, Truth, WitnessMap,
-                        evaluate, standard_oracle_env, t_iff)
+from .semantics import (Budget, OracleEnv, OracleUndecided, Truth, Unknown,
+                        WitnessMap, evaluate, standard_oracle_env, t_iff)
 from .syntax import (Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt,
                      Mul, Nat, Not, One, Or, OracleAtom, OracleFun, Term, Var,
                      Zero, free_vars, length, numeral, render, substitute,
@@ -46,7 +46,7 @@ __all__ = [
     "Generalization", "InconsistencyAlarm", "LogicalAxiom", "ModusPonens",
     "NotFound", "ProofFormatError", "ProofObject", "ProofStep",
     "RefutedByProof", "RemarkReport", "RosserConstruction", "SearchExhausted",
-    "SearchReport", "TheoryHandle", "Undetermined", "Unknown", "WeakDLReport",
+    "SearchReport", "TheoryHandle", "Unknown", "WeakDLReport",
     "bounded_proof_search", "check_proof", "check_proof_report",
     "consistency_witness", "decode_proof_code", "fixture_path",
     "goedel_sentence", "load_fixture_proof", "make_prf", "neg_neg_proof",
@@ -586,11 +586,8 @@ def proof_code(proof: ProofObject) -> int:
 
 def decode_proof_code(code: Nat) -> Optional[ProofObject]:
     """Total inverse of proof_code: None whenever anything goes wrong."""
-    if isinstance(code, BigNat):
-        if not code.is_materializable():
-            return None
-        code = code.to_int()
-    if not isinstance(code, int) or code <= 0:
+    code = as_int(code)
+    if code is None or code <= 0:
         return None
     try:
         raw = code.to_bytes((code.bit_length() + 7) // 8, "big")
@@ -602,20 +599,12 @@ def decode_proof_code(code: Nat) -> Optional[ProofObject]:
 # -- the provability relation ----------------------------------------------------------
 
 
-def _as_int(value: Nat) -> Optional[int]:
-    if isinstance(value, BigNat):
-        if not value.is_materializable():
-            return None
-        return value.to_int()
-    return value if isinstance(value, int) else None
-
-
 def make_prf(theory: TheoryHandle) -> Callable[[Nat, Nat], bool]:
     """prf(p, s): p codes a checked proof in the theory concluding the
     sentence coded by s.  Total on materializable inputs; codes too large
     to even materialize stay undecided."""
     def prf(p: Nat, s: Nat) -> bool:
-        p_int, s_int = _as_int(p), _as_int(s)
+        p_int, s_int = as_int(p), as_int(s)
         if p_int is None or s_int is None:
             raise OracleUndecided("proof code beyond materializable range")
         proof = decode_proof_code(p_int)
@@ -822,10 +811,7 @@ def _tree_sizes(root) -> dict[int, int]:
 
 
 def _int_length(node) -> Optional[int]:
-    value = length(node)
-    if isinstance(value, BigNat):
-        return value.to_int() if value.is_materializable() else None
-    return value
+    return as_int(length(node))
 
 
 def _sort_key(node):
@@ -1105,16 +1091,6 @@ class ConsistentBySoundness:
 class RefutedByProof:
     proof: ProofObject
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class Unknown:
-    detail: str = ""
-
-
-# alias: the unknown verdict, under a name that cannot be confused with
-# the three-valued truth constant
-Undetermined = Unknown
 
 
 def _matches_certificate(sentence: Formula,

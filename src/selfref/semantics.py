@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable, Optional
 
 from .bignat import BigNat, BigNatError
@@ -124,6 +125,25 @@ class OracleEnv:
     atoms: dict[str, Callable[..., bool]] = field(default_factory=dict)
     funs: dict[str, Callable[..., Nat]] = field(default_factory=dict)
     atom_supports: dict[str, int] = field(default_factory=dict)
+
+
+def pair(p: int, q: int) -> int:
+    """Cantor pairing: the catalogue readings pack oracle codes with it."""
+    return (p + q) * (p + q + 1) // 2 + q
+
+
+def unpair(t: int) -> tuple[int, int]:
+    """The pair with the given Cantor code (t >= 0)."""
+    w = (isqrt(8 * t + 1) - 1) // 2
+    q = t - w * (w + 1) // 2
+    return w - q, q
+
+
+@dataclass(frozen=True)
+class Unknown:
+    """A result left undecided, with the reason."""
+
+    detail: str = ""
 
 
 @dataclass
@@ -679,21 +699,6 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
         return DefinesReport(True, solutions + ["..."],
                              "cofinitely many solutions")
     return DefinesReport(False, solutions, "beyond the sweep is unchecked")
-
-
-def defines_exactly(phi: Formula, value: int,
-                    env: Optional[OracleEnv] = None,
-                    budget: Optional[Budget] = None,
-                    universe: Optional[int] = None) -> Truth:
-    """Does the formula define exactly the given value?"""
-    report = defines(phi, env, budget, universe)
-    if report.solutions == [value]:
-        return Truth.TRUE if report.exact else Truth.UNKNOWN
-    if report.exact:
-        return Truth.FALSE
-    if any(s != value for s in report.solutions if s != "..."):
-        return Truth.FALSE  # a second solution already showed up
-    return Truth.UNKNOWN
 
 
 def standard_oracle_env(prf: Optional[Callable[[Nat, Nat], bool]] = None

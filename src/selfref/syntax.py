@@ -1,9 +1,9 @@
 """Terms and formulas of arithmetic, plus a few oracle symbols.
 
 The language has constants 0 and 1, binary + and ·, equality and order,
-the usual connectives and quantifiers, and a small registry of oracle
-symbols (relation symbols like ``prf`` and function symbols like ``len``)
-that later layers give meaning to.
+the usual connectives and quantifiers, and a fixed set of oracle symbols
+(relation symbols like ``prf`` and function symbols like ``len``) that
+later layers give meaning to.
 
 The canonical spelling is deliberately rigid so that token counts can be
 computed without building strings: every binary operator keeps its left
@@ -39,47 +39,13 @@ class SyntaxError_(ValueError):
     """Raised for malformed terms or formulas."""
 
 
-# -- oracle symbol registry -------------------------------------------
+# -- the oracle signature -----------------------------------------------
+# Relation and function symbols beyond arithmetic, with their arities.
+# Tr and inst are read only over micro catalogues and have no digit in
+# the coding, so a formula that uses them has no code.
 
-_ORACLE_ATOMS: dict[str, int] = {"prf": 2, "Formula": 1}
-_ORACLE_FUNS: dict[str, int] = {"len": 1, "D": 2, "neg": 1}
-
-
-def _check_name(name: str) -> None:
-    if not name.isalpha():
-        raise SyntaxError_(f"oracle name must be alphabetic: {name!r}")
-    if name == "x":
-        raise SyntaxError_("the name 'x' is reserved for variables")
-
-
-def register_oracle_atom(name: str, arity: int) -> None:
-    """Add a relation symbol usable in OracleAtom nodes."""
-    _check_name(name)
-    if name in _ORACLE_FUNS:
-        raise SyntaxError_(f"{name!r} is already a function symbol")
-    old = _ORACLE_ATOMS.get(name)
-    if old is not None and old != arity:
-        raise SyntaxError_(f"{name!r} already registered with arity {old}")
-    _ORACLE_ATOMS[name] = arity
-
-
-def register_oracle_fun(name: str, arity: int) -> None:
-    """Add a function symbol usable in OracleFun nodes."""
-    _check_name(name)
-    if name in _ORACLE_ATOMS:
-        raise SyntaxError_(f"{name!r} is already a relation symbol")
-    old = _ORACLE_FUNS.get(name)
-    if old is not None and old != arity:
-        raise SyntaxError_(f"{name!r} already registered with arity {old}")
-    _ORACLE_FUNS[name] = arity
-
-
-def oracle_atoms() -> dict[str, int]:
-    return dict(_ORACLE_ATOMS)
-
-
-def oracle_funs() -> dict[str, int]:
-    return dict(_ORACLE_FUNS)
+ORACLE_ATOMS: dict[str, int] = {"prf": 2, "Formula": 1, "Tr": 1}
+ORACLE_FUNS: dict[str, int] = {"len": 1, "D": 2, "neg": 1, "inst": 3}
 
 
 # -- terms -------------------------------------------------------------
@@ -145,7 +111,7 @@ class OracleFun(Term):
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
-        arity = _ORACLE_FUNS.get(self.name)
+        arity = ORACLE_FUNS.get(self.name)
         if arity is None:
             raise SyntaxError_(f"unknown oracle function {self.name!r}")
         if len(self.args) != arity:
@@ -180,7 +146,7 @@ class OracleAtom(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
-        arity = _ORACLE_ATOMS.get(self.name)
+        arity = ORACLE_ATOMS.get(self.name)
         if arity is None:
             raise SyntaxError_(f"unknown oracle relation {self.name!r}")
         if len(self.args) != arity:
@@ -357,28 +323,6 @@ def free_vars(x) -> frozenset[int]:
 
 def is_sentence(phi: Formula) -> bool:
     return isinstance(phi, Formula) and not free_vars(phi)
-
-
-def subformulas(phi: Formula) -> Iterator[Formula]:
-    """All formula nodes inside phi, including phi itself."""
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Formula):
-            yield node
-        for child in _children(node):
-            if isinstance(child, Formula):
-                stack.append(child)
-
-
-def subterms(x) -> Iterator[Term]:
-    """All term nodes inside a term or formula."""
-    stack = [x]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Term):
-            yield node
-        stack.extend(_children(node))
 
 
 # -- token stream and rendering -----------------------------------------

@@ -189,6 +189,12 @@ def test_def_instance_evaluation_matches_table():
             assert got is (Truth.TRUE if n in defined else Truth.FALSE)
 
 
+def test_tr_reads_code_zero_as_false():
+    # D codes start at 1, so 0 is no statement and Tr rejects it
+    env = micro_env(micro_universe(6))
+    assert evaluate(parse_formula("Tr(0)"), env) is Truth.FALSE
+
+
 def test_berry_and_b_instances_with_genuine_oracle():
     u = micro_universe(8)
     bundle = build_bundle(truth_oracle_property())

@@ -217,3 +217,24 @@ def test_entry_point_subprocess():
     assert done.returncode == 0
     report = json.loads(done.stdout)
     assert report["outputs"]["canonical"] == "0=0"
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    # formulas using Tr or inst have no code: a usage error
+    (["encode", "Tr(x)"], 2),
+    (["encode", "inst(0,0,0)=0"], 2),
+    (["diagonalize", "--psi", "Tr(x)"], 2),
+    (["refute-truth", "--candidate", "Tr(x)"], 2),
+    # nesting past the parser's reach, in a term and in a formula
+    (["encode", "len(" * 1200 + "0" + ")" * 1200], 2),
+    (["encode", "¬(" * 1200 + "0=0" + ")" * 1200], 2),
+    (["berry", "--micro-maxlen", "6", "--upsilon", "Tr(0)∨(x=x)"], 0),
+    # an unsettled report is a verdict failure
+    (["berry", "--micro-maxlen", "6", "--upsilon", "inst(x,0,0)=0"], 1),
+], ids=["encode-Tr", "encode-inst", "diagonalize-Tr", "refute-truth-Tr",
+        "deep-term", "deep-negation", "berry-Tr0", "berry-unsettled"])
+def test_exit_codes_without_traceback(argv, exit_code):
+    done = subprocess.run([sys.executable, "-m", "selfref.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == exit_code
+    assert "Traceback" not in done.stderr

@@ -24,7 +24,7 @@ from selfref.parser import parse_formula
 from selfref.proofs import (
     Axiom, CheckReport, ConsistentBySoundness, Generalization,
     InconsistencyAlarm, LogicalAxiom, ModusPonens, NotFound, ProofObject,
-    ProofStep, RefutedByProof, SearchExhausted, TheoryHandle, Undetermined,
+    ProofStep, RefutedByProof, SearchExhausted, TheoryHandle, Unknown,
     bounded_proof_search, check_proof, check_proof_report, consistency_witness,
     decode_proof_code, fixture_path, goedel_sentence, load_fixture_proof,
     make_prf, neg_neg_proof, not_below_zero_proof, parse_proof, pr_formula,
@@ -451,7 +451,7 @@ def test_unknown_without_evidence():
     # a sentence too deep for the default sweeps and with no refutation
     sigma = pr_sentence(ZERO_EQ_ZERO)
     got = consistency_witness(sigma, standard_theory(), search_nodes=200)
-    assert isinstance(got, Undetermined)
+    assert isinstance(got, Unknown)
 
 
 def test_inconsistency_alarm_fires():

@@ -8,7 +8,7 @@ from selfref.bignat import BigNat
 from selfref.parser import parse_formula
 from selfref.semantics import (
     Budget, DefinesReport, OracleEnv, OracleUndecided, Truth, defines,
-    defines_exactly, evaluate, evaluate_full, eval_term,
+    evaluate, evaluate_full, eval_term,
     standard_oracle_env, t_and, t_iff, t_implies, t_or,
 )
 from selfref.syntax import (
@@ -130,8 +130,6 @@ def test_defines_exact_singleton():
     phi = parse_formula("x=#7")
     report = defines(phi)
     assert report.exact and report.solutions == [7]
-    assert defines_exactly(phi, 7) is T
-    assert defines_exactly(phi, 8) is F
 
 
 def test_defines_interval_and_cofinite():
@@ -142,7 +140,6 @@ def test_defines_interval_and_cofinite():
     report2 = defines(co)
     assert report2.exact
     assert "..." in report2.solutions
-    assert defines_exactly(co, 2) is F
 
 
 def test_defines_on_universe():
