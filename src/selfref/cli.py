@@ -154,12 +154,32 @@ def _parse_profile(raw: str) -> dict[str, int]:
         key = key.strip().replace("_", "-")
         if not sep or key not in ("witness-bound", "depth-bound",
                                   "node-budget", "iter-cap"):
-            raise _Usage(f"bad budget profile entry {piece!r}")
+            raise _Usage(f"bad budget profile entry {_echo(piece)}")
         try:
-            profile[key] = int(value)
-        except ValueError:
-            raise _Usage(f"bad budget profile value {piece!r}") from None
+            profile[key] = _non_negative(value)
+        except argparse.ArgumentTypeError:
+            raise _Usage(f"bad budget profile value {_echo(piece)}") \
+                from None
     return profile
+
+
+def _non_negative(text: str) -> int:
+    """The argparse type of every integer flag: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {_echo(text)}")
+    return value
+
+
+def _echo(text: str) -> str:
+    """An input as usage messages quote it: at most its first 80 characters."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:80]!r}… ({len(text)} characters)"
 
 
 def _budget(args, profile: dict[str, int]) -> Budget:
@@ -182,7 +202,7 @@ def _formula_arg(text: str) -> Formula:
     try:
         return parse_formula(text)
     except (ParseError, SyntaxError_) as err:
-        raise _Usage(f"cannot parse formula {text!r}: {err}") from None
+        raise _Usage(f"cannot parse formula {_echo(text)}: {err}") from None
 
 
 # -- subcommand bodies ------------------------------------------------------------------
@@ -207,7 +227,8 @@ def _cmd_encode(args, budget) -> tuple[dict, dict]:
     try:
         obj = parse(args.expression)
     except (ParseError, SyntaxError_) as err:
-        raise _Usage(f"cannot parse {args.expression!r}: {err}") from None
+        raise _Usage(f"cannot parse {_echo(args.expression)}: {err}") \
+            from None
     return ({"expression": args.expression},
             {"kind": "formula" if isinstance(obj, Formula) else "term",
              "code": _code_payload(encode(obj))})
@@ -217,7 +238,7 @@ def _cmd_decode(args, budget) -> tuple[dict, dict]:
     try:
         code = int(args.code, 0)
     except ValueError:
-        raise _Usage(f"bad code literal {args.code!r}") from None
+        raise _Usage(f"bad code literal {_echo(args.code)}") from None
     if code < 0:
         raise _Usage("codes are non-negative")
     inputs = {"code": args.code}
@@ -456,11 +477,11 @@ _COMMANDS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--witness-bound", type=int, default=None,
+    shared.add_argument("--witness-bound", type=_non_negative, default=None,
                         help="existential witness sweep bound")
-    shared.add_argument("--depth-bound", type=int, default=None,
+    shared.add_argument("--depth-bound", type=_non_negative, default=None,
                         help="evaluator recursion bound")
-    shared.add_argument("--node-budget", type=int, default=None,
+    shared.add_argument("--node-budget", type=_non_negative, default=None,
                         help="evaluator node budget")
     shared.add_argument("--json", metavar="PATH", default=None,
                         help="also write the report to this file")
@@ -494,12 +515,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("berry", "tarski-experiment"):
         p = subs.add_parser(name, parents=[shared])
         p.add_argument("--upsilon", default=None)
-        p.add_argument("--micro-maxlen", type=int, default=12)
+        p.add_argument("--micro-maxlen", type=_non_negative, default=12)
 
     p = subs.add_parser("prove", parents=[shared],
                         help="bounded proof search in the base calculus")
     p.add_argument("--goal", required=True)
-    p.add_argument("--budget", type=int, default=10_000,
+    p.add_argument("--budget", type=_non_negative, default=10_000,
                    help="search node budget")
 
     subs.add_parser("rosser", parents=[shared])
@@ -508,13 +529,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dominate", parents=[shared],
                         help="dominating bound over the micro catalogue")
-    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--x", type=_non_negative, required=True)
     p.add_argument("--kotlarski", action="store_true")
 
     p = subs.add_parser("tb", parents=[shared],
                         help="first truth biconditionals of a property")
     p.add_argument("--psi", required=True)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_non_negative, default=5)
 
     subs.add_parser("selftest", parents=[shared],
                     help="run the acceptance criteria")

@@ -511,22 +511,6 @@ def check_fixed_point(cert: FixedPointCertificate,
     )
 
 
-def flip_equiv_witness(psi: Formula, theta: Formula,
-                       env: OracleEnv | None = None,
-                       budget: Budget | None = None) -> Truth:
-    """The verdict of psi(code of theta) <-> theta, reached indirectly.
-
-    not(p <-> q) and (not p) <-> q are tautologically equivalent, so
-    the direct verdict is the inverse of the flipped biconditional's.
-    Unknown is a fixed point of inversion, so inconclusive runs stay
-    inconclusive on both routes.
-    """
-    at_code = substitute(normalize_psi(psi), 1, numeral(encode(theta)))
-    flipped = Iff(Not(at_code), theta)
-    return ~evaluate(flipped, env or standard_oracle_env(),
-                     budget or Budget())
-
-
 @dataclass
 class TruthRefutation:
     candidate: Formula
@@ -576,21 +560,6 @@ def refute_truth_definition(candidate: Formula,
         candidate=candidate, certificate=cert, theta_truth=theta_truth,
         candidate_at_code=at_code, refuted=refuted, explanation=explanation,
     )
-
-
-def build_beta_formula() -> Formula:
-    """The remainder-extraction formula on four free variables.
-
-    beta(a, b, i, y) holds when y = a mod ((i+1)*b + 1).  With i = 0
-    it reads off a mod (b+1), the basic block for digit surgery.
-    """
-    a, b, i, y, q = Var(0), Var(1), Var(2), Var(3), Var(4)
-    divisor = Add(Mul(Add(i, One()), b), One())
-    return Exists(q, conj(
-        Lt(q, Add(a, One())),
-        Eq(a, Add(Mul(q, divisor), y)),
-        Lt(y, divisor),
-    ))
 
 
 def taut_equiv(left: Formula, right: Formula, max_atoms: int = 16) -> bool:

@@ -10,8 +10,11 @@ into proof objects and re-checks them from scratch.
 The theory is Robinson-style arithmetic over successor-as-plus-one
 together with two ordering axioms: nothing sits below zero, and being
 below a successor means being below or equal to the base.  The scheme
-list is fixed and published; the checker accepts nothing else, so a
-proof code is meaningful relative to this exact calculus.
+list is fixed and published: ``_SCHEMES`` builds each data-free scheme
+(the checker and the bounded search both read it), and ``_DATA_SCHEMES``
+checks the three that carry data (leibniz, inst, ex_intro).  The
+checker accepts nothing else, so a proof code is meaningful relative to
+this exact calculus.
 
 Everything downstream of the checker stays on the sound side of the
 standard model: theories carry a declared soundness flag, consistency
@@ -21,6 +24,7 @@ raises an alarm instead of returning quietly.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -143,9 +147,6 @@ class Axiomatization:
                 return phi
         raise KeyError(axiom_id)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(aid for aid, _ in self.axioms)
-
 
 @lru_cache(maxsize=1)
 def robinson_order_axiomatization() -> Axiomatization:
@@ -204,159 +205,75 @@ def standard_theory() -> TheoryHandle:
 
 
 # -- logical axiom schemes -------------------------------------------------------------
-# Each checker receives the claimed instance and the justification data and
-# returns None on success or a reason string.  An instance is whatever
-# matches the shape; there is no instantiation record beyond the data slots.
+# Each data-free scheme is one builder from metavariables to its instance.
+# The checker matches a claimed instance against the builder's pattern and
+# the bounded search calls the builders to make instances; in ex_elim and
+# gen_vac the bound variable v must also not be free in c.
 
 
-def _shape(f, cls) -> bool:
-    return isinstance(f, cls)
+_SCHEMES: dict[str, Callable[..., Formula]] = {
+    "k": lambda a, b: Implies(a, Implies(b, a)),
+    "s": lambda a, b, c: Implies(Implies(a, Implies(b, c)),
+                                 Implies(Implies(a, b), Implies(a, c))),
+    "contr": lambda a, b: Implies(Implies(Not(a), Not(b)), Implies(b, a)),
+    "contrapose2": lambda a, b: Implies(Implies(a, Not(b)),
+                                        Implies(b, Not(a))),
+    "dn_intro": lambda a: Implies(a, Not(Not(a))),
+    "dn_elim": lambda a: Implies(Not(Not(a)), a),
+    "absurd": lambda a, b: Implies(a, Implies(Not(a), b)),
+    "and_intro": lambda a, b: Implies(a, Implies(b, And(a, b))),
+    "and_left": lambda a, b: Implies(And(a, b), a),
+    "and_right": lambda a, b: Implies(And(a, b), b),
+    "or_left": lambda a, b: Implies(a, Or(a, b)),
+    "or_right": lambda a, b: Implies(b, Or(a, b)),
+    "or_elim": lambda a, b, c: Implies(Implies(a, c),
+                                       Implies(Implies(b, c),
+                                               Implies(Or(a, b), c))),
+    "iff_intro": lambda a, b: Implies(Implies(a, b),
+                                      Implies(Implies(b, a), Iff(a, b))),
+    "iff_left": lambda a, b: Implies(Iff(a, b), Implies(a, b)),
+    "iff_right": lambda a, b: Implies(Iff(a, b), Implies(b, a)),
+    "refl": lambda t: Eq(t, t),
+    "ex_elim": lambda v, b, c: Implies(Forall(v, Implies(b, c)),
+                                       Implies(Exists(v, b), c)),
+    "gen_vac": lambda v, c: Implies(c, Forall(v, c)),
+    "dist": lambda v, a, b: Implies(Forall(v, Implies(a, b)),
+                                    Implies(Forall(v, a), Forall(v, b))),
+}
+_FRESH_IN_C = ("ex_elim", "gen_vac")
 
 
-def _chk_k(f, data):
-    # a -> (b -> a)
-    if _shape(f, Implies) and _shape(f.right, Implies) \
-            and f.left == f.right.right:
-        return None
-    return "not of shape a→(b→a)"
+class _Meta(str):
+    """A metavariable of a scheme pattern, named after a builder parameter."""
 
 
-def _chk_s(f, data):
-    # (a -> (b -> c)) -> ((a -> b) -> (a -> c))
-    if (_shape(f, Implies) and _shape(f.left, Implies)
-            and _shape(f.left.right, Implies) and _shape(f.right, Implies)
-            and _shape(f.right.left, Implies)
-            and _shape(f.right.right, Implies)):
-        a, b, c = f.left.left, f.left.right.left, f.left.right.right
-        if (f.right.left == Implies(a, b)
-                and f.right.right == Implies(a, c)):
-            return None
-    return "not of shape (a→(b→c))→((a→b)→(a→c))"
+_PATTERNS = {name: build(*map(_Meta, inspect.signature(build).parameters))
+             for name, build in _SCHEMES.items()}
 
 
-def _chk_contr(f, data):
-    # (¬a -> ¬b) -> (b -> a)
-    if (_shape(f, Implies) and _shape(f.left, Implies)
-            and _shape(f.left.left, Not) and _shape(f.left.right, Not)
-            and _shape(f.right, Implies)
-            and f.right == Implies(f.left.right.body, f.left.left.body)):
-        return None
-    return "not of shape (¬a→¬b)→(b→a)"
+def _match(pattern, node, binding: dict) -> bool:
+    """Structural match that binds each metavariable to one subtree."""
+    if isinstance(pattern, _Meta):
+        return binding.setdefault(pattern, node) == node
+    if type(node) is not type(pattern):
+        return False
+    for p, n in zip(vars(pattern).values(), vars(node).values()):
+        if not _match(p, n, binding):
+            return False
+    return True
 
 
-def _chk_contrapose2(f, data):
-    # (a -> ¬b) -> (b -> ¬a)
-    if (_shape(f, Implies) and _shape(f.left, Implies)
-            and _shape(f.left.right, Not) and _shape(f.right, Implies)
-            and f.right == Implies(f.left.right.body, Not(f.left.left))):
-        return None
-    return "not of shape (a→¬b)→(b→¬a)"
+def _check_pattern(name: str, f) -> Optional[str]:
+    binding: dict = {}
+    if not _match(_PATTERNS[name], f, binding):
+        return "not an instance of the scheme"
+    if name in _FRESH_IN_C and binding["v"].index in free_vars(binding["c"]):
+        return "its variable v is free in c"
+    return None
 
 
-def _chk_dn_intro(f, data):
-    if _shape(f, Implies) and f.right == Not(Not(f.left)):
-        return None
-    return "not of shape a→¬¬a"
-
-
-def _chk_dn_elim(f, data):
-    if _shape(f, Implies) and f.left == Not(Not(f.right)):
-        return None
-    return "not of shape ¬¬a→a"
-
-
-def _chk_absurd(f, data):
-    # a -> (¬a -> b)
-    if (_shape(f, Implies) and _shape(f.right, Implies)
-            and f.right.left == Not(f.left)):
-        return None
-    return "not of shape a→(¬a→b)"
-
-
-def _chk_and_intro(f, data):
-    # a -> (b -> a∧b)
-    if (_shape(f, Implies) and _shape(f.right, Implies)
-            and _shape(f.right.right, And)
-            and f.right.right == And(f.left, f.right.left)):
-        return None
-    return "not of shape a→(b→(a∧b))"
-
-
-def _chk_and_left(f, data):
-    if _shape(f, Implies) and _shape(f.left, And) \
-            and f.right == f.left.left:
-        return None
-    return "not of shape (a∧b)→a"
-
-
-def _chk_and_right(f, data):
-    if _shape(f, Implies) and _shape(f.left, And) \
-            and f.right == f.left.right:
-        return None
-    return "not of shape (a∧b)→b"
-
-
-def _chk_or_left(f, data):
-    if _shape(f, Implies) and _shape(f.right, Or) \
-            and f.left == f.right.left:
-        return None
-    return "not of shape a→(a∨b)"
-
-
-def _chk_or_right(f, data):
-    if _shape(f, Implies) and _shape(f.right, Or) \
-            and f.left == f.right.right:
-        return None
-    return "not of shape b→(a∨b)"
-
-
-def _chk_or_elim(f, data):
-    # (a -> c) -> ((b -> c) -> (a∨b -> c))
-    if (_shape(f, Implies) and _shape(f.left, Implies)
-            and _shape(f.right, Implies) and _shape(f.right.left, Implies)
-            and _shape(f.right.right, Implies)
-            and _shape(f.right.right.left, Or)):
-        a, c = f.left.left, f.left.right
-        b = f.right.left.left
-        if (f.right.left == Implies(b, c)
-                and f.right.right == Implies(Or(a, b), c)):
-            return None
-    return "not of shape (a→c)→((b→c)→((a∨b)→c))"
-
-
-def _chk_iff_intro(f, data):
-    # (a -> b) -> ((b -> a) -> (a↔b))
-    if (_shape(f, Implies) and _shape(f.left, Implies)
-            and _shape(f.right, Implies) and _shape(f.right.left, Implies)
-            and _shape(f.right.right, Iff)):
-        a, b = f.left.left, f.left.right
-        if (f.right.left == Implies(b, a)
-                and f.right.right == Iff(a, b)):
-            return None
-    return "not of shape (a→b)→((b→a)→(a↔b))"
-
-
-def _chk_iff_left(f, data):
-    # (a↔b) -> (a -> b)
-    if (_shape(f, Implies) and _shape(f.left, Iff)
-            and f.right == Implies(f.left.left, f.left.right)):
-        return None
-    return "not of shape (a↔b)→(a→b)"
-
-
-def _chk_iff_right(f, data):
-    # (a↔b) -> (b -> a)
-    if (_shape(f, Implies) and _shape(f.left, Iff)
-            and f.right == Implies(f.left.right, f.left.left)):
-        return None
-    return "not of shape (a↔b)→(b→a)"
-
-
-def _chk_refl(f, data):
-    if _shape(f, Eq) and f.left == f.right:
-        return None
-    return "not of shape t=t"
-
+# The three schemes that carry data keep a checker of their own; each
+# returns None on success or a reason string.
 
 def _chk_leibniz(f, data):
     # data = (var_index, template): t=u -> (template[v:=t] -> template[v:=u])
@@ -364,8 +281,8 @@ def _chk_leibniz(f, data):
             or not isinstance(data[1], Formula):
         return "leibniz needs (var index, template formula)"
     v, template = data
-    if (_shape(f, Implies) and _shape(f.left, Eq)
-            and _shape(f.right, Implies)):
+    if (isinstance(f, Implies) and isinstance(f.left, Eq)
+            and isinstance(f.right, Implies)):
         t, u = f.left.left, f.left.right
         if (f.right.left == substitute(template, v, t)
                 and f.right.right == substitute(template, v, u)):
@@ -377,7 +294,7 @@ def _chk_inst(f, data):
     # data = (term,): ∀v(body) -> body[v:=term]
     if len(data) != 1 or not isinstance(data[0], Term):
         return "inst needs one witness term"
-    if _shape(f, Implies) and _shape(f.left, Forall):
+    if isinstance(f, Implies) and isinstance(f.left, Forall):
         body, v = f.left.body, f.left.var.index
         if f.right == substitute(body, v, data[0]):
             return None
@@ -388,59 +305,15 @@ def _chk_ex_intro(f, data):
     # data = (term,): body[v:=term] -> ∃v(body)
     if len(data) != 1 or not isinstance(data[0], Term):
         return "ex_intro needs one witness term"
-    if _shape(f, Implies) and _shape(f.right, Exists):
+    if isinstance(f, Implies) and isinstance(f.right, Exists):
         body, v = f.right.body, f.right.var.index
         if f.left == substitute(body, v, data[0]):
             return None
     return "not an existential-introduction instance"
 
 
-def _chk_ex_elim(f, data):
-    # ∃v(body) -> c with v not free in c, given body -> c was generalizable:
-    # (∀v(body -> c)) -> (∃v(body) -> c)
-    if (_shape(f, Implies) and _shape(f.left, Forall)
-            and _shape(f.left.body, Implies) and _shape(f.right, Implies)
-            and _shape(f.right.left, Exists)):
-        v = f.left.var
-        body, c = f.left.body.left, f.left.body.right
-        if (f.right.left == Exists(v, body) and f.right.right == c
-                and v.index not in free_vars(c)):
-            return None
-    return "not of shape ∀v(b→c)→(∃v(b)→c) with v fresh in c"
-
-
-def _chk_gen_vac(f, data):
-    # c -> ∀v(c) with v not free in c
-    if (_shape(f, Implies) and _shape(f.right, Forall)
-            and f.right.body == f.left
-            and f.right.var.index not in free_vars(f.left)):
-        return None
-    return "not a vacuous-generalization instance"
-
-
-def _chk_dist(f, data):
-    # ∀v(a -> b) -> (∀v(a) -> ∀v(b))
-    if (_shape(f, Implies) and _shape(f.left, Forall)
-            and _shape(f.left.body, Implies) and _shape(f.right, Implies)):
-        v = f.left.var
-        a, b = f.left.body.left, f.left.body.right
-        if f.right == Implies(Forall(v, a), Forall(v, b)):
-            return None
-    return "not of shape ∀v(a→b)→(∀v(a)→∀v(b))"
-
-
-_SCHEMAS: dict[str, Callable] = {
-    "k": _chk_k, "s": _chk_s, "contr": _chk_contr,
-    "contrapose2": _chk_contrapose2, "dn_intro": _chk_dn_intro,
-    "dn_elim": _chk_dn_elim, "absurd": _chk_absurd,
-    "and_intro": _chk_and_intro, "and_left": _chk_and_left,
-    "and_right": _chk_and_right, "or_left": _chk_or_left,
-    "or_right": _chk_or_right, "or_elim": _chk_or_elim,
-    "iff_intro": _chk_iff_intro, "iff_left": _chk_iff_left,
-    "iff_right": _chk_iff_right, "refl": _chk_refl,
-    "leibniz": _chk_leibniz, "inst": _chk_inst,
-    "ex_intro": _chk_ex_intro, "ex_elim": _chk_ex_elim,
-    "gen_vac": _chk_gen_vac, "dist": _chk_dist,
+_DATA_SCHEMES: dict[str, Callable] = {
+    "leibniz": _chk_leibniz, "inst": _chk_inst, "ex_intro": _chk_ex_intro,
 }
 
 
@@ -463,10 +336,12 @@ def check_proof_report(proof: ProofObject, theory: TheoryHandle
                 return CheckReport(False, i,
                                    f"formula is not axiom {j.axiom_id}")
         elif isinstance(j, LogicalAxiom):
-            checker = _SCHEMAS.get(j.schema)
-            if checker is None:
+            if j.schema in _DATA_SCHEMES:
+                reason = _DATA_SCHEMES[j.schema](f, j.data)
+            elif j.schema in _PATTERNS:
+                reason = _check_pattern(j.schema, f)
+            else:
                 return CheckReport(False, i, f"unknown scheme {j.schema}")
-            reason = checker(f, j.data)
             if reason is not None:
                 return CheckReport(False, i, f"{j.schema}: {reason}")
         elif isinstance(j, ModusPonens):
@@ -725,7 +600,7 @@ def remark_one_proof(theory: Optional[TheoryHandle] = None
     theta = base.conclusion
     code_term = quote(theta)
     p_term = numeral(proof_code(base))
-    pr_at = substitute(pr_formula(), 0, code_term)
+    pr_at = pr_sentence(theta)
     fact = OracleAtom("prf", (p_term, code_term))
     biconditional = Iff(Not(pr_at), theta)
     handle = TheoryHandle(theory.axiomatization,
@@ -905,15 +780,11 @@ class _Searcher:
             for imp in self.by_antecedent.get(f, ()):
                 self._add(imp.right, ("mp", imp, f))
             if isinstance(f, Iff):
-                self._add(Implies(f, Implies(f.left, f.right)),
-                          ("logic", "iff_left", ()))
-                self._add(Implies(f, Implies(f.right, f.left)),
-                          ("logic", "iff_right", ()))
+                self._add_schemes(("iff_left", "iff_right"), f.left, f.right)
             elif isinstance(f, And):
-                self._add(Implies(f, f.left), ("logic", "and_left", ()))
-                self._add(Implies(f, f.right), ("logic", "and_right", ()))
+                self._add_schemes(("and_left", "and_right"), f.left, f.right)
             elif isinstance(f, Not) and isinstance(f.body, Not):
-                self._add(Implies(f, f.body.body), ("logic", "dn_elim", ()))
+                self._add_schemes(("dn_elim",), f.body.body)
             elif isinstance(f, Forall) and self.expand_universals:
                 for t in self.terms:
                     self._add(Implies(f, substitute(f.body, f.var.index, t)),
@@ -940,11 +811,10 @@ class _Searcher:
             self._add(phi, ("axiom", aid))
             self._drain()
         for t in self.terms:
-            self._add(Eq(t, t), ("logic", "refl", ()))
+            self._add_schemes(("refl",), t)
             self._drain()
         for f in self.pool:
-            self._add(Implies(f, Not(Not(f))), ("logic", "dn_intro", ()))
-            self._add(Implies(Not(Not(f)), f), ("logic", "dn_elim", ()))
+            self._add_schemes(("dn_intro", "dn_elim"), f)
             self._drain()
         for e in self.exists_targets:
             for t in self.terms:
@@ -956,28 +826,17 @@ class _Searcher:
             self.queue.append(f)
         self._drain()
         for a, b in itertools.product(self.pool, repeat=2):
-            self._add(Implies(a, Implies(b, a)), ("logic", "k", ()))
-            self._add(Implies(Implies(a, Not(b)), Implies(b, Not(a))),
-                      ("logic", "contrapose2", ()))
-            self._add(Implies(Implies(Not(a), Not(b)), Implies(b, a)),
-                      ("logic", "contr", ()))
-            self._add(Implies(a, Implies(Not(a), b)), ("logic", "absurd", ()))
-            self._add(Implies(a, Implies(b, And(a, b))),
-                      ("logic", "and_intro", ()))
-            self._add(Implies(a, Or(a, b)), ("logic", "or_left", ()))
-            self._add(Implies(b, Or(a, b)), ("logic", "or_right", ()))
-            self._add(Implies(Implies(a, b),
-                              Implies(Implies(b, a), Iff(a, b))),
-                      ("logic", "iff_intro", ()))
+            self._add_schemes(("k", "contrapose2", "contr", "absurd",
+                               "and_intro", "or_left", "or_right",
+                               "iff_intro"), a, b)
             self._drain()
         for a, b, c in itertools.product(self.pool, repeat=3):
-            self._add(Implies(Implies(a, Implies(b, c)),
-                              Implies(Implies(a, b), Implies(a, c))),
-                      ("logic", "s", ()))
-            self._add(Implies(Implies(a, c),
-                              Implies(Implies(b, c), Implies(Or(a, b), c))),
-                      ("logic", "or_elim", ()))
+            self._add_schemes(("s", "or_elim"), a, b, c)
             self._drain()
+
+    def _add_schemes(self, names: tuple[str, ...], *args) -> None:
+        for name in names:
+            self._add(_SCHEMES[name](*args), ("logic", name, ()))
 
     def _reconstruct(self) -> ProofObject:
         steps: list[ProofStep] = []
@@ -1243,7 +1102,7 @@ def remark_demo(theory: Optional[TheoryHandle] = None) -> RemarkReport:
     not_delta_proof = neg_neg_proof()
     not_delta_check = check_proof(not_delta_proof, theory,
                                   conclusion=not_delta)
-    pr_at_delta = substitute(pr_formula(), 0, quote(delta))
+    pr_at_delta = pr_sentence(delta)
     reduction = taut_equiv(Iff(Not(pr_at_delta), delta), pr_at_delta)
     pr_verdict = evaluate(pr_at_delta, proofs_env(theory), Budget())
     remark_proof, remark_theory = remark_one_proof(theory)

@@ -209,10 +209,6 @@ _QUANTIFIER_TOKEN = {Forall: "∀", Exists: "∃"}
 # -- construction helpers ----------------------------------------------
 
 
-def variable(index: int) -> Var:
-    return Var(index)
-
-
 def numeral(n: Nat) -> Term:
     """The canonical term with value n: 0, 1, or 1+(1+(...))."""
     if isinstance(n, BigNat):

@@ -210,6 +210,11 @@ def test_bad_budget_profile_is_usage_error(capsys, monkeypatch):
     assert main(["parse", "0=0"]) == 2
 
 
+def test_negative_budget_profile_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SELFREF_BUDGET_PROFILE", "witness-bound=-4")
+    assert main(["parse", "0=0"]) == 2
+
+
 def test_entry_point_subprocess():
     done = subprocess.run(
         [sys.executable, "-m", "selfref.cli", "parse", "0=0"],
@@ -231,10 +236,21 @@ def test_entry_point_subprocess():
     (["berry", "--micro-maxlen", "6", "--upsilon", "Tr(0)∨(x=x)"], 0),
     # an unsettled report is a verdict failure
     (["berry", "--micro-maxlen", "6", "--upsilon", "inst(x,0,0)=0"], 1),
+    # integer flags take values >= 0
+    (["berry", "--micro-maxlen", "6", "--witness-bound", "-1"], 2),
+    (["dominate", "--x", "-1"], 2),
+    (["berry", "--micro-maxlen", "-3"], 2),
+    (["prove", "--goal", "0=0", "--budget", "-1"], 2),
+    (["tb", "--psi", "x=x", "--count", "-1"], 2),
+    (["diagonalize", "--psi", "x=x", "--node-budget", "-5"], 2),
 ], ids=["encode-Tr", "encode-inst", "diagonalize-Tr", "refute-truth-Tr",
-        "deep-term", "deep-negation", "berry-Tr0", "berry-unsettled"])
+        "deep-term", "deep-negation", "berry-Tr0", "berry-unsettled",
+        "negative-witness-bound", "negative-x", "negative-micro-maxlen",
+        "negative-budget", "negative-count", "negative-node-budget"])
 def test_exit_codes_without_traceback(argv, exit_code):
     done = subprocess.run([sys.executable, "-m", "selfref.cli", *argv],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == exit_code
     assert "Traceback" not in done.stderr
+    # usage errors quote a short prefix of the input, not all of it
+    assert all(len(line) <= 300 for line in done.stderr.splitlines())

@@ -7,7 +7,6 @@ codes are read off the last token directly (base 24 is even, so a
 value is odd exactly when its last digit is).
 """
 
-import random
 from importlib import resources
 
 import pytest
@@ -16,14 +15,12 @@ from selfref.bignat import BigNat
 from selfref.coding import encode
 from selfref.diagonal import (
     bare_occurrence_positions,
-    build_beta_formula,
     build_delta,
     build_diag_formula,
     check_diag_instance,
     check_fixed_point,
     const_term,
     diagonal_sentence,
-    flip_equiv_witness,
     meta_diagonalize,
     normalize_psi,
     refute_truth_definition,
@@ -74,23 +71,6 @@ def test_const_term_evaluates_to_its_value():
         assert eval_term(const_term(k), {}, env) == k
     # Horner form stays small where plain numerals explode
     assert length(const_term(13823)) < 600
-
-
-def test_beta_formula_reads_remainders():
-    beta = build_beta_formula()
-
-    def beta_at(a, b, i, y):
-        inst = beta
-        for idx, val in zip((0, 1, 2, 3), (a, b, i, y)):
-            inst = substitute(inst, idx, numeral(val))
-        return evaluate(inst)
-
-    # y = a mod ((i+1)b + 1)
-    assert beta_at(17, 4, 0, 17 % 5) is T
-    assert beta_at(17, 4, 0, 3) is F
-    assert beta_at(100, 6, 1, 100 % 13) is T
-    assert beta_at(100, 6, 1, 8) is F
-    assert beta_at(0, 9, 2, 0) is T
 
 
 @pytest.mark.parametrize("source", [
@@ -278,24 +258,10 @@ def _direct_equiv(psi, theta):
 def test_flip_equiv_witness_valid_property():
     psi = Eq(Var(0), Var(0))
     theta = Eq(Zero(), Zero())
-    assert flip_equiv_witness(psi, theta) is Truth.TRUE
     assert _direct_equiv(psi, theta) is Truth.TRUE
 
 
 def test_flip_equiv_witness_unsatisfiable_property():
     psi = Not(Eq(Var(0), Var(0)))
     theta = Eq(Zero(), Zero())
-    assert flip_equiv_witness(psi, theta) is Truth.FALSE
     assert _direct_equiv(psi, theta) is Truth.FALSE
-
-
-def test_flip_equiv_witness_agrees_with_direct_path():
-    from selfref.enumeration import sentences, unary_formulas
-
-    psis = list(unary_formulas(7))
-    thetas = list(sentences(7))
-    rng = random.Random(20260814)
-    for _ in range(50):
-        psi = rng.choice(psis)
-        theta = rng.choice(thetas)
-        assert flip_equiv_witness(psi, theta) is _direct_equiv(psi, theta)

@@ -173,6 +173,85 @@ def test_wrong_schema_claim_rejected():
     assert not report.ok and report.failed_step == 0
 
 
+A, B, C = ZERO_EQ_ZERO, Eq(Zero(), One()), Eq(One(), One())
+X_EQ_0, X_EQ_X, X_LT_1 = Eq(X, Zero()), Eq(X, X), Lt(X, One())
+
+# scheme, data, a correct instance, a near miss
+SCHEME_ROWS = [
+    ("k", (), Implies(A, Implies(B, A)), Implies(A, Implies(B, B))),
+    ("s", (),
+     Implies(Implies(A, Implies(B, C)),
+             Implies(Implies(A, B), Implies(A, C))),
+     Implies(Implies(A, Implies(B, C)),
+             Implies(Implies(A, B), Implies(B, C)))),
+    ("contr", (), Implies(Implies(Not(A), Not(B)), Implies(B, A)),
+     Implies(Implies(Not(A), Not(B)), Implies(A, B))),
+    ("contrapose2", (), Implies(Implies(A, Not(B)), Implies(B, Not(A))),
+     Implies(Implies(A, Not(B)), Implies(B, A))),
+    ("dn_intro", (), Implies(A, Not(Not(A))), Implies(A, Not(A))),
+    ("dn_elim", (), Implies(Not(Not(A)), A), Implies(Not(Not(A)), B)),
+    ("absurd", (), Implies(A, Implies(Not(A), B)),
+     Implies(A, Implies(Not(B), B))),
+    ("and_intro", (), Implies(A, Implies(B, And(A, B))),
+     Implies(A, Implies(B, And(B, A)))),
+    ("and_left", (), Implies(And(A, B), A), Implies(And(A, B), B)),
+    ("and_right", (), Implies(And(A, B), B), Implies(And(A, B), A)),
+    ("or_left", (), Implies(A, Or(A, B)), Implies(B, Or(A, B))),
+    ("or_right", (), Implies(B, Or(A, B)), Implies(A, Or(A, B))),
+    ("or_elim", (),
+     Implies(Implies(A, C), Implies(Implies(B, C), Implies(Or(A, B), C))),
+     Implies(Implies(A, C), Implies(Implies(B, C), Implies(Or(B, A), C)))),
+    ("iff_intro", (),
+     Implies(Implies(A, B), Implies(Implies(B, A), Iff(A, B))),
+     Implies(Implies(A, B), Implies(Implies(B, A), Iff(B, A)))),
+    ("iff_left", (), Implies(Iff(A, B), Implies(A, B)),
+     Implies(Iff(A, B), Implies(B, A))),
+    ("iff_right", (), Implies(Iff(A, B), Implies(B, A)),
+     Implies(Iff(A, B), Implies(A, B))),
+    ("refl", (), ZERO_EQ_ZERO, B),
+    ("leibniz", (0, X_LT_1),
+     Implies(B, Implies(Lt(Zero(), One()), Lt(One(), One()))),
+     Implies(B, Implies(Lt(Zero(), One()), Lt(Zero(), One())))),
+    ("inst", (One(),), Implies(Forall(X, X_EQ_X), C),
+     Implies(Forall(X, X_EQ_X), A)),
+    ("ex_intro", (Zero(),), Implies(A, Exists(X, X_EQ_X)),
+     Implies(C, Exists(X, X_EQ_X))),
+    # the near misses of ex_elim and gen_vac have the right shape but
+    # bind a variable that is free in c
+    ("ex_elim", (),
+     Implies(Forall(X, Implies(X_EQ_0, A)), Implies(Exists(X, X_EQ_0), A)),
+     Implies(Forall(X, Implies(X_EQ_0, X_EQ_X)),
+             Implies(Exists(X, X_EQ_0), X_EQ_X))),
+    ("gen_vac", (), Implies(A, Forall(X, A)),
+     Implies(X_EQ_X, Forall(X, X_EQ_X))),
+    ("dist", (),
+     Implies(Forall(X, Implies(X_EQ_0, X_LT_1)),
+             Implies(Forall(X, X_EQ_0), Forall(X, X_LT_1))),
+     Implies(Forall(X, Implies(X_EQ_0, X_LT_1)),
+             Implies(Forall(X, X_LT_1), Forall(X, X_EQ_0)))),
+]
+
+
+@pytest.mark.parametrize("scheme, data, instance, near_miss", SCHEME_ROWS,
+                         ids=[row[0] for row in SCHEME_ROWS])
+def test_each_scheme_accepts_an_instance_and_rejects_a_near_miss(
+        scheme, data, instance, near_miss):
+    T = standard_theory()
+    good = ProofObject((ProofStep(instance, LogicalAxiom(scheme, data)),))
+    assert check_proof_report(good, T) == CheckReport(True)
+    assert parse_proof(serialize_proof(good)) == good
+    bad = ProofObject((ProofStep(near_miss, LogicalAxiom(scheme, data)),))
+    report = check_proof_report(bad, T)
+    assert not report.ok and report.failed_step == 0
+
+
+def test_unknown_scheme_rejected():
+    p = ProofObject((ProofStep(A, LogicalAxiom("modus_tollens")),))
+    report = check_proof_report(p, standard_theory())
+    assert not report.ok and report.failed_step == 0
+    assert "unknown scheme" in report.reason
+
+
 def test_mp_shape_checked():
     T = standard_theory()
     p = ProofObject(steps=(
