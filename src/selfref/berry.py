@@ -44,7 +44,7 @@ from .semantics import (
 )
 from .syntax import (
     And, Eq, Exists, Forall, Formula, Implies, Lt, Mul, Not, OracleAtom,
-    OracleFun, Var, conj, free_vars, length, numeral, render, substitute,
+    OracleFun, Var, conj, length, numeral, render, substitute,
 )
 
 _U, _V, _W, _ALPHA = Var(0), Var(1), Var(2), Var(3)

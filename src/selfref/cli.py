@@ -25,7 +25,7 @@ from typing import Optional
 from .acceptance import run_all
 from .berry import (
     BudgetInsufficient, berry_contradiction_report, build_bundle,
-    least_undefinable, length_audit, micro_universe,
+    length_audit, micro_universe,
     syntactic_tarski_experiment, truth_oracle_property,
 )
 from .bignat import BigNat, BigNatError

@@ -21,7 +21,7 @@ import json
 from importlib import resources
 
 from .bignat import BASE, BigNat, BigNatError
-from .syntax import Nat, Num, Term, Formula, length, token_pieces
+from .syntax import Nat, Term, token_pieces
 from . import parser
 
 TOKEN_IDS: dict[str, int] = {

@@ -244,7 +244,15 @@ _FRESH_IN_C = ("ex_elim", "gen_vac")
 
 
 class _Meta(str):
-    """A metavariable of a scheme pattern, named after a builder parameter."""
+    """A metavariable of a scheme pattern, named after a builder parameter.
+
+    It carries the facts the node constructors read from a child, so the
+    builders accept it in any position.
+    """
+
+    fv = frozenset()
+    size = 0
+    index = None
 
 
 _PATTERNS = {name: build(*map(_Meta, inspect.signature(build).parameters))
@@ -257,8 +265,8 @@ def _match(pattern, node, binding: dict) -> bool:
         return binding.setdefault(pattern, node) == node
     if type(node) is not type(pattern):
         return False
-    for p, n in zip(vars(pattern).values(), vars(node).values()):
-        if not _match(p, n, binding):
+    for field in pattern._fields:
+        if not _match(getattr(pattern, field), getattr(node, field), binding):
             return False
     return True
 
@@ -339,7 +347,8 @@ def check_proof_report(proof: ProofObject, theory: TheoryHandle
             if j.schema in _DATA_SCHEMES:
                 reason = _DATA_SCHEMES[j.schema](f, j.data)
             elif j.schema in _PATTERNS:
-                reason = _check_pattern(j.schema, f)
+                reason = ("takes no data" if j.data
+                          else _check_pattern(j.schema, f))
             else:
                 return CheckReport(False, i, f"unknown scheme {j.schema}")
             if reason is not None:
@@ -647,44 +656,6 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _walk_nodes(root):
-    """All distinct subtrees of a formula, shared nodes visited once."""
-    seen: set[int] = set()
-    stack = [root]
-    order = []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        order.append(node)
-        stack.extend(_children(node))
-    return order
-
-
-def _tree_sizes(root) -> dict[int, int]:
-    """Tree node count per distinct subtree, computed bottom up.
-
-    A cheap lower bound on token length: every structural node carries
-    at least one token, so any subtree whose count exceeds a pool cap
-    can be rejected without ever spelling it out.
-    """
-    sizes: dict[int, int] = {}
-    stack: list[tuple[object, bool]] = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            sizes[id(node)] = 1 + sum(sizes[id(c)] for c in _children(node))
-            continue
-        if id(node) in sizes:
-            continue
-        stack.append((node, True))
-        for child in _children(node):
-            if id(child) not in sizes:
-                stack.append((child, False))
-    return sizes
-
-
 def _int_length(node) -> Optional[int]:
     return as_int(length(node))
 
@@ -712,21 +683,33 @@ class _Searcher:
         self.goal = goal
         self.theory = theory
         self.node_budget = node_budget
-        nodes = _walk_nodes(goal)
-        sizes = _tree_sizes(goal)
+        # every distinct subtree of the goal, equal subtrees once
+        nodes: dict = {}
+        stack = [goal]
+        while stack:
+            node = stack.pop()
+            if node not in nodes:
+                nodes[node] = None
+                stack.extend(_children(node))
         subformulas = [n for n in nodes if isinstance(n, Formula)]
         subterms = [n for n in nodes if isinstance(n, Term)]
 
         def fits(node, cap: int) -> bool:
-            if sizes.get(id(node), cap + 1) > cap:
+            # the tree size is a lower bound on the token length
+            if node.size > cap:
                 return False
             value = _int_length(node)
             return value is not None and value <= cap
 
-        # generalization targets: subformulas small enough to ever be
-        # reached by closing over a derived premise
-        self.relevant = {f for f in subformulas
-                         if sizes[id(f)] <= 4 * _POOL_FORMULA_LEN}
+        # generalization targets, by premise and in variable order:
+        # universal subformulas small enough to ever be reached by
+        # closing over a derived premise in which the variable is free
+        self.closures: dict[Formula, list[Forall]] = {}
+        for f in sorted((f for f in subformulas if isinstance(f, Forall)
+                         and f.size <= 4 * _POOL_FORMULA_LEN
+                         and f.var.index in f.body.fv),
+                        key=lambda f: f.var.index):
+            self.closures.setdefault(f.body, []).append(f)
 
         pool: dict[Formula, None] = {}
         for f in subformulas:
@@ -789,10 +772,8 @@ class _Searcher:
                 for t in self.terms:
                     self._add(Implies(f, substitute(f.body, f.var.index, t)),
                               ("logic", "inst", (t,)))
-            for v in sorted(free_vars(f)):
-                target = Forall(Var(v), f)
-                if target in self.relevant:
-                    self._add(target, ("gen", f, v))
+            for target in self.closures.get(f, ()):
+                self._add(target, ("gen", f, target.var.index))
 
     def run(self) -> SearchReport:
         try:

@@ -17,11 +17,16 @@ Numerals above a small size are held as lazy ``Num`` nodes that know
 their value instead of an actual chain of additions; the token stream,
 token count and digit code of a ``Num`` are produced arithmetically, so
 the node behaves exactly like the chain it abbreviates.
+
+Nodes are immutable and carry facts that never change: the free-variable
+set and the tree size are computed once, at construction, from the
+children's; the structural hash is computed on the first ``hash()``.
+Hashing, equality and substitution use explicit stacks, so nesting depth
+is limited by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .bignat import BigNat, BigNatError
@@ -48,161 +53,335 @@ ORACLE_ATOMS: dict[str, int] = {"prf": 2, "Formula": 1, "Tr": 1}
 ORACLE_FUNS: dict[str, int] = {"len": 1, "D": 2, "neg": 1, "inst": 3}
 
 
+# -- nodes ---------------------------------------------------------------
+
+# Equal free-variable sets are one shared frozenset object.  The table
+# holds one entry per distinct set ever built; formulas use few variables.
+_FV_SETS: dict[frozenset[int], frozenset[int]] = {}
+
+
+def _shared(fv: frozenset[int]) -> frozenset[int]:
+    return _FV_SETS.setdefault(fv, fv)
+
+
+_NO_VARS = _shared(frozenset())
+
+
+def _union(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return _shared(a | b)
+
+
+class _Node:
+    """An immutable syntax node.
+
+    ``fv`` is the set of free variable indices and ``size`` the number
+    of nodes in the tree (a quantifier's variable is not counted, so it
+    never exceeds the token length); both are set at construction.
+    ``_hash`` stays unset until the first ``hash()``.
+    """
+
+    __slots__ = ("fv", "size", "_hash")
+    # field names in constructor order, read by repr and by pattern matching
+    _fields: tuple[str, ...] = ()
+    # fixed per class (assigned below), so hashes and therefore set and
+    # dict orders are the same in every run
+    _TAG: int
+
+    def _parts(self) -> tuple:
+        """Scalars and child nodes that make up the node's identity."""
+        return ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _hash_tree(self)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return _same_tree(self, other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+# Slot writers for construction; ordinary assignment is refused.
+_set_fv = _Node.fv.__set__
+_set_size = _Node.size.__set__
+_set_hash = _Node._hash.__set__
+
+
+def _hash_tree(root: _Node) -> int:
+    """Hash every not yet hashed node under root, children first."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        try:
+            h = hash((node._TAG, *[p._hash if isinstance(p, _Node) else p
+                                   for p in node._parts()]))
+        except AttributeError:  # some child is not hashed yet
+            todo = [c for c in _children(node) if not hasattr(c, "_hash")]
+            if not todo:
+                raise
+            stack.extend(todo)
+            continue
+        _set_hash(node, h)
+        stack.pop()
+    return root._hash
+
+
+def _same_tree(a: _Node, b: _Node) -> bool:
+    """Structural equality: type, size and any cached hashes first."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or a.size != b.size:
+            return False
+        ha = getattr(a, "_hash", None)
+        hb = getattr(b, "_hash", None)
+        if ha is not None and hb is not None and ha != hb:
+            return False
+        for p, q in zip(a._parts(), b._parts()):
+            if isinstance(p, _Node):
+                stack.append((p, q))
+            elif p != q:
+                return False
+    return True
+
+
 # -- terms -------------------------------------------------------------
 
 
-class Term:
+class Term(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Zero(Term):
-    pass
+class _Constant(Term):
+    __slots__ = ()
+
+    def __init__(self):
+        _set_fv(self, _NO_VARS)
+        _set_size(self, 1)
 
 
-@dataclass(frozen=True)
-class One(Term):
-    pass
+class Zero(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class One(_Constant):
+    __slots__ = ()
+
+
 class Var(Term):
-    index: int
+    __slots__ = _fields = ("index",)
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __init__(self, index: int):
+        if index < 0:
             raise SyntaxError_("variable index must be nonnegative")
+        _set_index(self, index)
+        _set_fv(self, _shared(frozenset((index,))))
+        _set_size(self, 1)
+
+    def _parts(self) -> tuple:
+        return (self.index,)
 
 
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
+_set_index = Var.index.__set__
 
 
-@dataclass(frozen=True)
-class Mul(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
 class Num(Term):
     """The numeral 1+(1+(...)) for a value too large to spell out."""
 
-    value: Nat
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        v = self.value
-        if isinstance(v, int):
-            if v < 1:
-                raise SyntaxError_("Num stands for the numeral of n >= 1")
-        elif isinstance(v, BigNat):
-            if v < 1:
+    def __init__(self, value: Nat):
+        if isinstance(value, (int, BigNat)):
+            if value < 1:
                 raise SyntaxError_("Num stands for the numeral of n >= 1")
         else:
-            raise SyntaxError_(f"Num value must be int or BigNat, got {v!r}")
-
-
-@dataclass(frozen=True)
-class OracleFun(Term):
-    name: str
-    args: tuple[Term, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        arity = ORACLE_FUNS.get(self.name)
-        if arity is None:
-            raise SyntaxError_(f"unknown oracle function {self.name!r}")
-        if len(self.args) != arity:
             raise SyntaxError_(
-                f"{self.name} expects {arity} arguments, got {len(self.args)}"
-            )
+                f"Num value must be int or BigNat, got {value!r}")
+        _set_value(self, value)
+        _set_fv(self, _NO_VARS)
+        _set_size(self, 1)
+
+    def _parts(self) -> tuple:
+        return (self.value,)
+
+
+_set_value = Num.value.__set__
+
+
+class _Binary(_Node):
+    """Two operands: the term operators, comparisons and connectives."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_fv(self, _union(left.fv, right.fv))
+        _set_size(self, 1 + left.size + right.size)
+
+    def _parts(self) -> tuple:
+        return (self.left, self.right)
+
+
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+
+
+class _Oracle(_Node):
+    """An oracle symbol applied to argument terms."""
+
+    __slots__ = _fields = ("name", "args")
+    _ARITIES: dict[str, int]
+    _KIND: str
+
+    def __init__(self, name: str, args):
+        args = tuple(args)
+        arity = self._ARITIES.get(name)
+        if arity is None:
+            raise SyntaxError_(f"unknown oracle {self._KIND} {name!r}")
+        if len(args) != arity:
+            raise SyntaxError_(
+                f"{name} expects {arity} arguments, got {len(args)}")
+        _set_name(self, name)
+        _set_args(self, args)
+        fv = _NO_VARS
+        for a in args:
+            fv = _union(fv, a.fv)
+        _set_fv(self, fv)
+        _set_size(self, 1 + sum(a.size for a in args))
+
+    def _parts(self) -> tuple:
+        return (self.name, *self.args)
+
+
+_set_name = _Oracle.name.__set__
+_set_args = _Oracle.args.__set__
+
+
+class Add(_Binary, Term):
+    __slots__ = ()
+
+
+class Mul(_Binary, Term):
+    __slots__ = ()
+
+
+class OracleFun(_Oracle, Term):
+    __slots__ = ()
+    _ARITIES = ORACLE_FUNS
+    _KIND = "function"
 
 
 # -- formulas ----------------------------------------------------------
 
 
-class Formula:
+class Formula(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eq(Formula):
-    left: Term
-    right: Term
+class Eq(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lt(Formula):
-    left: Term
-    right: Term
+class Lt(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OracleAtom(Formula):
-    name: str
-    args: tuple[Term, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        arity = ORACLE_ATOMS.get(self.name)
-        if arity is None:
-            raise SyntaxError_(f"unknown oracle relation {self.name!r}")
-        if len(self.args) != arity:
-            raise SyntaxError_(
-                f"{self.name} expects {arity} arguments, got {len(self.args)}"
-            )
+class OracleAtom(_Oracle, Formula):
+    __slots__ = ()
+    _ARITIES = ORACLE_ATOMS
+    _KIND = "relation"
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Formula):
+        _set_not_body(self, body)
+        _set_fv(self, body.fv)
+        _set_size(self, 1 + body.size)
+
+    def _parts(self) -> tuple:
+        return (self.body,)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+_set_not_body = Not.body.__set__
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: Var
-    body: Formula
+class Iff(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: Var
-    body: Formula
+class _Quantifier(Formula):
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: Var, body: Formula):
+        _set_var(self, var)
+        _set_quantifier_body(self, body)
+        fv = body.fv
+        if var.index in fv:
+            fv = _shared(fv - {var.index})
+        _set_fv(self, fv)
+        _set_size(self, 1 + body.size)
+
+    def _parts(self) -> tuple:
+        return (self.var.index, self.body)
 
 
-_BINARY_TERMS = (Add, Mul)
+_set_var = _Quantifier.var.__set__
+_set_quantifier_body = _Quantifier.body.__set__
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
+
+
+for _tag, _cls in enumerate((Zero, One, Var, Num, Add, Mul, OracleFun, Eq, Lt,
+                             OracleAtom, Not, And, Or, Implies, Iff, Forall,
+                             Exists)):
+    _cls._TAG = _tag
+
+
 _COMPARISONS = (Eq, Lt)
-_BINARY_FORMULAS = (And, Or, Implies, Iff)
-_QUANTIFIERS = (Forall, Exists)
 
-_CONNECTIVE_TOKEN = {And: "∧", Or: "∨", Implies: "→", Iff: "↔"}
-_TERM_OP_TOKEN = {Add: "+", Mul: "·"}
+_BINARY_TOKEN = {Add: "+", Mul: "·", Eq: "=", Lt: "<", And: "∧", Or: "∨",
+                 Implies: "→", Iff: "↔"}
 _QUANTIFIER_TOKEN = {Forall: "∀", Exists: "∃"}
 
 
@@ -252,15 +431,8 @@ def disj(*parts: Formula) -> Formula:
 
 
 def _children(node) -> tuple:
-    if isinstance(node, _BINARY_TERMS + _COMPARISONS + _BINARY_FORMULAS):
-        return (node.left, node.right)
-    if isinstance(node, Not):
-        return (node.body,)
-    if isinstance(node, _QUANTIFIERS):
-        return (node.body,)
-    if isinstance(node, (OracleFun, OracleAtom)):
-        return node.args
-    return ()
+    """Subterms and subformulas; a quantifier's variable is not one."""
+    return tuple(p for p in node._parts() if isinstance(p, _Node))
 
 
 def length(x) -> Nat:
@@ -269,7 +441,7 @@ def length(x) -> Nat:
     stack = [x]
     while stack:
         node = stack.pop()
-        if isinstance(node, (Zero, One)):
+        if isinstance(node, _Constant):
             total = total + 1
         elif isinstance(node, Var):
             total = total + node.index + 1
@@ -279,21 +451,17 @@ def length(x) -> Nat:
                 total = total + (4 * v - 3)
             else:
                 total = (v * 4).sub(3) + total
-        elif isinstance(node, _BINARY_TERMS + _BINARY_FORMULAS):
-            total = total + 3
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, _COMPARISONS):
-            total = total + 1
+        elif isinstance(node, _Binary):
+            total = total + (1 if isinstance(node, _COMPARISONS) else 3)
             stack.append(node.left)
             stack.append(node.right)
         elif isinstance(node, Not):
             total = total + 3
             stack.append(node.body)
-        elif isinstance(node, _QUANTIFIERS):
+        elif isinstance(node, _Quantifier):
             total = total + node.var.index + 4
             stack.append(node.body)
-        elif isinstance(node, (OracleFun, OracleAtom)):
+        elif isinstance(node, _Oracle):
             total = total + len(node.args) + 2
             stack.extend(node.args)
         else:
@@ -302,23 +470,12 @@ def length(x) -> Nat:
 
 
 def free_vars(x) -> frozenset[int]:
-    out: set[int] = set()
-    stack: list[tuple] = [(x, frozenset())]
-    while stack:
-        node, bound = stack.pop()
-        if isinstance(node, Var):
-            if node.index not in bound:
-                out.add(node.index)
-        elif isinstance(node, _QUANTIFIERS):
-            stack.append((node.body, bound | {node.var.index}))
-        else:
-            for child in _children(node):
-                stack.append((child, bound))
-    return frozenset(out)
+    """The free variable indices, read from the node."""
+    return x.fv
 
 
 def is_sentence(phi: Formula) -> bool:
-    return isinstance(phi, Formula) and not free_vars(phi)
+    return isinstance(phi, Formula) and not phi.fv
 
 
 # -- token stream and rendering -----------------------------------------
@@ -348,22 +505,18 @@ def token_pieces(x) -> Iterator:
                 yield "′"
         elif isinstance(node, Num):
             yield node
-        elif isinstance(node, _BINARY_TERMS):
-            op = _TERM_OP_TOKEN[type(node)]
-            stack.extend([")", node.right, "(", op, node.left])
         elif isinstance(node, _COMPARISONS):
-            op = "=" if isinstance(node, Eq) else "<"
-            stack.extend([node.right, op, node.left])
+            stack.extend([node.right, _BINARY_TOKEN[type(node)], node.left])
+        elif isinstance(node, _Binary):
+            stack.extend([")", node.right, "(", _BINARY_TOKEN[type(node)],
+                          node.left])
         elif isinstance(node, Not):
             stack.extend([")", node.body, "("])
             yield "¬"
-        elif isinstance(node, _BINARY_FORMULAS):
-            op = _CONNECTIVE_TOKEN[type(node)]
-            stack.extend([")", node.right, "(", op, node.left])
-        elif isinstance(node, _QUANTIFIERS):
+        elif isinstance(node, _Quantifier):
             stack.extend([")", node.body, "(", node.var])
             yield _QUANTIFIER_TOKEN[type(node)]
-        elif isinstance(node, (OracleFun, OracleAtom)):
+        elif isinstance(node, _Oracle):
             yield node.name
             parts: list = ["("]
             for i, arg in enumerate(node.args):
@@ -431,38 +584,54 @@ def substitute(x, index: int, replacement: Term):
     """Replace free occurrences of the variable with a term.
 
     Bound variables that would capture a free variable of the
-    replacement are renamed to the smallest safe index first.
+    replacement are renamed to the smallest safe index first.  Subtrees
+    in which the variable is not free are returned as they are.
     """
     if not isinstance(replacement, Term):
         raise SyntaxError_("replacement must be a term")
-    repl_free = free_vars(replacement)
+    if not isinstance(x, _Node):
+        raise SyntaxError_(f"not a term or formula: {x!r}")
+    # Work items are (node, index, replacement), rewritten onto `done`,
+    # or a continuation that builds from the results on top of `done`:
+    # (_BUILD, node, var) rebuilds node (with var, for a quantifier) from
+    # its rewritten children; (_RENAMED, node, fresh, index, replacement)
+    # takes the body renamed to fresh and substitutes into it.
+    done: list = []
+    work: list[tuple] = [(x, index, replacement)]
+    while work:
+        item = work.pop()
+        if item[0] is _BUILD:
+            _, node, var = item
+            n = len(_children(node))
+            new = done[len(done) - n:]
+            del done[len(done) - n:]
+            if isinstance(node, _Quantifier):
+                done.append(type(node)(var, new[0]))
+            elif isinstance(node, _Oracle):
+                done.append(type(node)(node.name, new))
+            else:
+                done.append(type(node)(*new))
+        elif item[0] is _RENAMED:
+            _, node, fresh, i, repl = item
+            work.append((_BUILD, node, fresh))
+            work.append((done.pop(), i, repl))
+        else:
+            node, i, repl = item
+            if i not in node.fv:
+                done.append(node)
+            elif isinstance(node, Var):
+                done.append(repl)
+            elif isinstance(node, _Quantifier) and node.var.index in repl.fv:
+                fresh = Var(fresh_index(node.body.fv | repl.fv | {i}))
+                work.append((_RENAMED, node, fresh, i, repl))
+                work.append((node.body, node.var.index, fresh))
+            else:
+                work.append((_BUILD, node, getattr(node, "var", None)))
+                work.extend((kid, i, repl)
+                            for kid in reversed(_children(node)))
+    return done[0]
 
-    def go(node):
-        if isinstance(node, Var):
-            return replacement if node.index == index else node
-        if isinstance(node, (Zero, One, Num)):
-            return node
-        if isinstance(node, _QUANTIFIERS):
-            ctor = type(node)
-            if node.var.index == index:
-                return node
-            if index not in free_vars(node.body):
-                return node
-            if node.var.index in repl_free:
-                avoid = free_vars(node.body) | repl_free | {index}
-                fresh = Var(fresh_index(avoid))
-                renamed = go_rename(node.body, node.var.index, fresh)
-                return ctor(fresh, go(renamed))
-            return ctor(node.var, go(node.body))
-        if isinstance(node, _BINARY_TERMS + _COMPARISONS + _BINARY_FORMULAS):
-            return type(node)(go(node.left), go(node.right))
-        if isinstance(node, Not):
-            return Not(go(node.body))
-        if isinstance(node, (OracleFun, OracleAtom)):
-            return type(node)(node.name, tuple(go(a) for a in node.args))
-        raise SyntaxError_(f"not a term or formula: {node!r}")
 
-    def go_rename(node, old: int, new_var: Var):
-        return substitute(node, old, new_var)
-
-    return go(x)
+# continuation markers for substitute's work list
+_BUILD = object()
+_RENAMED = object()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfref.bignat import BigNat, BigNatError
 from selfref.syntax import (
@@ -132,6 +133,69 @@ def test_registry_rejects_unknown_and_wrong_arity():
         OracleFun("len", (x, x1))
     with pytest.raises(SyntaxError_):
         Num(0)
+
+
+def _tower(depth: int, leaf):
+    phi = leaf
+    for _ in range(depth):
+        phi = Not(phi)
+    return phi
+
+
+def test_deep_negation_needs_no_recursion():
+    deep = _tower(3000, Eq(x, Zero()))
+    assert deep == _tower(3000, Eq(Var(0), Zero()))
+    assert hash(deep) == hash(_tower(3000, Eq(Var(0), Zero())))
+    assert free_vars(deep) == {0}
+    assert substitute(deep, 0, One()) == _tower(3000, Eq(One(), Zero()))
+
+
+def _reference_free_vars(x) -> frozenset:
+    """Free variables by a stack walk that carries the bound indices."""
+    out = set()
+    stack = [(x, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, Var):
+            if node.index not in bound:
+                out.add(node.index)
+        elif isinstance(node, (Forall, Exists)):
+            stack.append((node.body, bound | {node.var.index}))
+        elif isinstance(node, Not):
+            stack.append((node.body, bound))
+        elif isinstance(node, (OracleAtom, OracleFun)):
+            stack.extend((arg, bound) for arg in node.args)
+        elif not isinstance(node, (Zero, One, Num)):
+            stack.extend([(node.left, bound), (node.right, bound)])
+    return frozenset(out)
+
+
+def _subtrees(x):
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Forall, Exists, Not)):
+            stack.append(node.body)
+        elif isinstance(node, (OracleAtom, OracleFun)):
+            stack.extend(node.args)
+        elif not isinstance(node, (Zero, One, Var, Num)):
+            stack.extend([node.left, node.right])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_cached_facts_agree_with_a_fresh_walk(seed, depth):
+    phi = _random_formula(random.Random(seed), depth)
+    twin = _random_formula(random.Random(seed), depth)
+    for node in _subtrees(phi):
+        assert free_vars(node) == _reference_free_vars(node)
+    # equal free-variable sets are one shared object
+    assert free_vars(phi) is free_vars(twin)
+    assert phi == twin  # compared before either tree is hashed
+    assert hash(phi) == hash(twin)
+    assert phi == twin  # and again with both hashes cached
+    assert render(phi) == render(twin)
 
 
 def _random_term(rng: random.Random, depth: int):
