@@ -46,8 +46,8 @@ from .semantics import (
 )
 from .syntax import (
     Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Mul, Nat,
-    Not, Num, One, OracleAtom, OracleFun, Or, Term, Var, Zero, conj,
-    disj, free_vars, length, numeral, substitute, tokens,
+    Not, One, OracleFun, Or, Term, Var, conj, disj, free_vars, length,
+    numeral, substitute, tokens, _children, _rebuild,
 )
 
 _X, _Y = Var(0), Var(1)
@@ -384,30 +384,35 @@ def normalize_psi(psi: Formula, binder_floor: int = 0) -> Formula:
         raise ValueError("the property must have exactly one free variable")
     (free,) = fv
 
-    counter = [max(max(fv | {1}) + 1, binder_floor)]
-
-    def rename(node, mapping):
+    counter = max(max(fv | {1}) + 1, binder_floor)
+    # (node, mapping) items are renamed onto `done` in preorder, so binders
+    # are numbered left to right, outside in; (None, node, var) rebuilds
+    # node from the results for its children
+    done: list = []
+    work: list[tuple] = [(psi, {free: 1})]
+    while work:
+        item = work.pop()
+        if item[0] is None:
+            _, node, var = item
+            n = len(_children(node))
+            kids = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(_rebuild(node, kids, var))
+            continue
+        node, mapping = item
         if isinstance(node, Var):
-            return Var(mapping.get(node.index, node.index))
-        if isinstance(node, (Zero, One, Num)):
-            return node
+            node = Var(mapping.get(node.index, node.index))
+        if not _children(node):
+            done.append(node)
+            continue
+        var = None
         if isinstance(node, (Forall, Exists)):
-            fresh = counter[0]
-            counter[0] += 1
-            inner = dict(mapping)
-            inner[node.var.index] = fresh
-            return type(node)(Var(fresh), rename(node.body, inner))
-        if isinstance(node, (Add, Mul, Eq, Lt, And, Or, Implies, Iff)):
-            return type(node)(rename(node.left, mapping),
-                              rename(node.right, mapping))
-        if isinstance(node, Not):
-            return Not(rename(node.body, mapping))
-        if isinstance(node, (OracleFun, OracleAtom)):
-            return type(node)(node.name,
-                              tuple(rename(a, mapping) for a in node.args))
-        raise ValueError(f"cannot normalize {node!r}")
-
-    return rename(psi, {free: 1})
+            var = Var(counter)
+            counter += 1
+            mapping = {**mapping, node.var.index: var.index}
+        work.append((None, node, var))
+        work.extend((kid, mapping) for kid in reversed(_children(node)))
+    return done[0]
 
 
 def build_delta(psi: Formula) -> Formula:

@@ -111,12 +111,12 @@ def _witness_scan(phi: Formula, x: int, witness_bound: int
     certifiably empty or merely out of reach.
     """
     budget = Budget(witness_bound=witness_bound)
-    ev = Evaluator(OracleEnv(), budget)
+    code = Evaluator(OracleEnv(), budget).compile(phi)
     least: Optional[int] = None
     second = False
     try:
         for z in range(witness_bound + 1):
-            got = ev.eval(phi, {0: x, 1: z}, ())
+            got = code({0: x, 1: z})
             if got is Truth.TRUE:
                 if least is None:
                     least = z

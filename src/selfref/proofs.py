@@ -252,6 +252,7 @@ class _Meta(str):
 
     fv = frozenset()
     size = 0
+    height = 0
     index = None
 
 

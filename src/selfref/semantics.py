@@ -26,11 +26,17 @@ brute-force sweeping:
 Tree paths are tuples of child indices: 0 for the body of a negation
 or quantifier, 0/1 for left/right of binary nodes, argument position
 for oracle symbols.
+
+Formulas are compiled into closures (Feeley & Lapalme, "Using closures
+for code generation", 1987) lazily, one node at its first visit, so a
+sweep reruns compiled code while a formula that is decided after a few
+nodes costs no more than a tree walk.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, Optional
@@ -162,35 +168,104 @@ def _as_int_if_small(v: Nat) -> Nat:
 def eval_term(t: Term, assignment: dict[int, Nat],
               env: OracleEnv) -> Nat:
     """Exact value of a term; raises when off the exact fragment."""
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
+    kind = type(t)
+    if kind is Add or kind is Mul:
+        a = eval_term(t.left, assignment, env)
+        b = eval_term(t.right, assignment, env)
+        if type(a) is int and type(b) is int:
+            return a + b if kind is Add else a * b
+        return _as_int_if_small(a + b if kind is Add else a * b)
+    if kind is One:
         return 1
-    if isinstance(t, Num):
-        return t.value
-    if isinstance(t, Var):
+    if kind is Var:
         try:
             return assignment[t.index]
         except KeyError:
             raise OracleUndecided(f"unassigned variable x{t.index}") \
                 from None
-    if isinstance(t, Add):
-        return _as_int_if_small(
-            eval_term(t.left, assignment, env)
-            + eval_term(t.right, assignment, env)
-        )
-    if isinstance(t, Mul):
-        return _as_int_if_small(
-            eval_term(t.left, assignment, env)
-            * eval_term(t.right, assignment, env)
-        )
-    if isinstance(t, OracleFun):
+    if kind is Zero:
+        return 0
+    if kind is Num:
+        return t.value
+    if kind is OracleFun:
         fn = env.funs.get(t.name)
         if fn is None:
             raise OracleUndecided(f"no interpretation for {t.name}")
-        args = [eval_term(a, assignment, env) for a in t.args]
-        return fn(*args)
+        return fn(*[eval_term(a, assignment, env) for a in t.args])
     raise OracleUndecided(f"cannot evaluate {t!r}")
+
+
+# Compiled code nests one Python call per formula level and one per term
+# level, and tail analysis and linear solving one per level of the
+# subtree they read.  Nothing deeper than this cap is evaluated or
+# walked, whatever the depth bound says: a formula that reaches past it
+# gets UNKNOWN there, well inside the interpreter's default recursion
+# limit of 1000.
+DEPTH_CAP = 600
+
+_T, _F, _U = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
+_OFF_FRAGMENT = (BigNatError, OracleUndecided)
+
+# per connective: left value that settles it, the verdict then, and the
+# table for the general case
+_CONNECTIVES = {And: (_F, _F, t_and), Or: (_T, _T, t_or),
+                Implies: (_F, _T, t_implies), Iff: (None, None, t_iff)}
+
+
+def _compile_term(t: Term, env: OracleEnv) -> Callable[[dict], Nat]:
+    """Code computing eval_term(t, asg, env) from asg: the same values,
+    and the same exceptions off the exact fragment.  Oracle functions
+    are functions of their arguments, so a closed term is computed once,
+    on first use."""
+    kind = type(t)
+    if not t.fv:
+        value = None
+
+        def closed(asg):
+            nonlocal value
+            if value is None:
+                value = eval_term(t, asg, env)
+            return value
+        return closed
+    if kind is Var:
+        index = t.index
+
+        def var(asg):
+            try:
+                return asg[index]
+            except KeyError:
+                raise OracleUndecided(f"unassigned variable x{index}") \
+                    from None
+        return var
+    if kind is Add or kind is Mul:
+        left = _compile_term(t.left, env)
+        right = _compile_term(t.right, env)
+        op = operator.add if kind is Add else operator.mul
+
+        def arith(asg):
+            a = left(asg)
+            b = right(asg)
+            if type(a) is int and type(b) is int:
+                return op(a, b)
+            return _as_int_if_small(op(a, b))
+        return arith
+    fn = env.funs.get(t.name) if kind is OracleFun else None
+    if fn is None:  # eval_term raises, before reading the arguments
+        return lambda asg: eval_term(t, asg, env)
+    args = [_compile_term(a, env) for a in t.args]
+    return lambda asg: fn(*[a(asg) for a in args])
+
+
+def _small(guard, asg, cap: int) -> Optional[int]:
+    """A bounded quantifier's range: its guard term's value as an int,
+    or None when that is off the exact fragment or above the cap."""
+    try:
+        n = guard(asg)
+    except _OFF_FRAGMENT:
+        return None
+    if n > cap:
+        return None
+    return n.to_int() if isinstance(n, BigNat) else n
 
 
 # -- polynomial views of terms ------------------------------------------
@@ -296,8 +371,18 @@ def _poly_threshold(diff: list[tuple[int, Nat]]) -> Optional[int]:
 
 # -- the evaluator -------------------------------------------------------
 
-
 class Evaluator:
+    """Evaluates formulas by compiling them into closures asg -> Truth.
+
+    A node is compiled on its first visit, with its tree path and depth
+    fixed in, and a child only when it is first reached; a quantifier's
+    bounded rest is compiled only when the bounded device fires.  Every
+    node visit counts against the node budget before the depth check,
+    as a tree walk would count it.
+    """
+
+    __slots__ = ("env", "budget", "witnesses", "nodes")
+
     def __init__(self, env: OracleEnv, budget: Budget,
                  witnesses: Optional[WitnessMap] = None):
         self.env = env
@@ -305,187 +390,199 @@ class Evaluator:
         self.witnesses = witnesses or {}
         self.nodes = 0
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget.node_budget:
-            raise BudgetExceeded
+    def compile(self, phi: Formula) -> Callable[[dict], Truth]:
+        """Code for phi, asg -> Truth; a sweep over assignments reuses it.
 
-    def eval(self, phi: Formula, asg: dict[int, Nat], path: Path,
-             depth: int = 0) -> Truth:
-        self._tick()
-        if depth > self.budget.depth_bound:
-            return Truth.UNKNOWN
-        if isinstance(phi, (Eq, Lt)):
-            return self._atom_compare(phi, asg)
-        if isinstance(phi, OracleAtom):
-            return self._atom_oracle(phi, asg)
-        if isinstance(phi, Not):
-            return ~self.eval(phi.body, asg, path + (0,), depth + 1)
-        if isinstance(phi, And):
-            left = self.eval(phi.left, asg, path + (0,), depth + 1)
-            if left is Truth.FALSE:
-                return Truth.FALSE
-            return t_and(left, self.eval(phi.right, asg, path + (1,),
-                                         depth + 1))
-        if isinstance(phi, Or):
-            left = self.eval(phi.left, asg, path + (0,), depth + 1)
-            if left is Truth.TRUE:
-                return Truth.TRUE
-            return t_or(left, self.eval(phi.right, asg, path + (1,),
-                                        depth + 1))
-        if isinstance(phi, Implies):
-            left = self.eval(phi.left, asg, path + (0,), depth + 1)
-            if left is Truth.FALSE:
-                return Truth.TRUE
-            return t_implies(left, self.eval(phi.right, asg, path + (1,),
-                                             depth + 1))
-        if isinstance(phi, Iff):
-            left = self.eval(phi.left, asg, path + (0,), depth + 1)
-            right = self.eval(phi.right, asg, path + (1,), depth + 1)
-            return t_iff(left, right)
-        if isinstance(phi, Exists):
-            return self._exists(phi, asg, path, depth)
-        if isinstance(phi, Forall):
-            return self._forall(phi, asg, path, depth)
-        raise OracleUndecided(f"cannot evaluate {phi!r}")
+        The code refers to the evaluator and the evaluator not to the
+        code, so both are freed without the cycle collector."""
+        return self._compile(phi, (), 0)
 
-    # -- atoms -----------------------------------------------------------
+    def _compile(self, phi: Formula, path: Path, depth: int):
+        kind = type(phi)
+        if depth > self.budget.depth_bound or depth > DEPTH_CAP:
+            return self._leaf(None)
+        if kind in _CONNECTIVES:
+            return self._connective(phi, path, depth)
+        if kind is Exists or kind is Forall:
+            return self._quantifier(phi, path, depth)
+        if kind is Not:
+            return self._negation(phi, path, depth)
+        if kind is Eq or kind is Lt or kind is OracleAtom:
+            if depth + phi.height > DEPTH_CAP:
+                return self._leaf(None)
+            return self._atom(phi)
+        return self._leaf(f"cannot evaluate {phi!r}")
 
-    def _atom_compare(self, phi, asg) -> Truth:
-        try:
-            a = eval_term(phi.left, asg, self.env)
-            b = eval_term(phi.right, asg, self.env)
-            if isinstance(phi, Eq):
-                return from_bool(a == b)
-            return from_bool(_nat_lt(a, b))
-        except (BigNatError, OracleUndecided):
-            return Truth.UNKNOWN
+    def _leaf(self, error: Optional[str]):
+        """Code that counts its visit, then gives UNKNOWN or the error."""
+        ev, limit = self, self.budget.node_budget
 
-    def _atom_oracle(self, phi: OracleAtom, asg) -> Truth:
-        try:
-            args = [eval_term(a, asg, self.env) for a in phi.args]
-        except (BigNatError, OracleUndecided):
-            return Truth.UNKNOWN
-        support = self.env.atom_supports.get(phi.name)
+        def run(asg):
+            ev.nodes += 1
+            if ev.nodes > limit:
+                raise BudgetExceeded
+            if error is None:
+                return _U
+            raise OracleUndecided(error)
+        return run
+
+    def _negation(self, phi: Not, path: Path, depth: int):
+        ev, limit = self, self.budget.node_budget
+        body = None
+
+        def run(asg):
+            nonlocal body
+            ev.nodes += 1
+            if ev.nodes > limit:
+                raise BudgetExceeded
+            if body is None:
+                body = ev._compile(phi.body, path + (0,), depth + 1)
+            return ~body(asg)
+        return run
+
+    def _connective(self, phi, path: Path, depth: int):
+        ev, limit = self, self.budget.node_budget
+        stop, settled, table = _CONNECTIVES[type(phi)]
+        left = right = None
+
+        def run(asg):
+            nonlocal left, right
+            ev.nodes += 1
+            if ev.nodes > limit:
+                raise BudgetExceeded
+            if left is None:
+                left = ev._compile(phi.left, path + (0,), depth + 1)
+            a = left(asg)
+            if a is stop:
+                return settled
+            if right is None:
+                right = ev._compile(phi.right, path + (1,), depth + 1)
+            return table(a, right(asg))
+        return run
+
+    def _atom(self, phi):
+        ev, limit = self, self.budget.node_budget
+        if type(phi) is OracleAtom:
+            args = [_compile_term(a, self.env) for a in phi.args]
+            name = phi.name
+
+            def run(asg):
+                ev.nodes += 1
+                if ev.nodes > limit:
+                    raise BudgetExceeded
+                try:
+                    values = [a(asg) for a in args]
+                except _OFF_FRAGMENT:
+                    return _U
+                return ev._oracle_truth(name, values)
+            return run
+        left = _compile_term(phi.left, self.env)
+        right = _compile_term(phi.right, self.env)
+        is_eq = type(phi) is Eq
+
+        def run(asg):
+            ev.nodes += 1
+            if ev.nodes > limit:
+                raise BudgetExceeded
+            try:
+                a = left(asg)
+                b = right(asg)
+                if is_eq:
+                    return _T if a == b else _F
+                if type(a) is int and type(b) is int:
+                    return _T if a < b else _F
+                return _T if _nat_lt(a, b) else _F
+            except _OFF_FRAGMENT:
+                return _U
+        return run
+
+    def _oracle_truth(self, name: str, args: list) -> Truth:
+        support = self.env.atom_supports.get(name)
         if support is not None:
             if support <= 0:
-                return Truth.FALSE
+                return _F
             try:
                 if any(_nat_lt(support - 1, a) for a in args):
-                    return Truth.FALSE
+                    return _F
             except BigNatError:
                 pass
-        fn = self.env.atoms.get(phi.name)
+        fn = self.env.atoms.get(name)
         if fn is None:
-            return Truth.UNKNOWN
+            return _U
         try:
             return from_bool(fn(*args))
-        except (BigNatError, OracleUndecided):
-            return Truth.UNKNOWN
+        except _OFF_FRAGMENT:
+            return _U
 
-    # -- quantifiers -------------------------------------------------------
-
-    def _exists(self, phi: Exists, asg, path: Path, depth: int) -> Truth:
+    def _quantifier(self, phi, path: Path, depth: int):
+        """The devices in order: a witness (existentials only), a bounded
+        range, linear solving (existentials only), tail analysis, and a
+        sweep to the witness bound, which the tail can make exact."""
+        ev, budget = self, self.budget
+        limit, iter_cap = budget.node_budget, budget.iter_cap
+        sweep = range(budget.witness_bound + 1)
         v = phi.var.index
-        if path in self.witnesses:
+        exists = type(phi) is Exists
+        # a TRUE instance settles an existential, a FALSE one a universal
+        stop, start, join = (_T, _F, t_or) if exists else (_F, _T, t_and)
+        witness = self.witnesses.get(path) if exists else None
+        walks = depth + phi.height <= DEPTH_CAP
+        guard = body = rest = None
+        if witness is None and type(phi.body) is (And if exists else Implies) \
+                and type(phi.body.left) is Lt:
+            var, bound = phi.body.left.left, phi.body.left.right
+            if type(var) is Var and var.index == v and v not in bound.fv \
+                    and depth + 2 + bound.height <= DEPTH_CAP:
+                guard = _compile_term(bound, self.env)
+
+        def run(asg):
+            nonlocal body, rest
+            ev.nodes += 1
+            if ev.nodes > limit:
+                raise BudgetExceeded
             inner = dict(asg)
-            inner[v] = self.witnesses[path]
-            return self.eval(phi.body, inner, path + (0,), depth + 1)
-        bounded = self._bounded_range(phi, asg)
-        if bounded is not None:
-            limit, rest = bounded
-            verdict = Truth.FALSE
-            for w in range(limit):
-                inner = dict(asg)
+            n = None if guard is None else _small(guard, asg, iter_cap)
+            if n is not None:
+                if rest is None:
+                    rest = ev._compile(phi.body.right, path + (0, 1),
+                                       depth + 1)
+                verdict = start
+                for w in range(n):
+                    inner[v] = w
+                    got = rest(inner)
+                    if got is stop:
+                        return stop
+                    verdict = join(verdict, got)
+                return verdict
+            if body is None:
+                body = ev._compile(phi.body, path + (0,), depth + 1)
+            if witness is not None:
+                inner[v] = witness
+                return body(inner)
+            tail = None
+            if walks:
+                if exists:
+                    solved = ev._solve_linear(phi.body, v, asg)
+                    if solved is not None:
+                        if not solved[0]:
+                            return _F
+                        inner[v] = solved[1]
+                        return body(inner)
+                tail = ev._eventual(phi.body, v, asg)
+                if tail is not None and tail[1] is stop:
+                    return stop
+            verdict = start
+            for w in sweep:
                 inner[v] = w
-                got = self.eval(rest, inner, path + (0, 1), depth + 1)
-                if got is Truth.TRUE:
-                    return Truth.TRUE
-                verdict = t_or(verdict, got)
-            return verdict
-        solved = self._solve_linear(phi.body, v, asg)
-        if solved is not None:
-            found, value = solved
-            if not found:
-                return Truth.FALSE
-            inner = dict(asg)
-            inner[v] = value
-            return self.eval(phi.body, inner, path + (0,), depth + 1)
-        tail = self._eventual(phi.body, v, asg)
-        if tail is not None and tail[1] is Truth.TRUE:
-            return Truth.TRUE
-        verdict = Truth.FALSE
-        for w in range(self.budget.witness_bound + 1):
-            inner = dict(asg)
-            inner[v] = w
-            got = self.eval(phi.body, inner, path + (0,), depth + 1)
-            if got is Truth.TRUE:
-                return Truth.TRUE
-            verdict = t_or(verdict, got)
-        if verdict is Truth.FALSE and tail is not None \
-                and tail[1] is Truth.FALSE \
-                and tail[0] <= self.budget.witness_bound + 1:
-            return Truth.FALSE
-        return Truth.UNKNOWN
-
-    def _forall(self, phi: Forall, asg, path: Path, depth: int) -> Truth:
-        v = phi.var.index
-        bounded = self._bounded_range(phi, asg)
-        if bounded is not None:
-            limit, rest = bounded
-            verdict = Truth.TRUE
-            for w in range(limit):
-                inner = dict(asg)
-                inner[v] = w
-                got = self.eval(rest, inner, path + (0, 1), depth + 1)
-                if got is Truth.FALSE:
-                    return Truth.FALSE
-                verdict = t_and(verdict, got)
-            return verdict
-        tail = self._eventual(phi.body, v, asg)
-        if tail is not None and tail[1] is Truth.FALSE:
-            return Truth.FALSE
-        verdict = Truth.TRUE
-        for w in range(self.budget.witness_bound + 1):
-            inner = dict(asg)
-            inner[v] = w
-            got = self.eval(phi.body, inner, path + (0,), depth + 1)
-            if got is Truth.FALSE:
-                return Truth.FALSE
-            verdict = t_and(verdict, got)
-        if verdict is Truth.TRUE and tail is not None \
-                and tail[1] is Truth.TRUE \
-                and tail[0] <= self.budget.witness_bound + 1:
-            return Truth.TRUE
-        return Truth.UNKNOWN
-
-    def _bounded_range(self, phi, asg) -> Optional[tuple[int, Formula]]:
-        """Match 'some v: v<t and rest' / 'all v: v<t implies rest'."""
-        v = phi.var.index
-        body = phi.body
-        if isinstance(phi, Exists):
-            if not isinstance(body, And):
-                return None
-            guard, rest = body.left, body.right
-        else:
-            if not isinstance(body, Implies):
-                return None
-            guard, rest = body.left, body.right
-        if not (isinstance(guard, Lt) and guard.left == Var(v)):
-            return None
-        if v in free_vars(guard.right):
-            return None
-        try:
-            limit = eval_term(guard.right, asg, self.env)
-        except (BigNatError, OracleUndecided):
-            return None
-        if isinstance(limit, BigNat):
-            if limit > self.budget.iter_cap:
-                return None
-            limit = limit.to_int()
-        if limit > self.budget.iter_cap:
-            return None
-        return limit, rest
+                got = body(inner)
+                if got is stop:
+                    return stop
+                verdict = join(verdict, got)
+            if verdict is start and tail is not None \
+                    and tail[1] is start and tail[0] <= len(sweep):
+                return start
+            return _U
+        return run
 
     def _solve_linear(self, body: Formula, v: int,
                       asg) -> Optional[tuple[bool, Nat]]:
@@ -548,7 +645,11 @@ class Evaluator:
         if isinstance(phi, OracleAtom):
             support = self.env.atom_supports.get(phi.name)
             if v not in free_vars(phi):
-                got = self._atom_oracle(phi, asg)
+                try:
+                    args = [eval_term(a, asg, self.env) for a in phi.args]
+                except _OFF_FRAGMENT:
+                    return None
+                got = self._oracle_truth(phi.name, args)
                 return None if got is Truth.UNKNOWN else (0, got)
             if support is None:
                 return None
@@ -646,7 +747,7 @@ def evaluate_full(phi: Formula, env: Optional[OracleEnv] = None,
                   assignment: Optional[dict[int, Nat]] = None) -> EvalReport:
     ev = Evaluator(env or OracleEnv(), budget or Budget(), witnesses)
     try:
-        truth = ev.eval(phi, assignment or {}, ())
+        truth = ev.compile(phi)(assignment or {})
         return EvalReport(truth, ev.nodes, False)
     except BudgetExceeded:
         return EvalReport(Truth.UNKNOWN, ev.nodes, True)
@@ -676,12 +777,13 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
     if fv - {0}:
         return DefinesReport(False, [], "extra free variables")
     ev = Evaluator(env, budget)
+    code = ev.compile(phi)
     limit = universe if universe is not None else budget.witness_bound + 1
     solutions = []
     decisive = True
     try:
         for w in range(limit):
-            got = ev.eval(phi, {0: w}, ())
+            got = code({0: w})
             if got is Truth.TRUE:
                 solutions.append(w)
             elif got is Truth.UNKNOWN:
@@ -691,7 +793,7 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
     if universe is not None:
         return DefinesReport(decisive, solutions,
                              "relative to the finite universe")
-    tail = ev._eventual(phi, 0, {})
+    tail = ev._eventual(phi, 0, {}) if phi.height <= DEPTH_CAP else None
     if decisive and tail is not None and tail[1] is Truth.FALSE \
             and tail[0] <= limit:
         return DefinesReport(True, solutions, "tail is false")
@@ -709,6 +811,8 @@ def standard_oracle_env(prf: Optional[Callable[[Nat, Nat], bool]] = None
     Formula recognizes codes of formulas, D(a, y) is the code of the
     sentence saying "the formula coded by a holds of y and nothing
     else".  prf is pluggable; without it proof claims stay undecided.
+    Formula and D share one table of decoded codes, so each code is
+    parsed once per environment.
     """
     from . import coding
     from .syntax import Forall as FA, Iff as IFF, numeral
@@ -723,21 +827,25 @@ def standard_oracle_env(prf: Optional[Callable[[Nat, Nat], bool]] = None
             return 0
         return coding.neg_code(a)
 
+    decoded: dict[int, object] = {}  # code -> node, or None for no code
+
+    def decode(a: Nat):
+        if isinstance(a, BigNat):
+            if not a.is_materializable():
+                raise OracleUndecided("code too large to inspect")
+            a = a.to_int()
+        if a not in decoded:
+            try:
+                decoded[a] = coding.decode(a)
+            except coding.NotACode:
+                decoded[a] = None
+        return decoded[a]
+
     def formula_fn(a: Nat) -> bool:
-        if isinstance(a, BigNat) and not a.is_materializable():
-            raise OracleUndecided("code too large to inspect")
-        try:
-            return isinstance(coding.decode(a), Formula)
-        except coding.NotACode:
-            return False
+        return isinstance(decode(a), Formula)
 
     def d_fn(a: Nat, y: Nat) -> Nat:
-        if isinstance(a, BigNat) and not a.is_materializable():
-            raise OracleUndecided("code too large to inspect")
-        try:
-            phi = coding.decode(a)
-        except coding.NotACode:
-            return 0
+        phi = decode(a)
         if not isinstance(phi, Formula):
             return 0
         fv = free_vars(phi)

@@ -19,10 +19,11 @@ token count and digit code of a ``Num`` are produced arithmetically, so
 the node behaves exactly like the chain it abbreviates.
 
 Nodes are immutable and carry facts that never change: the free-variable
-set and the tree size are computed once, at construction, from the
-children's; the structural hash is computed on the first ``hash()``.
-Hashing, equality and substitution use explicit stacks, so nesting depth
-is limited by memory, not by the interpreter's recursion limit.
+set, the tree size and the height are computed once, at construction,
+from the children's; the structural hash is computed on the first
+``hash()``.  Hashing, equality, substitution and ``repr`` use explicit
+stacks, so nesting depth is limited by memory, not by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ def _union(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
 class _Node:
     """An immutable syntax node.
 
-    ``fv`` is the set of free variable indices and ``size`` the number
-    of nodes in the tree (a quantifier's variable is not counted, so it
-    never exceeds the token length); both are set at construction.
+    ``fv`` is the set of free variable indices, ``size`` the number of
+    nodes in the tree (a quantifier's variable is not counted, so it
+    never exceeds the token length) and ``height`` the number of nodes
+    on its longest root-to-leaf path; all are set at construction.
     ``_hash`` stays unset until the first ``hash()``.
     """
 
-    __slots__ = ("fv", "size", "_hash")
+    __slots__ = ("fv", "size", "height", "_hash")
     # field names in constructor order, read by repr and by pattern matching
     _fields: tuple[str, ...] = ()
     # fixed per class (assigned below), so hashes and therefore set and
@@ -115,13 +117,35 @@ class _Node:
         return _same_tree(self, other)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
+        # nodes on the stack are still to be spelled, strings are done
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                out.append(item)
+                continue
+            parts: list = [f"{type(item).__name__}("]
+            for i, name in enumerate(item._fields):
+                value = getattr(item, name)
+                parts.append(f"{', ' if i else ''}{name}=")
+                if isinstance(value, tuple):  # oracle arguments
+                    for j, v in enumerate(value):
+                        parts.append(", " if j else "(")
+                        parts.append(v if isinstance(v, _Node) else repr(v))
+                    parts.append(",)" if len(value) == 1 else ")")
+                else:
+                    parts.append(value if isinstance(value, _Node)
+                                 else repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
 
 # Slot writers for construction; ordinary assignment is refused.
 _set_fv = _Node.fv.__set__
 _set_size = _Node.size.__set__
+_set_height = _Node.height.__set__
 _set_hash = _Node._hash.__set__
 
 
@@ -178,6 +202,7 @@ class _Constant(Term):
     def __init__(self):
         _set_fv(self, _NO_VARS)
         _set_size(self, 1)
+        _set_height(self, 1)
 
 
 class Zero(_Constant):
@@ -197,6 +222,7 @@ class Var(Term):
         _set_index(self, index)
         _set_fv(self, _shared(frozenset((index,))))
         _set_size(self, 1)
+        _set_height(self, 1)
 
     def _parts(self) -> tuple:
         return (self.index,)
@@ -220,6 +246,7 @@ class Num(Term):
         _set_value(self, value)
         _set_fv(self, _NO_VARS)
         _set_size(self, 1)
+        _set_height(self, 1)
 
     def _parts(self) -> tuple:
         return (self.value,)
@@ -238,6 +265,8 @@ class _Binary(_Node):
         _set_right(self, right)
         _set_fv(self, _union(left.fv, right.fv))
         _set_size(self, 1 + left.size + right.size)
+        lh, rh = left.height, right.height
+        _set_height(self, 1 + (lh if lh > rh else rh))
 
     def _parts(self) -> tuple:
         return (self.left, self.right)
@@ -269,6 +298,7 @@ class _Oracle(_Node):
             fv = _union(fv, a.fv)
         _set_fv(self, fv)
         _set_size(self, 1 + sum(a.size for a in args))
+        _set_height(self, 1 + max(a.height for a in args))
 
     def _parts(self) -> tuple:
         return (self.name, *self.args)
@@ -320,6 +350,7 @@ class Not(Formula):
         _set_not_body(self, body)
         _set_fv(self, body.fv)
         _set_size(self, 1 + body.size)
+        _set_height(self, 1 + body.height)
 
     def _parts(self) -> tuple:
         return (self.body,)
@@ -355,6 +386,7 @@ class _Quantifier(Formula):
             fv = _shared(fv - {var.index})
         _set_fv(self, fv)
         _set_size(self, 1 + body.size)
+        _set_height(self, 1 + body.height)
 
     def _parts(self) -> tuple:
         return (self.var.index, self.body)
@@ -433,6 +465,15 @@ def disj(*parts: Formula) -> Formula:
 def _children(node) -> tuple:
     """Subterms and subformulas; a quantifier's variable is not one."""
     return tuple(p for p in node._parts() if isinstance(p, _Node))
+
+
+def _rebuild(node, kids: list, var):
+    """A node of node's kind over new children; var is a quantifier's."""
+    if isinstance(node, _Quantifier):
+        return type(node)(var, kids[0])
+    if isinstance(node, _Oracle):
+        return type(node)(node.name, kids)
+    return type(node)(*kids)
 
 
 def length(x) -> Nat:
@@ -605,12 +646,7 @@ def substitute(x, index: int, replacement: Term):
             n = len(_children(node))
             new = done[len(done) - n:]
             del done[len(done) - n:]
-            if isinstance(node, _Quantifier):
-                done.append(type(node)(var, new[0]))
-            elif isinstance(node, _Oracle):
-                done.append(type(node)(node.name, new))
-            else:
-                done.append(type(node)(*new))
+            done.append(_rebuild(node, new, var))
         elif item[0] is _RENAMED:
             _, node, fresh, i, repl = item
             work.append((_BUILD, node, fresh))

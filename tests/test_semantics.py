@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
-import pytest
+import gc
+import hashlib
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from selfref.acceptance import _random_formula
 from selfref.bignat import BigNat
+from selfref.enumeration import unary_formulas
 from selfref.parser import parse_formula
 from selfref.semantics import (
-    Budget, DefinesReport, OracleEnv, OracleUndecided, Truth, defines,
-    evaluate, evaluate_full, eval_term,
+    DEPTH_CAP, Budget, DefinesReport, OracleEnv, OracleUndecided, Truth,
+    _compile_term, defines, evaluate, evaluate_full, eval_term,
     standard_oracle_env, t_and, t_iff, t_implies, t_or,
 )
 from selfref.syntax import (
-    Add, And, Eq, Exists, Forall, Implies, Lt, Mul, Not, Num, One,
-    OracleAtom, Or, Var, Zero, numeral,
+    Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
+    OracleAtom, OracleFun, Or, Var, Zero, free_vars, numeral, substitute,
 )
 from selfref import coding
 
@@ -169,8 +176,197 @@ def test_standard_oracle_env():
     assert render(sentence) == "∀x(x=x↔(x=1+(1+(1+(1+(1))))))"
 
 
+def test_standard_env_decodes_each_code_once(monkeypatch):
+    decoded = []
+    real = coding.decode
+    monkeypatch.setattr(coding, "decode",
+                        lambda a: decoded.append(a) or real(a))
+    env = standard_oracle_env()
+    code = coding.encode(parse_formula("x=x"))
+    for _ in range(3):
+        assert env.atoms["Formula"](code)
+        assert env.atoms["Formula"](BigNat.from_int(code))
+        assert coding.code_length(env.funs["D"](code, 5)) == 29
+        assert not env.atoms["Formula"](24) and env.funs["D"](24, 5) == 0
+    assert sorted(decoded) == [24, code]
+
+
 def test_d_of_rejects_junk():
     env = standard_oracle_env()
     assert env.funs["D"](24, 5) == 0  # zero digit: not a code
     closed = coding.encode(parse_formula("0=0"))
     assert env.funs["D"](closed, 5) == 0  # no free variable
+
+
+def _criterion_14_triples():
+    """The formula/variable/value triples that criterion 14 draws."""
+    rng = random.Random(14)
+    for _ in range(500):
+        phi = _random_formula(rng, rng.randrange(1, 5))
+        v = rng.randrange(3)
+        m = rng.randrange(12)
+        rest = {u: rng.randrange(12) for u in free_vars(phi) if u != v}
+        yield phi, v, m, rest
+
+
+def _accounting_digest(reports) -> str:
+    h = hashlib.sha256()
+    for r in reports:
+        h.update(f"{r.truth.name} {r.nodes_used} {r.budget_hit}\n".encode())
+    return h.hexdigest()
+
+
+def _criterion_14_reports(budget):
+    env = standard_oracle_env()
+    for phi, v, m, rest in _criterion_14_triples():
+        yield evaluate_full(substitute(phi, v, numeral(m)), env, budget,
+                            assignment=rest)
+        yield evaluate_full(phi, env, budget, assignment={**rest, v: m})
+
+
+@pytest.mark.parametrize("reports, digest", [
+    (lambda: _criterion_14_reports(Budget(node_budget=5_000)),
+     "de05fd19985cd82ed909ca982cf72830382db7505a2cb42b11da1146ee83160c"),
+    (lambda: _criterion_14_reports(Budget(node_budget=300, depth_bound=3)),
+     "570298c930603c35a4a21036275ae12e25300f090f2ac13e3b92e35fc011c703"),
+    (lambda: (evaluate_full(phi, assignment={0: value})
+              for phi in unary_formulas(11) for value in range(0, 64, 7)),
+     "67e3aac661b12881ddbb214e228fd9f8b1514f1962f8b4c95b8f9fafffd426da"),
+], ids=["criterion-14", "criterion-14-tight", "unary-11"])
+def test_node_accounting_is_pinned(reports, digest):
+    # (truth, nodes_used, budget_hit) of every evaluation, as reports
+    # print nodes_used; the digests were taken from the tree-walking
+    # evaluator this compiler replaced
+    assert _accounting_digest(reports()) == digest
+
+
+def test_evaluation_leaves_no_cyclic_garbage():
+    # compiled code refers to its evaluator, never the other way round,
+    # so one-shot evaluations are freed by reference counting alone
+    env = standard_oracle_env()
+    phi = parse_formula("∃x′(x′<#5∧(Formula(x′+(x))))∨(x′′=x)")
+    gc.collect()
+    for value in range(30):
+        evaluate(phi, env, assignment={0: value, 2: 3})
+        evaluate_full(phi, env, Budget(node_budget=3), assignment={0: 1})
+        evaluate(Not(Eq(y, y)), assignment={1: value})
+    defines(parse_formula("∃x′(x′+(x′)=x)"), universe=10)
+    assert gc.collect() == 0
+
+
+def _nested(depth: int, wrap, leaf):
+    for _ in range(depth):
+        leaf = wrap(leaf)
+    return leaf
+
+
+def test_deep_formulas_give_unknown_not_a_traceback():
+    unbounded = Budget(depth_bound=10**6)
+    deep = _nested(3000, Not, Eq(x, Zero()))
+    report = evaluate_full(deep, budget=unbounded, assignment={0: 0})
+    assert report.truth is U and not report.budget_hit
+    # quantifiers and defines must not walk the deep body either
+    assert evaluate(Exists(x, deep), budget=unbounded) is U
+    assert evaluate(Forall(x, deep), budget=unbounded) is U
+    assert not defines(deep, budget=unbounded).exact
+    for op in (Add, Mul):
+        chain = _nested(3000, lambda t: op(One(), t), x)
+        for phi in (Eq(chain, Zero()), Exists(x, Eq(chain, numeral(5))),
+                    OracleAtom("Formula", (chain,))):
+            got = evaluate_full(phi, standard_oracle_env(), unbounded,
+                                assignment={0: 0})
+            assert got.truth is U and not got.budget_hit
+    # up to the cap the depth bound alone decides how deep evaluation goes
+    at_cap = _nested(DEPTH_CAP - 2, Not, Eq(x, Zero()))
+    assert evaluate(at_cap, budget=unbounded, assignment={0: 0}) is T
+    assert evaluate(Not(at_cap), budget=unbounded, assignment={0: 0}) is U
+    # the linear solver still reads a long chain 1+(1+(...(x)))
+    chain = _nested(500, lambda t: Add(One(), t), x)
+    assert evaluate(Exists(x, Eq(chain, numeral(505))), budget=unbounded) is T
+
+
+_T3 = st.sampled_from(list(Truth))
+_RANK = {F: 0, U: 1, T: 2}
+_OF_RANK = {0: F, 1: U, 2: T}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_T3, _T3)
+def test_connectives_follow_the_strong_kleene_tables(a, b):
+    # false < unknown < true; negation reverses the order
+    ra, rb = _RANK[a], _RANK[b]
+    assert (~a) is _OF_RANK[2 - ra]
+    assert t_and(a, b) is _OF_RANK[min(ra, rb)]
+    assert t_or(a, b) is _OF_RANK[max(ra, rb)]
+    assert t_implies(a, b) is _OF_RANK[max(2 - ra, rb)]
+    assert t_iff(a, b) is _OF_RANK[min(max(2 - ra, rb), max(2 - rb, ra))]
+
+
+_VARS = st.integers(0, 2).map(Var)
+_TERMS = st.recursive(
+    st.one_of(st.just(Zero()), st.just(One()), _VARS,
+              st.integers(2, 300).map(numeral),
+              st.integers(1, 40).map(lambda k: Num(BigNat.power24(k) + 1))),
+    lambda sub: st.one_of(
+        st.builds(Add, sub, sub), st.builds(Mul, sub, sub),
+        st.builds(lambda a: OracleFun("len", (a,)), sub),
+        st.builds(lambda a: OracleFun("neg", (a,)), sub),
+        st.builds(lambda a, b: OracleFun("D", (a, b)), sub, sub),
+        st.builds(lambda a, b, c: OracleFun("inst", (a, b, c)),
+                  sub, sub, sub)),
+    max_leaves=6,
+)
+_VALUES = st.integers(0, 12)
+
+
+def _outcome(thunk):
+    try:
+        value = thunk()
+    except Exception as exc:  # the same exception type is what must agree
+        return type(exc)
+    return type(value), value
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_TERMS, st.fixed_dictionaries({0: _VALUES, 1: _VALUES},
+                                     optional={2: _VALUES}))
+def test_compiled_terms_agree_with_eval_term(t, asg):
+    env = standard_oracle_env()
+    code = _compile_term(t, env)
+    expected = _outcome(lambda: eval_term(t, asg, env))
+    assert _outcome(lambda: code(asg)) == expected
+    assert _outcome(lambda: code(asg)) == expected  # closed parts cached
+
+
+_SMALL_TERMS = st.recursive(
+    st.one_of(st.just(Zero()), st.just(One()), _VARS,
+              st.integers(2, 12).map(numeral)),
+    lambda sub: st.one_of(st.builds(Add, sub, sub), st.builds(Mul, sub, sub),
+                          st.builds(lambda a: OracleFun("len", (a,)), sub)),
+    max_leaves=3,
+)
+_FORMULAS = st.recursive(
+    st.one_of(st.builds(Eq, _SMALL_TERMS, _SMALL_TERMS),
+              st.builds(Lt, _SMALL_TERMS, _SMALL_TERMS),
+              st.builds(lambda a: OracleAtom("Formula", (a,)), _SMALL_TERMS)),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        *[st.builds(ctor, sub, sub) for ctor in (And, Or, Implies, Iff)],
+        st.builds(Forall, _VARS, sub), st.builds(Exists, _VARS, sub)),
+    max_leaves=5,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_FORMULAS, st.fixed_dictionaries({0: _VALUES, 1: _VALUES}),
+       st.integers(1, 300), st.integers(0, 8),
+       st.integers(0, 3000), st.integers(0, 24))
+def test_larger_budgets_never_flip_a_decided_verdict(phi, asg, nodes, sweep,
+                                                     more_nodes, more_sweep):
+    env = standard_oracle_env()
+    small = evaluate(phi, env, Budget(witness_bound=sweep, node_budget=nodes),
+                     assignment=asg)
+    large = evaluate(phi, env, Budget(witness_bound=sweep + more_sweep,
+                                      node_budget=nodes + more_nodes),
+                     assignment=asg)
+    assert small is U or large is small

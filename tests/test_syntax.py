@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfref.bignat import BigNat, BigNatError
+from selfref.diagonal import normalize_psi
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
     OracleAtom, OracleFun, Or, SyntaxError_, Var, Zero, conj, disj,
@@ -148,6 +149,10 @@ def test_deep_negation_needs_no_recursion():
     assert hash(deep) == hash(_tower(3000, Eq(Var(0), Zero())))
     assert free_vars(deep) == {0}
     assert substitute(deep, 0, One()) == _tower(3000, Eq(One(), Zero()))
+    assert deep.height == 3002
+    assert repr(deep) == "Not(body=" * 3000 + \
+        "Eq(left=Var(index=0), right=Zero())" + ")" * 3000
+    assert normalize_psi(deep) == _tower(3000, Eq(Var(1), Zero()))
 
 
 def _reference_free_vars(x) -> frozenset:
@@ -170,17 +175,32 @@ def _reference_free_vars(x) -> frozenset:
     return frozenset(out)
 
 
+def _kids(node) -> tuple:
+    if isinstance(node, (Forall, Exists, Not)):
+        return (node.body,)
+    if isinstance(node, (OracleAtom, OracleFun)):
+        return node.args
+    if isinstance(node, (Zero, One, Var, Num)):
+        return ()
+    return (node.left, node.right)
+
+
 def _subtrees(x):
     stack = [x]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Forall, Exists, Not)):
-            stack.append(node.body)
-        elif isinstance(node, (OracleAtom, OracleFun)):
-            stack.extend(node.args)
-        elif not isinstance(node, (Zero, One, Var, Num)):
-            stack.extend([node.left, node.right])
+        stack.extend(_kids(node))
+
+
+def _reference_height(x) -> int:
+    """Nodes on the longest root-to-leaf path, by a stack walk."""
+    best, stack = 0, [(x, 1)]
+    while stack:
+        node, level = stack.pop()
+        best = max(best, level)
+        stack.extend((kid, level + 1) for kid in _kids(node))
+    return best
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -190,6 +210,7 @@ def test_cached_facts_agree_with_a_fresh_walk(seed, depth):
     twin = _random_formula(random.Random(seed), depth)
     for node in _subtrees(phi):
         assert free_vars(node) == _reference_free_vars(node)
+        assert node.height == _reference_height(node)
     # equal free-variable sets are one shared object
     assert free_vars(phi) is free_vars(twin)
     assert phi == twin  # compared before either tree is hashed
