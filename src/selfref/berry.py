@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache, cached_property
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .bignat import as_int
 from .diagonal import normalize_psi
 from .semantics import (
     Budget, OracleEnv, OracleUndecided, Truth, evaluate, pair, t_and,
-    t_implies, t_or, unpair,
+    t_implies, t_or, truth_at, unpair,
 )
 from .syntax import (
     And, Eq, Exists, Forall, Formula, Implies, Lt, Mul, Not, OracleAtom,
@@ -175,29 +175,6 @@ class MicroUniverse:
     def value_horizon(self) -> int:
         return self.budget.witness_bound
 
-    @cached_property
-    def defined_map(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {n: [] for n in range(self.value_horizon + 1)}
-        for fact in self.facts:
-            if fact.defines is not None and fact.defines in out:
-                out[fact.defines].append(fact.index)
-        return {n: tuple(ix) for n, ix in out.items()}
-
-    def least_undefined_below(self, bound: int) -> int:
-        """The least value no catalogue formula shorter than the bound
-        describes; the micro reading of the middle formula."""
-        for n in range(self.value_horizon + 1):
-            hits = [f for f in self.facts if f.length < bound
-                    and _describe_status(f, n, self.value_horizon)
-                    is not Truth.FALSE]
-            if not hits:
-                return n
-            if all(_describe_status(f, n, self.value_horizon)
-                   is Truth.UNKNOWN for f in hits):
-                raise BudgetInsufficient(
-                    f"describability of {n} below length {bound} unsettled")
-        raise BudgetInsufficient("every value within the horizon is described")
-
 
 @lru_cache(maxsize=8)
 def _build_universe(max_len: int, budget: Budget, order: str) -> MicroUniverse:
@@ -237,11 +214,14 @@ def micro_universe(max_len: int = 12, budget: Optional[Budget] = None,
     return _build_universe(max_len, budget or Budget(), order)
 
 
-def least_undefinable(universe: MicroUniverse) -> int:
-    """The least value described by no catalogue formula at all."""
+def least_undefinable(universe: MicroUniverse,
+                      bound: Optional[int] = None) -> int:
+    """The least value described by no catalogue formula, or by none
+    shorter than the bound: the micro reading of the middle formula."""
     horizon = universe.value_horizon
+    facts = [f for f in universe.facts if bound is None or f.length < bound]
     for n in range(horizon + 1):
-        statuses = [_describe_status(f, n, horizon) for f in universe.facts]
+        statuses = [_describe_status(f, n, horizon) for f in facts]
         if Truth.TRUE in statuses:
             continue
         if Truth.UNKNOWN in statuses:
@@ -338,15 +318,14 @@ def _upsilon_judge(bundle: BerryBundle, universe: MicroUniverse,
                 return Truth.UNKNOWN
         return judge
 
+    at = truth_at(bundle.normalized_upsilon, env, budget)
     memo: dict[int, Truth] = {}
 
     def judge(a: int, y: int) -> Truth:
         code = pair(a, y) + 1
         got = memo.get(code)
         if got is None:
-            got = evaluate(bundle.normalized_upsilon, env, budget,
-                           assignment={1: code})
-            memo[code] = got
+            got = memo[code] = at({1: code})
         return got
 
     return judge

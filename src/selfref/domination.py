@@ -33,9 +33,8 @@ from typing import Optional, Union
 from .bignat import as_int
 from .diagonal import normalize_psi
 from .parser import parse_formula
-from .semantics import (Budget, BudgetExceeded, Evaluator, OracleEnv,
-                        OracleUndecided, Truth, Unknown, evaluate, pair,
-                        unpair)
+from .semantics import (Budget, OracleEnv, OracleUndecided, Truth, Unknown,
+                        evaluate, pair, truth_at, unpair)
 from .syntax import (Add, And, Exists, Forall, Formula, Implies, Lt, Not,
                      Nat, One, OracleAtom, OracleFun, Var, free_vars,
                      substitute)
@@ -111,21 +110,20 @@ def _witness_scan(phi: Formula, x: int, witness_bound: int
     certifiably empty or merely out of reach.
     """
     budget = Budget(witness_bound=witness_bound)
-    code = Evaluator(OracleEnv(), budget).compile(phi)
+    at = truth_at(phi, budget=budget)
     least: Optional[int] = None
     second = False
-    try:
-        for z in range(witness_bound + 1):
-            got = code({0: x, 1: z})
-            if got is Truth.TRUE:
-                if least is None:
-                    least = z
-                else:
-                    second = True
-            elif got is not Truth.FALSE:
-                return (None, False, False)
-    except BudgetExceeded:
-        return (None, False, False)
+    asg = {0: x}
+    for z in range(witness_bound + 1):
+        asg[1] = z
+        got = at(asg)
+        if got is Truth.TRUE:
+            if least is None:
+                least = z
+            else:
+                second = True
+        elif got is not Truth.FALSE:
+            return (None, False, False)
     if least is not None:
         return (least, second, False)
     anywhere = evaluate(Exists(_V, phi), budget=budget, assignment={0: x})
@@ -276,6 +274,7 @@ def micro_domination_env(scheme: Optional[MicroScheme] = None,
     scheme = scheme or micro_scheme()
     budget = budget or Budget()
     size = len(scheme.formulas)
+    judges = [truth_at(phi, budget=budget) for phi in scheme.formulas]
 
     def inst_fn(a: Nat, m: Nat, n: Nat) -> int:
         a_i, m_i, n_i = as_int(a), as_int(m), as_int(n)
@@ -293,8 +292,7 @@ def micro_domination_env(scheme: Optional[MicroScheme] = None,
         m, n = unpair(rest)
         if a >= size:
             return False
-        verdict = evaluate(scheme.formulas[a], budget=budget,
-                           assignment={0: m, 1: n})
+        verdict = judges[a]({0: m, 1: n})
         if verdict is Truth.UNKNOWN:
             raise OracleUndecided("catalogue judgment out of budget")
         return verdict is Truth.TRUE

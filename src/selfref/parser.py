@@ -121,13 +121,6 @@ class _Parser:
             return self.toks[self.pos][1]
         return self.text_len
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.here())
-        self.pos += 1
-        return tok
-
     def expect(self, tok: str) -> None:
         got = self.peek()
         if got != tok:

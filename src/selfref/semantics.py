@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import isqrt
 from typing import Callable, Optional
 
@@ -167,9 +168,12 @@ def _as_int_if_small(v: Nat) -> Nat:
 
 def eval_term(t: Term, assignment: dict[int, Nat],
               env: OracleEnv) -> Nat:
-    """Exact value of a term; raises when off the exact fragment."""
+    """Exact value of a term; raises when off the exact fragment, and
+    on a term nested deeper than DEPTH_CAP, which it does not walk."""
     kind = type(t)
     if kind is Add or kind is Mul:
+        if t.height > DEPTH_CAP:
+            raise OracleUndecided("term nested too deep")
         a = eval_term(t.left, assignment, env)
         b = eval_term(t.right, assignment, env)
         if type(a) is int and type(b) is int:
@@ -191,7 +195,12 @@ def eval_term(t: Term, assignment: dict[int, Nat],
         fn = env.funs.get(t.name)
         if fn is None:
             raise OracleUndecided(f"no interpretation for {t.name}")
-        return fn(*[eval_term(a, assignment, env) for a in t.args])
+        if t.height > DEPTH_CAP:
+            raise OracleUndecided("term nested too deep")
+        values = []  # a loop, not a comprehension: one frame per level
+        for a in t.args:
+            values.append(eval_term(a, assignment, env))
+        return fn(*values)
     raise OracleUndecided(f"cannot evaluate {t!r}")
 
 
@@ -252,8 +261,15 @@ def _compile_term(t: Term, env: OracleEnv) -> Callable[[dict], Nat]:
     fn = env.funs.get(t.name) if kind is OracleFun else None
     if fn is None:  # eval_term raises, before reading the arguments
         return lambda asg: eval_term(t, asg, env)
-    args = [_compile_term(a, env) for a in t.args]
-    return lambda asg: fn(*[a(asg) for a in args])
+    # map and a loop, not comprehensions: one frame per term level
+    args = list(map(_compile_term, t.args, repeat(env)))
+
+    def call(asg):
+        values = []
+        for a in args:
+            values.append(a(asg))
+        return fn(*values)
+    return call
 
 
 def _small(guard, asg, cap: int) -> Optional[int]:
@@ -302,17 +318,13 @@ def _poly(t: Term, v: int, assignment: dict[int, Nat],
             out: list[Nat] = [0] * (len(pa) + len(pb) - 1)
             for i, c in enumerate(pa):
                 for j, d in enumerate(pb):
-                    if _is_zero(c) or _is_zero(d):
+                    if c == 0 or d == 0:
                         continue
                     out[i + j] = out[i + j] + c * d
             return out
     except (BigNatError, OracleUndecided):
         return None
     return None
-
-
-def _is_zero(c: Nat) -> bool:
-    return c == 0
 
 
 def _poly_sub(pa: list[Nat], pb: list[Nat]) -> Optional[list[tuple[int, Nat]]]:
@@ -324,7 +336,7 @@ def _poly_sub(pa: list[Nat], pb: list[Nat]) -> Optional[list[tuple[int, Nat]]]:
             b = pb[i] if i < len(pb) else 0
             if a == b:
                 out.append((0, 0))
-            elif _nat_lt(b, a):
+            elif b < a:
                 out.append((1, _nat_sub(a, b)))
             else:
                 out.append((-1, _nat_sub(b, a)))
@@ -333,14 +345,6 @@ def _poly_sub(pa: list[Nat], pb: list[Nat]) -> Optional[list[tuple[int, Nat]]]:
     while out and out[-1][0] == 0:
         out.pop()
     return out
-
-
-def _nat_lt(a: Nat, b: Nat) -> bool:
-    if isinstance(a, BigNat):
-        return a < b
-    if isinstance(b, BigNat):
-        return b > a
-    return a < b
 
 
 def _nat_sub(a: Nat, b: Nat) -> Nat:
@@ -391,11 +395,21 @@ class Evaluator:
         self.nodes = 0
 
     def compile(self, phi: Formula) -> Callable[[dict], Truth]:
-        """Code for phi, asg -> Truth; a sweep over assignments reuses it.
+        """Code for phi, asg -> Truth; each call is one evaluation with
+        the whole node budget.  Running out of nodes (after which nodes
+        exceeds the budget) or leaving the exact fragment gives UNKNOWN.
 
         The code refers to the evaluator and the evaluator not to the
         code, so both are freed without the cycle collector."""
-        return self._compile(phi, (), 0)
+        code = self._compile(phi, (), 0)
+
+        def run(asg):
+            self.nodes = 0
+            try:
+                return code(asg)
+            except (BudgetExceeded, BigNatError, OracleUndecided):
+                return _U
+        return run
 
     def _compile(self, phi: Formula, path: Path, depth: int):
         kind = type(phi)
@@ -489,9 +503,7 @@ class Evaluator:
                 b = right(asg)
                 if is_eq:
                     return _T if a == b else _F
-                if type(a) is int and type(b) is int:
-                    return _T if a < b else _F
-                return _T if _nat_lt(a, b) else _F
+                return _T if a < b else _F
             except _OFF_FRAGMENT:
                 return _U
         return run
@@ -502,7 +514,7 @@ class Evaluator:
             if support <= 0:
                 return _F
             try:
-                if any(_nat_lt(support - 1, a) for a in args):
+                if any(support - 1 < a for a in args):
                     return _F
             except BigNatError:
                 pass
@@ -663,40 +675,19 @@ class Evaluator:
             if sub is None:
                 return None
             return (sub[0], ~sub[1])
-        if isinstance(phi, (And, Or, Implies, Iff)):
+        if type(phi) in _CONNECTIVES:
+            stop, settled, table = _CONNECTIVES[type(phi)]
             lt = self._eventual(phi.left, v, asg)
             rt = self._eventual(phi.right, v, asg)
             # an absorbing child decides the verdict at its own threshold
-            absorbing: list[tuple[int, Truth]] = []
-            if isinstance(phi, And):
-                for side in (lt, rt):
-                    if side and side[1] is Truth.FALSE:
-                        absorbing.append((side[0], Truth.FALSE))
-            elif isinstance(phi, Or):
-                for side in (lt, rt):
-                    if side and side[1] is Truth.TRUE:
-                        absorbing.append((side[0], Truth.TRUE))
-            elif isinstance(phi, Implies):
-                if lt and lt[1] is Truth.FALSE:
-                    absorbing.append((lt[0], Truth.TRUE))
-                if rt and rt[1] is Truth.TRUE:
-                    absorbing.append((rt[0], Truth.TRUE))
+            absorbing = [side[0] for side, value in ((lt, stop), (rt, settled))
+                         if side and side[1] is value]
             if absorbing:
-                return min(absorbing, key=lambda p: p[0])
+                return (min(absorbing), settled)
             if lt is None or rt is None:
                 return None
-            lv, rv = lt[1], rt[1]
-            if isinstance(phi, And):
-                out = t_and(lv, rv)
-            elif isinstance(phi, Or):
-                out = t_or(lv, rv)
-            elif isinstance(phi, Implies):
-                out = t_implies(lv, rv)
-            else:
-                out = t_iff(lv, rv)
-            if out is Truth.UNKNOWN:
-                return None
-            return (max(lt[0], rt[0]), out)
+            out = table(lt[1], rt[1])
+            return None if out is _U else (max(lt[0], rt[0]), out)
         if isinstance(phi, (Forall, Exists)):
             # over a nonempty domain a vacuous quantifier is transparent
             if phi.var.index not in free_vars(phi.body):
@@ -746,13 +737,16 @@ def evaluate_full(phi: Formula, env: Optional[OracleEnv] = None,
                   witnesses: Optional[WitnessMap] = None,
                   assignment: Optional[dict[int, Nat]] = None) -> EvalReport:
     ev = Evaluator(env or OracleEnv(), budget or Budget(), witnesses)
-    try:
-        truth = ev.compile(phi)(assignment or {})
-        return EvalReport(truth, ev.nodes, False)
-    except BudgetExceeded:
-        return EvalReport(Truth.UNKNOWN, ev.nodes, True)
-    except (BigNatError, OracleUndecided):
-        return EvalReport(Truth.UNKNOWN, ev.nodes, False)
+    truth = ev.compile(phi)(assignment or {})
+    return EvalReport(truth, ev.nodes, ev.nodes > ev.budget.node_budget)
+
+
+def truth_at(phi: Formula, env: Optional[OracleEnv] = None,
+             budget: Optional[Budget] = None) -> Callable[[dict], Truth]:
+    """phi compiled once, as asg -> evaluate(phi, env, budget,
+    assignment=asg): a sweep over assignments is a loop over it, and
+    each call gets the whole node budget."""
+    return Evaluator(env or OracleEnv(), budget or Budget()).compile(phi)
 
 
 @dataclass
@@ -763,43 +757,31 @@ class DefinesReport:
 
 
 def defines(phi: Formula, env: Optional[OracleEnv] = None,
-            budget: Optional[Budget] = None,
-            universe: Optional[int] = None) -> DefinesReport:
+            budget: Optional[Budget] = None) -> DefinesReport:
     """The set of values of x that satisfy a one-free-variable formula.
 
-    With a universe bound the sweep covers exactly that range.  Without
-    one the sweep runs to the witness bound and tail analysis decides
-    whether anything can hide beyond it.
+    The sweep runs to the witness bound and tail analysis decides
+    whether anything can hide beyond it.  The report is exact only when
+    every swept value is decided.
     """
     env = env or OracleEnv()
     budget = budget or Budget()
-    fv = free_vars(phi)
-    if fv - {0}:
+    if phi.fv - {0}:
         return DefinesReport(False, [], "extra free variables")
     ev = Evaluator(env, budget)
-    code = ev.compile(phi)
-    limit = universe if universe is not None else budget.witness_bound + 1
-    solutions = []
-    decisive = True
-    try:
-        for w in range(limit):
-            got = code({0: w})
-            if got is Truth.TRUE:
-                solutions.append(w)
-            elif got is Truth.UNKNOWN:
-                decisive = False
-    except BudgetExceeded:
-        return DefinesReport(False, solutions, "budget exhausted")
-    if universe is not None:
-        return DefinesReport(decisive, solutions,
-                             "relative to the finite universe")
+    at = ev.compile(phi)
+    limit = budget.witness_bound + 1
+    swept = [at({0: w}) for w in range(limit)]
+    solutions = [w for w, got in enumerate(swept) if got is Truth.TRUE]
+    if Truth.UNKNOWN in swept:
+        return DefinesReport(False, solutions, "a swept value is unknown")
     tail = ev._eventual(phi, 0, {}) if phi.height <= DEPTH_CAP else None
-    if decisive and tail is not None and tail[1] is Truth.FALSE \
-            and tail[0] <= limit:
-        return DefinesReport(True, solutions, "tail is false")
-    if tail is not None and tail[1] is Truth.TRUE and tail[0] <= limit:
-        return DefinesReport(True, solutions + ["..."],
-                             "cofinitely many solutions")
+    if tail is not None and tail[0] <= limit:
+        if tail[1] is Truth.FALSE:
+            return DefinesReport(True, solutions, "tail is false")
+        if tail[1] is Truth.TRUE:
+            return DefinesReport(True, solutions + ["..."],
+                                 "cofinitely many solutions")
     return DefinesReport(False, solutions, "beyond the sweep is unchecked")
 
 

@@ -11,6 +11,7 @@ sentence 32 + 5*ell.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -114,16 +115,16 @@ def test_micro_universe_small_scale():
     u = micro_universe(4)
     assert len(u.formulas) == 10
     assert least_undefinable(u) == 2
-    dm = u.defined_map
-    assert len(dm[0]) == 3 and len(dm[1]) == 2
-    assert dm[2] == ()
+    definers = Counter(f.defines for f in u.facts)
+    assert definers[0] == 3 and definers[1] == 2
+    assert definers[2] == 0
 
 
 def test_micro_universe_medium_scale():
     u = micro_universe(8)
     assert len(u.formulas) == 172
     assert least_undefinable(u) == 3
-    counts = {n: len(ix) for n, ix in u.defined_map.items() if ix}
+    counts = Counter(f.defines for f in u.facts if f.defines is not None)
     assert counts == {0: 43, 1: 18, 2: 2}
 
 
@@ -164,11 +165,12 @@ def test_least_undefinable_short_horizon_is_honest():
 def test_bounded_definition_thresholds():
     u = micro_universe(8)
     expected = [0, 0, 0, 0, 2, 2, 2, 2, 3]
-    got = [u.least_undefined_below(w) for w in range(9)]
+    got = [least_undefinable(u, w) for w in range(9)]
     assert got == expected
     # monotone: a wider length window never loses a defined value
     for w in range(8):
-        assert u.least_undefined_below(w) <= u.least_undefined_below(w + 1)
+        assert least_undefinable(u, w) <= least_undefinable(u, w + 1)
+    assert least_undefinable(u, 100) == least_undefinable(u)
 
 
 # -- evaluating the bundle over a micro universe ------------------------------
@@ -179,7 +181,7 @@ def test_def_instance_evaluation_matches_table():
     env = micro_env(u)
     budget = Budget(witness_bound=len(u.formulas) + 2)
     for w in (4, 8):
-        defined = {n for n in range(5) if u.least_undefined_below(w) != n
+        defined = {n for n in range(5) if least_undefinable(u, w) != n
                    and any(u.facts[i].defines == n and u.facts[i].length < w
                            for i in range(len(u.formulas)))}
         for n in range(5):

@@ -16,7 +16,7 @@ from selfref.parser import parse_formula
 from selfref.semantics import (
     DEPTH_CAP, Budget, DefinesReport, OracleEnv, OracleUndecided, Truth,
     _compile_term, defines, evaluate, evaluate_full, eval_term,
-    standard_oracle_env, t_and, t_iff, t_implies, t_or,
+    standard_oracle_env, t_and, t_iff, t_implies, t_or, truth_at,
 )
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
@@ -150,10 +150,23 @@ def test_defines_interval_and_cofinite():
 
 
 def test_defines_on_universe():
+    # a finite universe is a loop over the compiled handle
     phi = parse_formula("∃x′(x′+(x′)=x)")  # even numbers
-    report = defines(phi, universe=10)
-    assert report.solutions == [0, 2, 4, 6, 8]
-    assert report.exact
+    at = truth_at(phi)
+    swept = [at({0: w}) for w in range(10)]
+    assert [w for w, got in enumerate(swept) if got is T] == [0, 2, 4, 6, 8]
+    assert U not in swept
+
+
+def test_defines_is_inexact_when_a_swept_value_is_unknown():
+    # Tr has no interpretation, so x = 3 is UNKNOWN, while the tail
+    # 5 < x alone would make the set cofinite
+    phi = Or(And(Eq(x, numeral(3)), OracleAtom("Tr", (Zero(),))),
+             Lt(numeral(5), x))
+    assert evaluate(phi, OracleEnv(), assignment={0: 3}) is U
+    report = defines(phi, OracleEnv())
+    assert not report.exact
+    assert report.solutions == list(range(6, 65))
 
 
 def test_standard_oracle_env():
@@ -250,7 +263,11 @@ def test_evaluation_leaves_no_cyclic_garbage():
         evaluate(phi, env, assignment={0: value, 2: 3})
         evaluate_full(phi, env, Budget(node_budget=3), assignment={0: 1})
         evaluate(Not(Eq(y, y)), assignment={1: value})
-    defines(parse_formula("∃x′(x′+(x′)=x)"), universe=10)
+    at = truth_at(phi, env, Budget(node_budget=40))
+    for value in range(30):
+        at({0: value, 2: 3})
+    del at
+    defines(parse_formula("∃x′(x′+(x′)=x)"))
     assert gc.collect() == 0
 
 
@@ -283,6 +300,20 @@ def test_deep_formulas_give_unknown_not_a_traceback():
     # the linear solver still reads a long chain 1+(1+(...(x)))
     chain = _nested(500, lambda t: Add(One(), t), x)
     assert evaluate(Exists(x, Eq(chain, numeral(505))), budget=unbounded) is T
+
+
+def test_eval_term_refuses_deep_terms_without_recursing():
+    env = standard_oracle_env()
+    for wrap in (lambda t: Add(One(), t), lambda t: Mul(One(), t),
+                 lambda t: OracleFun("len", (t,))):
+        with pytest.raises(OracleUndecided):
+            eval_term(_nested(3000, wrap, x), {0: 0}, env)
+        # up to the cap the term is computed, by eval_term and by the
+        # evaluator's compiled code alike
+        at_cap = _nested(DEPTH_CAP - 2, wrap, x)
+        assert eval_term(at_cap, {0: 1}, env) >= 1
+        assert evaluate(Eq(at_cap, Zero()), env, Budget(depth_bound=10**6),
+                        assignment={0: 1}) is F
 
 
 _T3 = st.sampled_from(list(Truth))
@@ -355,6 +386,24 @@ _FORMULAS = st.recursive(
         st.builds(Forall, _VARS, sub), st.builds(Exists, _VARS, sub)),
     max_leaves=5,
 )
+
+
+_RANDOM_FORMULAS = st.builds(
+    lambda seed, depth: _random_formula(random.Random(seed), depth),
+    st.integers(0, 10**6), st.integers(1, 4))
+_ASSIGNMENTS = st.fixed_dictionaries({0: _VALUES, 1: _VALUES, 2: _VALUES})
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.one_of(_RANDOM_FORMULAS, _FORMULAS),
+       st.lists(_ASSIGNMENTS, min_size=1, max_size=4),
+       st.sampled_from([Budget(), Budget(node_budget=7),
+                        Budget(depth_bound=1)]))
+def test_a_reused_handle_agrees_with_fresh_evaluations(phi, asgs, budget):
+    env = standard_oracle_env()
+    at = truth_at(phi, env, budget)
+    for asg in asgs + asgs:
+        assert at(asg) is evaluate(phi, env, budget, assignment=asg)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
