@@ -1,15 +1,16 @@
 """Write one BENCH_<n>.json: the benchmark plus the suite-level timings.
 
-    python3 scripts/bench_snapshot.py N [--seed S] [--seconds T]
+    python3 scripts/bench_snapshot.py N
 
-Runs ``perfbench/run.py`` once on each of its four workloads and keeps
-the final JSON line of each run.  It also records the per-criterion
-times of ``acceptance.run_all()``, the wall time and outcome of the
-tier-1 suite (``python -m pytest -q`` with ``src`` on the path), the
-number of usable CPUs, the Python version and the git revision, and
-writes all of it to ``BENCH_<N>.json`` at the root of the checkout.
-Nothing in ``perfbench/`` is changed or configured: the workloads, the
-seed, the run length and the metrics are the benchmark's own.
+Runs ``perfbench/run.py`` once on each workload that ``BENCHMARK.json``
+lists, for its ``run_seconds`` and at the fixed seed ``SEED`` (so that
+snapshots compare run for run), and keeps the final JSON line of each
+run.  It also records the per-criterion times of
+``acceptance.run_all()``, the wall time and outcome of the tier-1 suite
+(``python -m pytest -q`` with ``src`` on the path), the number of usable
+CPUs, the Python version and the git revision, and writes all of it to
+``BENCH_<N>.json`` at the root of the checkout.  Nothing in
+``perfbench/`` is changed or configured.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("oracle-eval", "proof-search", "micro-catalogue", "giant-codes")
+SEED = 1
 CRITERIA = """
 import json
 from selfref.acceptance import run_all
@@ -63,15 +64,15 @@ def _git_revision() -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="the number in BENCH_<n>.json")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=24.0)
     args = ap.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
 
     benchmark = {}
-    for name in WORKLOADS:
+    for name in (w["name"] for w in spec["workloads"]):
         proc, _ = _run([sys.executable, "perfbench/run.py", "--workload",
-                        name, "--seed", str(args.seed), "--seconds",
-                        str(args.seconds), "--trace", "0"])
+                        name, "--seed", str(SEED), "--seconds",
+                        str(seconds), "--trace", "0"])
         benchmark[name] = _last_json(proc)
         print(f"{name}: done", file=sys.stderr)
     proc, criteria_s = _run([sys.executable, "-c", CRITERIA])
@@ -84,8 +85,8 @@ def main() -> int:
         "git_revision": _git_revision(),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "benchmark": benchmark,
         "acceptance": {"wall_s": round(criteria_s, 3), "criteria": criteria},
         "tier1": {"wall_s": round(tier1_s, 3), "exit": proc.returncode,

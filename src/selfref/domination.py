@@ -34,7 +34,7 @@ from .bignat import as_int
 from .diagonal import normalize_psi
 from .parser import parse_formula
 from .semantics import (Budget, OracleEnv, OracleUndecided, Truth, Unknown,
-                        evaluate, pair, truth_at, unpair)
+                        evaluate, pair, sweep, truth_at, unpair)
 from .syntax import (Add, And, Exists, Forall, Formula, Implies, Lt, Not,
                      Nat, One, OracleAtom, OracleFun, Var, free_vars,
                      substitute)
@@ -110,13 +110,9 @@ def _witness_scan(phi: Formula, x: int, witness_bound: int
     certifiably empty or merely out of reach.
     """
     budget = Budget(witness_bound=witness_bound)
-    at = truth_at(phi, budget=budget)
     least: Optional[int] = None
     second = False
-    asg = {0: x}
-    for z in range(witness_bound + 1):
-        asg[1] = z
-        got = at(asg)
+    for z, got in enumerate(sweep(phi, 1, {0: x}, OracleEnv(), budget)):
         if got is Truth.TRUE:
             if least is None:
                 least = z
@@ -130,37 +126,15 @@ def _witness_scan(phi: Formula, x: int, witness_bound: int
     return (None, False, anywhere is Truth.FALSE)
 
 
-def _scheme_range(scheme: MicroScheme, x: int) -> range:
-    return range(min(x, len(scheme.formulas) - 1) + 1)
-
-
-def F_fixed_input(x: int, budget: Optional[Budget] = None,
-                  scheme: Optional[MicroScheme] = None) -> Union[int, Unknown]:
-    """Least y making every witnessed catalogue output at input x fall
-    below y, over catalogue codes up to x; 0 when nothing is witnessed."""
+def _bound(x: int, inputs, budget: Optional[Budget],
+           scheme: Optional[MicroScheme]) -> Union[int, Unknown]:
+    """Least y above every witnessed catalogue output at the inputs,
+    over catalogue codes up to x; 0 when nothing is witnessed."""
     scheme = scheme or micro_scheme()
     budget = budget or Budget()
     best = 0
-    for code in _scheme_range(scheme, x):
-        least, _, empty = _witness_scan(scheme.formulas[code], x,
-                                        budget.witness_bound)
-        if least is not None:
-            best = max(best, least + 1)
-        elif not empty:
-            return Unknown(f"witness search for catalogue code {code} "
-                           f"at input {x} is inconclusive")
-    return best
-
-
-def F_kotlarski(x: int, budget: Optional[Budget] = None,
-                scheme: Optional[MicroScheme] = None) -> Union[int, Unknown]:
-    """Same bound with inputs enumerated too: 1 + max over codes and
-    inputs up to x of the witnessed outputs."""
-    scheme = scheme or micro_scheme()
-    budget = budget or Budget()
-    best = 0
-    for code in _scheme_range(scheme, x):
-        for u in range(x + 1):
+    for code in range(min(x, len(scheme.formulas) - 1) + 1):
+        for u in inputs:
             least, _, empty = _witness_scan(scheme.formulas[code], u,
                                             budget.witness_bound)
             if least is not None:
@@ -169,6 +143,20 @@ def F_kotlarski(x: int, budget: Optional[Budget] = None,
                 return Unknown(f"witness search for catalogue code {code} "
                                f"at input {u} is inconclusive")
     return best
+
+
+def F_fixed_input(x: int, budget: Optional[Budget] = None,
+                  scheme: Optional[MicroScheme] = None) -> Union[int, Unknown]:
+    """Least y making every witnessed catalogue output at input x fall
+    below y, over catalogue codes up to x; 0 when nothing is witnessed."""
+    return _bound(x, (x,), budget, scheme)
+
+
+def F_kotlarski(x: int, budget: Optional[Budget] = None,
+                scheme: Optional[MicroScheme] = None) -> Union[int, Unknown]:
+    """Same bound with inputs enumerated too: 1 + max over codes and
+    inputs up to x of the witnessed outputs."""
+    return _bound(x, range(x + 1), budget, scheme)
 
 
 # -- verified graphs and domination ------------------------------------------------------

@@ -744,9 +744,26 @@ def evaluate_full(phi: Formula, env: Optional[OracleEnv] = None,
 def truth_at(phi: Formula, env: Optional[OracleEnv] = None,
              budget: Optional[Budget] = None) -> Callable[[dict], Truth]:
     """phi compiled once, as asg -> evaluate(phi, env, budget,
-    assignment=asg): a sweep over assignments is a loop over it, and
-    each call gets the whole node budget."""
+    assignment=asg): each call gets the whole node budget, where
+    sweep below shares one budget over all its values."""
     return Evaluator(env or OracleEnv(), budget or Budget()).compile(phi)
+
+
+def sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
+          budget: Budget) -> list[Truth]:
+    """phi's truths at var = 0..witness_bound, the rest of asg fixed.
+    The node budget covers the whole sweep: the value at which the
+    nodes visited in all exceed it, and every later one, are UNKNOWN."""
+    ev, spent, out = Evaluator(env, budget), 0, []
+    at, asg = ev.compile(phi), dict(asg)
+    for w in range(budget.witness_bound + 1):
+        asg[var] = w
+        got = at(asg)
+        spent += ev.nodes
+        if spent > budget.node_budget:
+            return out + [_U] * (budget.witness_bound + 1 - w)
+        out.append(got)
+    return out
 
 
 @dataclass
@@ -768,13 +785,12 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
     budget = budget or Budget()
     if phi.fv - {0}:
         return DefinesReport(False, [], "extra free variables")
-    ev = Evaluator(env, budget)
-    at = ev.compile(phi)
     limit = budget.witness_bound + 1
-    swept = [at({0: w}) for w in range(limit)]
+    swept = sweep(phi, 0, {}, env, budget)
     solutions = [w for w, got in enumerate(swept) if got is Truth.TRUE]
     if Truth.UNKNOWN in swept:
         return DefinesReport(False, solutions, "a swept value is unknown")
+    ev = Evaluator(env, budget)
     tail = ev._eventual(phi, 0, {}) if phi.height <= DEPTH_CAP else None
     if tail is not None and tail[0] <= limit:
         if tail[1] is Truth.FALSE:

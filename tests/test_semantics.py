@@ -16,7 +16,7 @@ from selfref.parser import parse_formula
 from selfref.semantics import (
     DEPTH_CAP, Budget, DefinesReport, OracleEnv, OracleUndecided, Truth,
     _compile_term, defines, evaluate, evaluate_full, eval_term,
-    standard_oracle_env, t_and, t_iff, t_implies, t_or, truth_at,
+    standard_oracle_env, sweep, t_and, t_iff, t_implies, t_or, truth_at,
 )
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
@@ -167,6 +167,24 @@ def test_defines_is_inexact_when_a_swept_value_is_unknown():
     report = defines(phi, OracleEnv())
     assert not report.exact
     assert report.solutions == list(range(6, 65))
+
+
+def test_the_node_budget_covers_a_whole_sweep():
+    # value x costs about x nodes and x oracle calls, the whole sweep to
+    # 1000 about half a million; the budget stops it after 2000 nodes
+    calls = []
+    env = OracleEnv(atoms={"Tr": lambda a: calls.append(a) or False})
+    phi = Exists(y, And(Lt(y, x), OracleAtom("Tr", (y,))))
+    budget = Budget(witness_bound=1000, node_budget=2000)
+    swept = sweep(phi, 0, {}, env, budget)
+    assert len(swept) == 1001 and len(calls) <= 2 * budget.node_budget
+    decided = swept.index(U)
+    assert swept[:decided] == [F] * decided and set(swept[decided:]) == {U}
+    # a handle gives every value the whole budget
+    at = truth_at(phi, env, budget)
+    assert [at({0: v}) for v in range(decided, 1001)] == [F] * (1001 - decided)
+    report = defines(Eq(x, x), budget=Budget(node_budget=10))
+    assert not report.exact and report.solutions == list(range(10))
 
 
 def test_standard_oracle_env():
