@@ -19,7 +19,7 @@ approximating.
 from __future__ import annotations
 
 import sys
-from math import gcd
+from math import gcd, log2
 from typing import Iterable
 
 BASE = 24
@@ -38,35 +38,81 @@ _EXPLICIT_CAP = 1 << 16
 # Largest multiplier handled by the carry transducer in one pass.
 _SMALL_FACTOR_CAP = 1 << 22
 
-_CHUNK = BASE**512
+_LEAF = 512
+_CHUNK = BASE**_LEAF
+# byte d -> the character of digit d in int(..., 24)
+_DIGIT_CHARS = bytes.maketrans(bytes(range(BASE)), b"0123456789abcdefghijklmn")
 
 
 class BigNatError(ArithmeticError):
     """Raised when a value leaves the supported exact fragment."""
 
 
+def _digit_count(n: int, base: int = BASE) -> int:
+    """Number of digits of n >= 0 in base ``base`` (1 for zero), read from
+    its bit length and one power comparison instead of a conversion."""
+    if n < base:
+        return 1
+    k = int((n.bit_length() - 1) / log2(base))  # floor(log n), or one off
+    p = base**k
+    if p > n:
+        return k
+    return k + 1 + (n >= p * base)
+
+
+# Radix conversion divides and conquers at the powers 24**(512 * 2**k), so
+# both halves of a split have equal digit counts and a leaf has at most 512
+# digits (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section 1.7).
+
 def _int_to_digits(n: int) -> tuple[int, ...]:
     """Base-24 digits of ``n``, most significant first."""
-    if n == 0:
-        return (0,)
-    chunks: list[int] = []
-    while n:
-        n, r = divmod(n, _CHUNK)
-        chunks.append(r)
-    digits: list[int] = []
-    first = True
-    for chunk in reversed(chunks):
-        part: list[int] = []
-        for _ in range(512):
-            chunk, d = divmod(chunk, BASE)
-            part.append(d)
-        part.reverse()
-        if first:
-            while len(part) > 1 and part[0] == 0:
-                part.pop(0)
-            first = False
-        digits.extend(part)
-    return tuple(digits)
+    powers = [_CHUNK]
+    while 2 * powers[-1].bit_length() - 1 <= n.bit_length():
+        powers.append(powers[-1] * powers[-1])
+    out: list[int] = []
+    _put_digits(n, powers, len(powers) - 1, 0, out)
+    return tuple(out) or (0,)
+
+
+def _put_digits(n: int, powers: list[int], k: int, width: int,
+                out: list[int]) -> None:
+    """Append the digits of n < powers[k]**2, zero-padded to width digits;
+    width 0 pads nothing, so a short value peels no full leaf."""
+    if k < 0:
+        digits = []
+        while n:
+            n, d = divmod(n, BASE)
+            digits.append(d)
+        out.extend([0] * (width - len(digits)))
+        out.extend(reversed(digits))
+        return
+    if not width and n < powers[k]:
+        _put_digits(n, powers, k - 1, 0, out)
+        return
+    half = _LEAF << k
+    hi, lo = divmod(n, powers[k])
+    _put_digits(hi, powers, k - 1, width and width - half, out)
+    _put_digits(lo, powers, k - 1, half, out)
+
+
+def _digits_to_int(digits) -> int:
+    """The value of a sequence of base-24 digits, most significant first."""
+    powers = [_CHUNK]
+    while _LEAF << len(powers) < len(digits):
+        powers.append(powers[-1] * powers[-1])
+    return _join_digits(digits, powers, len(powers) - 1)
+
+
+def _join_digits(digits, powers: list[int], k: int) -> int:
+    """The value of at most 512 * 2**(k+1) digits."""
+    while k >= 0 and _LEAF << k >= len(digits):
+        k -= 1
+    if k < 0:
+        return int(bytes(digits).translate(_DIGIT_CHARS), BASE) if digits \
+            else 0
+    cut = len(digits) - (_LEAF << k)
+    return _join_digits(digits[:cut], powers, k - 1) * powers[k] + \
+        _join_digits(digits[cut:], powers, k - 1)
 
 
 class _Runs:
@@ -139,9 +185,10 @@ def _stream(runs_a: _Runs, runs_b: _Runs, state: int, step,
             drain_state: int | None):
     """Combine two digit streams with a finite-state digitwise transducer.
 
-    ``step(da, db, state) -> (digit, state)``.  Long stretches where both
-    streams are periodic are fast-forwarded by detecting state cycles at
-    the joint period, so the cost is independent of run lengths.  When
+    ``step(da, db, state) -> (digit, state)``; returns the output runs
+    and the final state.  Long stretches where both streams are periodic
+    are fast-forwarded by detecting state cycles at the joint period, so
+    the cost is independent of run lengths.  When
     ``drain_state`` is given, zero digits are fed in at the significant
     end until the state settles there; ``None`` stops at the last digit.
     """
@@ -203,7 +250,7 @@ def _stream(runs_a: _Runs, runs_b: _Runs, state: int, step,
             guard += 1
             if guard > 64:
                 raise BigNatError("transducer failed to settle")
-    return out.done()
+    return out.done(), state
 
 
 def _trim_msb_zeros(runs_lsb: list[tuple[tuple[int, ...], int]]) -> list:
@@ -297,16 +344,7 @@ class BigNat:
     def digits24(self) -> int:
         """Number of base-24 digits (1 for zero)."""
         if self._int is not None:
-            if self._int == 0:
-                return 1
-            n, count = self._int, 0
-            while n >= _CHUNK:
-                n //= _CHUNK
-                count += 512
-            while n:
-                n //= BASE
-                count += 1
-            return count
+            return _digit_count(self._int)
         return self._runs.total
 
     def is_materializable(self) -> bool:
@@ -322,13 +360,10 @@ class BigNat:
     def _materialize(self) -> int:
         total = 0
         for pattern, count in reversed(self._runs.runs):  # msb first
-            plen = len(pattern)
-            pval = 0
-            for d in reversed(pattern):  # pattern stored lsb first
-                pval = pval * BASE + d
-            shift = BASE**plen
-            geo = (shift**count - 1) // (shift - 1)
-            total = total * shift**count + pval * geo
+            shift = BASE ** len(pattern)
+            span = shift**count
+            geo = (span - 1) // (shift - 1)
+            total = total * span + _digits_to_int(pattern[::-1]) * geo
         return total
 
     def _as_runs(self) -> _Runs:
@@ -348,7 +383,7 @@ class BigNat:
             return s % BASE, s // BASE
 
         return BigNat._from_lsb(
-            _stream(self._as_runs(), other._as_runs(), 0, step, 0)
+            _stream(self._as_runs(), other._as_runs(), 0, step, 0)[0]
         )
 
     def __radd__(self, other: "BigNat | int") -> "BigNat":
@@ -369,7 +404,7 @@ class BigNat:
 
         try:
             return BigNat._from_lsb(
-                _stream(self._as_runs(), other._as_runs(), 0, step, 0)
+                _stream(self._as_runs(), other._as_runs(), 0, step, 0)[0]
             )
         except BigNatError as exc:
             if "settle" in str(exc):
@@ -397,18 +432,15 @@ class BigNat:
             s = da * m + carry
             return s % BASE, s // BASE
 
-        zero = _Runs([])
-        return BigNat._from_lsb(_stream(self._as_runs(), zero, 0, step, 0))
+        out, _ = _stream(self._as_runs(), _Runs([]), 0, step, 0)
+        return BigNat._from_lsb(out)
 
     def _single_digit(self) -> tuple[int, int] | None:
         """If the value is d * 24**k, return (d, k)."""
         if self._int is not None:
-            if self._int == 0:
-                return (0, 0)
-            digits = _int_to_digits(self._int)
-            if all(d == 0 for d in digits[1:]):
-                return digits[0], len(digits) - 1
-            return None
+            k = _digit_count(self._int) - 1
+            d, rest = divmod(self._int, BASE**k)
+            return None if rest else (d, k)
         found: tuple[int, int] | None = None
         pos = 0
         for pattern, count in self._runs.runs:  # lsb first
@@ -430,15 +462,13 @@ class BigNat:
             if single is not None:
                 d, k = single
                 return a._mul_small(d).shift24(k)
-            if b._int is not None:
-                digits = _int_to_digits(b._int)
-                if len(digits) <= 64:
-                    acc = BigNat(0)
-                    for d in digits:
-                        acc = acc.shift24(1)
-                        if d:
-                            acc = acc + a._mul_small(d)
-                    return acc
+            if b._int is not None and b._int < BASE**64:
+                acc = BigNat(0)
+                for d in _int_to_digits(b._int):
+                    acc = acc.shift24(1)
+                    if d:
+                        acc = acc + a._mul_small(d)
+                return acc
         raise BigNatError("product of two long run forms is unsupported")
 
     def __rmul__(self, other: "BigNat | int") -> "BigNat":
@@ -466,9 +496,7 @@ class BigNat:
             cur = rem * BASE + da
             return cur // m, cur % m
 
-        zero = _Runs([])
-        out_msb = _stream(msb_runs, zero, 0, step, None)
-        rem = self.mod_int(m)
+        out_msb, rem = _stream(msb_runs, _Runs([]), 0, step, None)
         quotient_lsb = [
             (tuple(reversed(p)), c) for p, c in reversed(out_msb)
         ]
@@ -481,13 +509,12 @@ class BigNat:
             return self._int % m
         r = 0
         for pattern, count in reversed(self._runs.runs):  # msb first
-            plen = len(pattern)
-            pval = 0
-            for d in reversed(pattern):
-                pval = pval * BASE + d
-            a = pow(BASE, plen, m)
-            b = pval % m
-            ak, bk = _affine_pow(a, b, count, m)
+            digits = pattern[::-1]
+            b = 0  # the pattern's value mod m, folded one leaf at a time
+            for i in range(0, len(digits), _LEAF):
+                leaf = digits[i:i + _LEAF]
+                b = (b * pow(BASE, len(leaf), m) + _digits_to_int(leaf)) % m
+            ak, bk = _affine_pow(pow(BASE, len(pattern), m), b, count, m)
             r = (ak * r + bk) % m
         return r
 
@@ -577,14 +604,17 @@ def as_int(value: "BigNat | int") -> "int | None":
 
 
 def _affine_pow(a: int, b: int, k: int, m: int) -> tuple[int, int]:
-    """Compose x -> a*x + b (mod m) with itself k times."""
-    ra, rb = 1, 0
-    while k:
-        if k & 1:
-            ra, rb = (a * ra) % m, (a * rb + b) % m
-        a, b = (a * a) % m, (a * b + b) % m
-        k >>= 1
-    return ra, rb
+    """Compose x -> a*x + b (mod m) with itself k times, for 0 <= a < m.
+
+    That is x -> a**k * x + b * (1 + a + ... + a**(k-1)); the geometric sum
+    is (a**k - 1) / (a - 1), read off exactly from a**k mod m * (a - 1).
+    """
+    if a == 0:
+        return (0, b % m) if k else (1, 0)
+    if a == 1:
+        return 1, b * k % m
+    t = pow(a, k, m * (a - 1))
+    return t % m, b * ((t - 1) // (a - 1)) % m
 
 
 def _coerce(v: "BigNat | int") -> BigNat:

@@ -28,7 +28,7 @@ from .berry import (
     length_audit, micro_universe,
     syntactic_tarski_experiment, truth_oracle_property,
 )
-from .bignat import BigNat, BigNatError
+from .bignat import BigNat, BigNatError, _digit_count
 from .coding import NotACode, decode, encode
 from .diagonal import check_fixed_point, diagonal_sentence, \
     refute_truth_definition
@@ -70,11 +70,13 @@ class _VerdictFailure(Exception):
 # -- report plumbing --------------------------------------------------------------------
 
 def _int_summary(n: int):
-    # digit counts can themselves be astronomical; keep the magnitude
-    text = str(n)
-    if len(text) <= 40:
+    # digit counts can themselves be astronomical; keep the magnitude, read
+    # without str(), which takes quadratic time on such values
+    if n < 10**40:
         return n
-    return f"{text[0]}.{text[1:5]}e{len(text) - 1}"
+    length = _digit_count(n, 10)
+    head = str(n // 10 ** (length - 5))
+    return f"{head[0]}.{head[1:]}e{length - 1}"
 
 
 def _code_payload(code) -> dict:

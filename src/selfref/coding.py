@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .bignat import BASE, BigNat, BigNatError
+from .bignat import (BASE, BigNat, BigNatError, _digit_count,
+                     _digits_to_int, _int_to_digits)
 from .syntax import Nat, Term, token_pieces
 from . import parser
 
@@ -54,60 +55,30 @@ def load_pinned_table() -> dict:
 
 def encode(x) -> Nat:
     """Code of a term or formula as a base-24 digit string value."""
-    chunks: list[int] = []
-    acc: Nat = 0
-    first = True
-
-    def flush():
-        nonlocal acc, first
-        if not chunks:
-            return
-        val = 0
-        for d in chunks:
-            val = val * BASE + d
-        if first:
-            acc = val
-            first = False
-        else:
-            acc = _shift(acc, len(chunks)) + val
-        chunks.clear()
-
+    runs: list[tuple[tuple[int, ...], int]] = []  # most significant first
+    digits: list[int] = []
     for piece in token_pieces(x):
         if isinstance(piece, str):
             try:
-                chunks.append(TOKEN_IDS[piece])
+                digits.append(TOKEN_IDS[piece])
             except KeyError:
                 raise NotACode(f"{piece!r} has no digit, so an expression "
                                f"using it has no code") from None
-            if len(chunks) >= 4096:
-                flush()
             continue
-        # a lazy numeral: splice its digit runs in arithmetically
-        flush()
+        # a lazy numeral: its spelling is three periodic digit runs
         n = piece.value
         if isinstance(n, BigNat):
             raise BigNatError(
                 "code of a formula holding a run-form numeral is out of range"
             )
-        runs = [(_NUM_HEAD, n - 1), (_NUM_MID, 1), (_NUM_TAIL, n - 1)]
-        block = BigNat.from_runs([(p, c) for p, c in runs if c > 0])
-        if first:
-            acc = block
-            first = False
-        else:
-            acc = _shift(acc, 4 * n - 3) + block
-    flush()
-    if first:
+        runs += [(tuple(digits), 1), (_NUM_HEAD, n - 1), (_NUM_MID, 1),
+                 (_NUM_TAIL, n - 1)]
+        digits = []
+    if runs:
+        return BigNat.from_runs(runs + [(tuple(digits), 1)])
+    if not digits:
         raise NotACode("empty token string")
-    return acc
-
-
-def _shift(value: Nat, k: int) -> Nat:
-    if isinstance(value, BigNat):
-        return value.shift24(k)
-    if k > 4096:
-        return BigNat.from_int(value).shift24(k)
-    return value * BASE**k
+    return _digits_to_int(digits)
 
 
 def decode(code: Nat):
@@ -118,15 +89,10 @@ def decode(code: Nat):
         code = code.to_int()
     if code <= 0:
         raise NotACode("codes are positive")
-    digits: list[int] = []
-    n = code
-    while n:
-        n, d = divmod(n, BASE)
-        if d == 0:
-            raise NotACode("zero digit")
-        digits.append(d)
-    digits.reverse()
-    text = "".join(ID_TOKENS[d] for d in digits)
+    digits = _int_to_digits(code)
+    if 0 in digits:
+        raise NotACode("zero digit")
+    text = "".join(map(ID_TOKENS.__getitem__, digits))
     try:
         return parser.parse(text)
     except parser.ParseError as exc:
@@ -166,17 +132,3 @@ def code_length(code: Nat) -> Nat:
     if code <= 0:
         raise NotACode("codes are positive")
     return _digit_count(code)
-
-
-_BIG_CHUNK = BASE**512
-
-
-def _digit_count(n: int) -> int:
-    count = 0
-    while n >= _BIG_CHUNK:
-        n //= _BIG_CHUNK
-        count += 512
-    while n:
-        n //= BASE
-        count += 1
-    return count

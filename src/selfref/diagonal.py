@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
 
-from .bignat import BASE, BigNat
+from .bignat import BASE, BigNat, _digits_to_int
 from .coding import TOKEN_IDS, encode
 from .semantics import (
     Budget, OracleEnv, Truth, WitnessMap, evaluate, evaluate_full,
@@ -273,10 +273,7 @@ def _splice_all(token_list: list[str], a: int) -> _Splice:
     chunks.append(token_list[prev + 1:])
 
     def fold(toks: list[str]) -> int:
-        value = 0
-        for t in toks:
-            value = value * BASE + TOKEN_IDS[t]
-        return value
+        return _digits_to_int([TOKEN_IDS[t] for t in toks])
 
     g0 = fold(chunks[0])
     solution[_g0_index(r)] = g0

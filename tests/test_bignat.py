@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selfref.bignat import BASE, BigNat, BigNatError
+from selfref.bignat import (BASE, BigNat, BigNatError, _digit_count,
+                            _digits_to_int, _int_to_digits)
 
 
 def _random_runform(rng: random.Random) -> tuple[BigNat, int]:
@@ -187,3 +189,105 @@ def test_unsupported_product_raises():
     b = BigNat.from_runs([((3, 4), 10**30)])
     with pytest.raises(BigNatError):
         _ = a * b
+
+
+# -- radix conversion, digit counts and residues against references ---------
+
+
+def _peel_digits(n: int) -> tuple[int, ...]:
+    """Reference: base-24 digits one divmod at a time, most significant
+    first."""
+    digits = [n % BASE]
+    while n >= BASE:
+        n //= BASE
+        digits.append(n % BASE)
+    return tuple(reversed(digits))
+
+
+def _horner(digits) -> int:
+    value = 0
+    for d in digits:
+        value = value * BASE + d
+    return value
+
+
+def _bitwise_affine_pow(a: int, b: int, k: int, m: int) -> tuple[int, int]:
+    """Reference: compose x -> a*x + b (mod m) k times, one bit of k at a
+    time."""
+    ra, rb = 1, 0
+    while k:
+        if k & 1:
+            ra, rb = (a * ra) % m, (a * rb + b) % m
+        a, b = (a * a) % m, (a * b + b) % m
+        k >>= 1
+    return ra, rb
+
+
+def _reference_mod(runs, m: int) -> int:
+    r = 0
+    for pattern, count in runs:  # most significant first
+        a, b = _bitwise_affine_pow(pow(BASE, len(pattern), m),
+                                   _horner(pattern) % m, count, m)
+        r = (a * r + b) % m
+    return r
+
+
+_SPLITS = [BASE ** (512 * 2**k) for k in range(4)]
+
+
+@pytest.mark.parametrize("n", [0, 1, BASE - 1, BASE] + [
+    p + d for p in _SPLITS for d in (-1, 0, 1)])
+def test_radix_conversion_at_the_split_points(n):
+    digits = _int_to_digits(n)
+    assert digits == _peel_digits(n)
+    assert _digits_to_int(digits) == n
+    assert _digit_count(n) == len(digits)
+    assert _digit_count(n, 10) == len(str(n))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=BASE**2500),
+       st.integers(min_value=0, max_value=600))
+def test_radix_conversion_round_trips(n, zeros):
+    digits = _int_to_digits(n)
+    assert digits == _peel_digits(n)
+    assert _digits_to_int(digits) == n
+    # leading zeros change nothing
+    assert _digits_to_int((0,) * zeros + digits) == n
+    assert _digit_count(n) == len(digits)
+    assert _digit_count(n, 10) == len(str(n))
+    assert BigNat.from_int(n).digits24 == len(digits)
+
+
+_RUNS = st.lists(
+    st.tuples(st.lists(st.integers(0, BASE - 1), min_size=1, max_size=5)
+              .map(tuple), st.integers(1, 600)),
+    min_size=1, max_size=4)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_RUNS, st.integers(min_value=1, max_value=(1 << 61) - 1))
+def test_run_form_residues_and_lengths_agree_with_int(runs, m):
+    value = _horner([d for pattern, count in runs for d in pattern * count])
+    big = BigNat.from_runs(runs)
+    assert big.to_int() == value
+    assert big.digits24 == len(_peel_digits(value))
+    for modulus in (m, m % 10**6 + 1, 2, 23, 24):
+        assert big.mod_int(modulus) == value % modulus
+    small = m % (1 << 21) + 1
+    q, r = big.divmod_int(small)
+    assert (q.to_int(), r) == divmod(value, small)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_RUNS, st.integers(min_value=1000, max_value=3000),
+       st.integers(min_value=1, max_value=(1 << 61) - 1))
+def test_residues_of_giant_run_counts(runs, count_digits, m):
+    # run counts of thousands of decimal digits, as in codes of diagonal
+    # sentences; the reference composes the run map one bit at a time
+    rng = random.Random(count_digits)
+    giant = [(p, c * 10**count_digits + rng.randrange(10**count_digits))
+             for p, c in runs]
+    big = BigNat.from_runs(giant)
+    for modulus in (m, 3, 24, (1 << 61) - 1):
+        assert big.mod_int(modulus) == _reference_mod(giant, modulus)

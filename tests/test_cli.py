@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from selfref import cli
 from selfref.cli import main
 
 
@@ -254,3 +255,11 @@ def test_exit_codes_without_traceback(argv, exit_code):
     assert "Traceback" not in done.stderr
     # usage errors quote a short prefix of the input, not all of it
     assert all(len(line) <= 300 for line in done.stderr.splitlines())
+
+
+@pytest.mark.parametrize("n", [0, 7, 10**40 - 1, 10**40, 10**40 + 1,
+                               99999 * 10**60, 10**5000 - 1, 3**20000])
+def test_int_summary_matches_the_decimal_spelling(n):
+    text = str(n)
+    want = n if len(text) <= 40 else f"{text[0]}.{text[1:5]}e{len(text) - 1}"
+    assert cli._int_summary(n) == want

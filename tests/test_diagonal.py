@@ -7,12 +7,13 @@ codes are read off the last token directly (base 24 is even, so a
 value is odd exactly when its last digit is).
 """
 
+import gc
 from importlib import resources
 
 import pytest
 
 from selfref.bignat import BigNat
-from selfref.coding import encode
+from selfref.coding import decode, encode
 from selfref.diagonal import (
     bare_occurrence_positions,
     build_delta,
@@ -265,3 +266,17 @@ def test_flip_equiv_witness_unsatisfiable_property():
     psi = Not(Eq(Var(0), Var(0)))
     theta = Eq(Zero(), Zero())
     assert _direct_equiv(psi, theta) is Truth.FALSE
+
+
+def test_giant_code_arithmetic_leaves_no_cyclic_garbage():
+    # the radix conversion's recursive helpers are module functions, not
+    # self-referencing closures, so these are freed by reference counting
+    psi = parse_formula("∃x′′(x′′+(x′′)=x)")
+    delta = build_delta(psi)
+    gc.collect()
+    code = encode(delta)
+    assert decode(code) == delta
+    cert = diagonal_sentence.__wrapped__(psi)
+    assert isinstance(cert.theta_code, BigNat)
+    del cert
+    assert gc.collect() == 0
