@@ -566,7 +566,9 @@ class BigNat:
     def __hash__(self) -> int:
         if self._int is not None:
             return hash(self._int)
-        return hash((self.mod_int((1 << 61) - 1), self.digits24 % (1 << 61)))
+        # ints hash as their residue modulo this prime, so equal values
+        # hash alike in either form
+        return hash(self.mod_int(sys.hash_info.modulus))
 
     # -- serialization ------------------------------------------------
 

@@ -98,11 +98,7 @@ def _code_payload(code) -> dict:
 
 
 def _certificate_payload(summary: dict) -> dict:
-    out = dict(summary)
-    tokens = out.get("theta_tokens")
-    if isinstance(tokens, str) and tokens.isdigit():
-        out["theta_tokens"] = _int_summary(int(tokens))
-    return out
+    return {**summary, "theta_tokens": _int_summary(summary["theta_tokens"])}
 
 
 def _render_capped(x) -> str:

@@ -441,7 +441,7 @@ class FixedPointCertificate:
         # token count and code digit count coincide: one digit per token
         return {
             "delta_tokens": int(length(self.delta)),
-            "theta_tokens": str(length(self.theta)),
+            "theta_tokens": int(length(self.theta)),
             "witnessed_nodes": len(self.witnesses),
             "splice_position": self.occurrence_position,
         }

@@ -18,6 +18,8 @@ brute-force sweeping:
   oracle atoms with a declared finite support) are eventually constant
   along v, and the crossover point is computable, so a sweep up to it
   plus the tail verdict is exact;
+* vacuous sweeps -- a body without the quantified variable runs once,
+  and the other swept values are charged the nodes of that run;
 * witnesses -- an evaluation may carry a map from tree paths of
   existential nodes to claimed witness values; a witnessed node is
   checked only at its witness, which can certify TRUE outright or
@@ -537,6 +539,12 @@ class Evaluator:
         exists = type(phi) is Exists
         # a TRUE instance settles an existential, a FALSE one a universal
         stop, start, join = (_T, _F, t_or) if exists else (_F, _T, t_and)
+        # Compiled code and oracles are functions of the assignment, so a
+        # body without v gives one verdict, after the same number of
+        # nodes, at every swept value: it runs once, and the skipped
+        # values are charged the nodes that run used.
+        swept = sweep[:1] if v not in phi.body.fv else sweep
+        skipped = len(sweep) - len(swept)
         witness = self.witnesses.get(path) if exists else None
         walks = depth + phi.height <= DEPTH_CAP
         guard = body = rest = None
@@ -583,14 +591,21 @@ class Evaluator:
                 tail = ev._eventual(phi.body, v, asg)
                 if tail is not None and tail[1] is stop:
                     return stop
-            verdict = start
-            for w in sweep:
+            undecided, before = False, ev.nodes
+            for w in swept:
                 inner[v] = w
                 got = body(inner)
                 if got is stop:
                     return stop
-                verdict = join(verdict, got)
-            if verdict is start and tail is not None \
+                if got is not start:
+                    undecided = True
+            if skipped:
+                # the sweep would have run out of nodes at limit + 1
+                ev.nodes += (ev.nodes - before) * skipped
+                if ev.nodes > limit:
+                    ev.nodes = limit + 1
+                    raise BudgetExceeded
+            if not undecided and tail is not None \
                     and tail[1] is start and tail[0] <= len(sweep):
                 return start
             return _U

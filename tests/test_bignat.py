@@ -93,6 +93,14 @@ def test_compare():
             assert (a_big >= b_big) == (a >= b)
 
 
+def test_equal_values_hash_alike_in_either_form():
+    runs = BigNat.from_runs([((5,), 5000)])
+    value = runs.to_int()
+    for equal in (BigNat(value), value):
+        assert runs == equal and hash(runs) == hash(equal)
+    assert len({runs, BigNat(value), value}) == 1
+
+
 def test_huge_structured_identities():
     # values this large never materialize, so check algebraic laws instead
     c = 10**50 + 7

@@ -183,6 +183,22 @@ def test_the_node_budget_covers_a_whole_sweep():
     # a handle gives every value the whole budget
     at = truth_at(phi, env, budget)
     assert [at({0: v}) for v in range(decided, 1001)] == [F] * (1001 - decided)
+
+
+def test_a_vacuous_sweep_runs_its_body_once():
+    # ∀x′(Tr(x)) at x = 3: the body ignores x′, so it runs once (the tail
+    # check may ask the oracle once more) and the other 64 swept values
+    # are charged the node that run used
+    calls = []
+    env = OracleEnv(atoms={"Tr": lambda a: calls.append(a) or True})
+    phi = Forall(y, OracleAtom("Tr", (x,)))
+    report = evaluate_full(phi, env, assignment={0: 3})
+    assert (report.truth, report.nodes_used, report.budget_hit) == (T, 66, False)
+    assert len(calls) <= 2
+    # the charge runs out of nodes where the loop over every value would
+    report = evaluate_full(phi, env, Budget(node_budget=30),
+                           assignment={0: 3})
+    assert (report.truth, report.nodes_used, report.budget_hit) == (U, 31, True)
     report = defines(Eq(x, x), budget=Budget(node_budget=10))
     assert not report.exact and report.solutions == list(range(10))
 
@@ -255,15 +271,25 @@ def _criterion_14_reports(budget):
         yield evaluate_full(phi, env, budget, assignment={**rest, v: m})
 
 
+def _unary_11_reports(budget):
+    for phi in unary_formulas(11):
+        for value in range(0, 64, 7):
+            yield evaluate_full(phi, budget=budget, assignment={0: value})
+
+
 @pytest.mark.parametrize("reports, digest", [
     (lambda: _criterion_14_reports(Budget(node_budget=5_000)),
      "de05fd19985cd82ed909ca982cf72830382db7505a2cb42b11da1146ee83160c"),
     (lambda: _criterion_14_reports(Budget(node_budget=300, depth_bound=3)),
      "570298c930603c35a4a21036275ae12e25300f090f2ac13e3b92e35fc011c703"),
-    (lambda: (evaluate_full(phi, assignment={0: value})
-              for phi in unary_formulas(11) for value in range(0, 64, 7)),
+    (lambda: _unary_11_reports(Budget()),
      "67e3aac661b12881ddbb214e228fd9f8b1514f1962f8b4c95b8f9fafffd426da"),
-], ids=["criterion-14", "criterion-14-tight", "unary-11"])
+    (lambda: _unary_11_reports(Budget(node_budget=40, witness_bound=20)),
+     "6ea44e6f48c132815f3c04ac563defa837d34a9f788faab24be41a7499b60d7c"),
+    (lambda: _unary_11_reports(Budget(witness_bound=0)),
+     "442980abd62e9e334105ef69aaed8e1dc0ca3237f8ab6bc4ccd4c9a2a58e53b1"),
+], ids=["criterion-14", "criterion-14-tight", "unary-11", "unary-11-tight",
+        "unary-11-no-sweep"])
 def test_node_accounting_is_pinned(reports, digest):
     # (truth, nodes_used, budget_hit) of every evaluation, as reports
     # print nodes_used; the digests were taken from the tree-walking
