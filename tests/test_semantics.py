@@ -183,6 +183,8 @@ def test_the_node_budget_covers_a_whole_sweep():
     # a handle gives every value the whole budget
     at = truth_at(phi, env, budget)
     assert [at({0: v}) for v in range(decided, 1001)] == [F] * (1001 - decided)
+    report = defines(Eq(x, x), budget=Budget(node_budget=10))
+    assert not report.exact and report.solutions == list(range(10))
 
 
 def test_a_vacuous_sweep_runs_its_body_once():
@@ -199,8 +201,6 @@ def test_a_vacuous_sweep_runs_its_body_once():
     report = evaluate_full(phi, env, Budget(node_budget=30),
                            assignment={0: 3})
     assert (report.truth, report.nodes_used, report.budget_hit) == (U, 31, True)
-    report = defines(Eq(x, x), budget=Budget(node_budget=10))
-    assert not report.exact and report.solutions == list(range(10))
 
 
 def test_standard_oracle_env():
@@ -289,7 +289,7 @@ def _unary_11_reports(budget):
     (lambda: _unary_11_reports(Budget(witness_bound=0)),
      "442980abd62e9e334105ef69aaed8e1dc0ca3237f8ab6bc4ccd4c9a2a58e53b1"),
 ], ids=["criterion-14", "criterion-14-tight", "unary-11", "unary-11-tight",
-        "unary-11-no-sweep"])
+        "unary-11-one-value"])
 def test_node_accounting_is_pinned(reports, digest):
     # (truth, nodes_used, budget_hit) of every evaluation, as reports
     # print nodes_used; the digests were taken from the tree-walking
