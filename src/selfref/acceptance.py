@@ -297,7 +297,7 @@ def criterion_09() -> CriterionResult:
         for i in range(1000):
             p = rng.randint(1, 100)
             codes = [rng.randrange(p) for _ in range(p + 1)]
-            pair = pigeonhole_duplicate(codes, p)
+            pair = pigeonhole_duplicate(codes)
             if pair is None:
                 return False, f"no duplicate reported at sample {i}"
             a, b = pair

@@ -36,11 +36,10 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .bignat import as_int
 from .diagonal import normalize_psi
 from .semantics import (
-    Budget, OracleEnv, OracleUndecided, Truth, evaluate, pair, t_and,
-    t_implies, t_or, truth_at, unpair,
+    Budget, OracleEnv, Truth, catalogue_env, evaluate, from_bool,
+    statement_code, t_and, t_implies, t_or, truth_at,
 )
 from .syntax import (
     And, Eq, Exists, Forall, Formula, Implies, Lt, Mul, Not, OracleAtom,
@@ -233,64 +232,33 @@ def least_undefinable(universe: MicroUniverse,
 
 # -- the index-code oracle reading -------------------------------------------
 
-def _index(value) -> int:
-    out = as_int(value)
-    if out is None:
-        raise OracleUndecided("value too large for the catalogue")
-    return out
-
-
 def micro_env(universe: MicroUniverse,
               bundle: Optional[BerryBundle] = None) -> OracleEnv:
-    """Oracle symbols read over catalogue indices.
+    """Oracle symbols read over catalogue indices (see catalogue_env).
 
-    With a bundle supplied, the catalogue is extended by one slot
-    carrying the bundle's outer sentence, whose pairing statements Tr
-    judges under the plain-catalogue reading: the sentence describes
-    the least value no catalogue formula describes.  D(a, y) is the
-    Cantor code of (a, y) plus one, so no statement has code 0.
+    len(a) is the token count of entry a, and D(a, y) the code of the
+    statement "entry a describes exactly y", which Tr judges by the
+    entry's description facts.  With a bundle supplied, the catalogue is
+    extended by one slot carrying the bundle's outer sentence, whose
+    statements Tr judges under the plain-catalogue reading: the sentence
+    describes the least value no catalogue formula describes.
     """
-    n_pure = len(universe.formulas)
-    code_count = n_pure + (1 if bundle is not None else 0)
-    horizon = universe.value_horizon
+    facts, horizon = universe.facts, universe.value_horizon
+    lengths = [f.length for f in facts]
+    if bundle is not None:
+        lengths.append(length(bundle.b_formula))
     berry_value: list[Optional[int]] = [None]
 
-    def formula_fn(a) -> bool:
-        a = _index(a)
-        return 0 <= a < code_count
+    def judge(a: int, y: int) -> Truth:
+        if a < len(facts):
+            return _describe_status(facts[a], y, horizon)
+        if berry_value[0] is None:
+            berry_value[0] = least_undefinable(universe)
+        return from_bool(y == berry_value[0])
 
-    def len_fn(a):
-        a = _index(a)
-        if 0 <= a < n_pure:
-            return universe.facts[a].length
-        if a == n_pure and bundle is not None:
-            return length(bundle.b_formula)
-        return 0
-
-    def d_fn(a, y):
-        return pair(_index(a), _index(y)) + 1
-
-    def tr_fn(code) -> bool:
-        code = _index(code)
-        if code <= 0:
-            return False
-        a, y = unpair(code - 1)
-        if 0 <= a < n_pure:
-            got = _describe_status(universe.facts[a], y, horizon)
-            if got is Truth.UNKNOWN:
-                raise OracleUndecided("description status beyond the horizon")
-            return got is Truth.TRUE
-        if a == n_pure and bundle is not None:
-            if berry_value[0] is None:
-                berry_value[0] = least_undefinable(universe)
-            return y == berry_value[0]
-        return False
-
-    return OracleEnv(
-        atoms={"Formula": formula_fn, "Tr": tr_fn},
-        funs={"len": len_fn, "D": d_fn},
-        atom_supports={"Formula": code_count},
-    )
+    return catalogue_env(len(lengths), judge, {
+        "len": lambda a: lengths[a] if a < len(lengths) else 0,
+        "D": statement_code})
 
 
 def _sweep_budget(universe: MicroUniverse, budget: Budget,
@@ -304,25 +272,17 @@ def _sweep_budget(universe: MicroUniverse, budget: Budget,
 def _upsilon_judge(bundle: BerryBundle, universe: MicroUniverse,
                    env: OracleEnv, budget: Budget
                    ) -> Callable[[int, int], Truth]:
-    """Truth of the property applied to the pairing code of (a, y)."""
-    horizon = universe.value_horizon
-    n_pure = len(universe.formulas)
+    """Truth of the property applied to the statement "catalogue entry a
+    describes exactly y"."""
     if bundle.normalized_upsilon == truth_oracle_property(1):
-        def judge(a: int, y: int) -> Truth:
-            if 0 <= a < n_pure:
-                return _describe_status(universe.facts[a], y, horizon)
-            try:
-                return Truth.TRUE if env.atoms["Tr"](pair(a, y) + 1) \
-                    else Truth.FALSE
-            except OracleUndecided:
-                return Truth.UNKNOWN
-        return judge
+        horizon = universe.value_horizon
+        return lambda a, y: _describe_status(universe.facts[a], y, horizon)
 
     at = truth_at(bundle.normalized_upsilon, env, budget)
     memo: dict[int, Truth] = {}
 
     def judge(a: int, y: int) -> Truth:
-        code = pair(a, y) + 1
+        code = statement_code(a, y)
         got = memo.get(code)
         if got is None:
             got = memo[code] = at({1: code})
@@ -335,12 +295,9 @@ class _DefTable:
     """Memoized verdicts of the inner formula, computed by enumerating
     the catalogue exactly as the formula's own quantifier would."""
 
-    def __init__(self, bundle, universe, env, budget, with_bundle_slot):
-        self.universe = universe
+    def __init__(self, bundle, universe, env, budget):
         self.judge = _upsilon_judge(bundle, universe, env, budget)
         self.lengths = [f.length for f in universe.facts]
-        if with_bundle_slot:
-            self.lengths.append(length(bundle.b_formula))
         self.memo: dict[tuple[int, int], tuple[Truth, Optional[int]]] = {}
 
     def defined(self, bound: int, n: int) -> tuple[Truth, Optional[int]]:
@@ -373,8 +330,12 @@ class _DefTable:
 
 # -- the truth-biconditional check ---------------------------------------------
 
+# the biconditionals _tb_check samples, per verdict of the statement
+_TB_SAMPLE = 40
+
+
 def _tb_check(bundle: BerryBundle, universe: MicroUniverse, env: OracleEnv,
-              budget: Budget, sample_cap: int = 40):
+              budget: Budget):
     """Sample the biconditionals "property holds at the statement's
     code iff the statement holds" over certified description facts."""
     judge = _upsilon_judge(bundle, universe, env, budget)
@@ -382,16 +343,16 @@ def _tb_check(bundle: BerryBundle, universe: MicroUniverse, env: OracleEnv,
     sample: list[tuple[int, int, Truth]] = []
     true_seen = false_seen = 0
     for fact in universe.facts:
-        if true_seen < sample_cap and fact.defines is not None:
+        if true_seen < _TB_SAMPLE and fact.defines is not None:
             sample.append((fact.index, fact.defines, Truth.TRUE))
             true_seen += 1
-        if false_seen < sample_cap:
+        if false_seen < _TB_SAMPLE:
             other = 0 if fact.defines == 0 else (fact.defines or 0) + 1
             got = _describe_status(fact, other, horizon)
             if got is Truth.FALSE:
                 sample.append((fact.index, other, Truth.FALSE))
                 false_seen += 1
-        if true_seen >= sample_cap and false_seen >= sample_cap:
+        if true_seen >= _TB_SAMPLE and false_seen >= _TB_SAMPLE:
             break
     counterexample = None
     for a, y, right in sample:
@@ -452,8 +413,7 @@ def berry_contradiction_report(bundle: BerryBundle,
     bval = least_undefinable(universe)
     six_ell = 6 * bundle.ell
 
-    table = _DefTable(bundle, universe, env_pure, budget,
-                      with_bundle_slot=False)
+    table = _DefTable(bundle, universe, env_pure, budget)
     umax = min(universe.value_horizon, 16)
     bounds = tuple(range(universe.max_len + 1)) + (six_ell,)
     extensions: dict[int, tuple[int, ...]] = {}
@@ -521,12 +481,9 @@ def berry_contradiction_report(bundle: BerryBundle,
     )
 
 
-def pigeonhole_duplicate(codes, p: int) -> Optional[tuple[int, int]]:
-    """First pair of positions sharing a value.
-
-    When the list has at least p + 1 entries all below p, a duplicate
-    is guaranteed; the argument p only documents that contract.
-    """
+def pigeonhole_duplicate(codes) -> Optional[tuple[int, int]]:
+    """First pair of positions sharing a value: one exists whenever the
+    list holds more entries than values it draws from."""
     seen: dict[int, int] = {}
     for j, code in enumerate(codes):
         if code in seen:
@@ -590,8 +547,7 @@ def syntactic_tarski_experiment(universe: MicroUniverse,
     bundle_code = n_pure
     p_bound = n_pure + 1
     six_ell = 6 * bundle.ell
-    table = _DefTable(bundle, universe, micro_env(universe), budget,
-                      with_bundle_slot=False)
+    table = _DefTable(bundle, universe, micro_env(universe), budget)
 
     horizon = universe.value_horizon
     steps: list[LadderStep] = []
@@ -640,7 +596,7 @@ def syntactic_tarski_experiment(universe: MicroUniverse,
             codes.append(step.code)
         else:
             codes.append(bundle_code)
-    duplicate = pigeonhole_duplicate(codes, p_bound)
+    duplicate = pigeonhole_duplicate(codes)
     clash = None
     conclusion = "no duplicate description surfaced"
     if duplicate is not None:

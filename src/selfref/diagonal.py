@@ -423,10 +423,12 @@ class FixedPointCertificate:
     """A self-referential sentence with everything needed to check it.
 
     theta is delta applied to its own code; theta_code is the code of
-    theta (a run-form giant in general); witnesses maps existential
-    tree paths inside theta to the values realizing the splice.  The
-    splice point of delta is unique, so the witnessed values are the
-    only candidates and a failed check certifies falsity.
+    theta (a run-form giant in general); at_code is the property at
+    theta's code, the other side of the equivalence; witnesses maps
+    existential tree paths inside theta to the values realizing the
+    splice.  The splice point of delta is unique, so the witnessed
+    values are the only candidates and a failed check certifies
+    falsity.
     """
 
     psi: Formula
@@ -434,6 +436,7 @@ class FixedPointCertificate:
     delta_code: int
     theta: Formula
     theta_code: Nat
+    at_code: Formula
     witnesses: WitnessMap
     occurrence_position: int
 
@@ -473,9 +476,11 @@ def diagonal_sentence(psi: Formula) -> FixedPointCertificate:
 
     witnesses = _witnesses_for(theta, (0, 0), splice)
     witnesses[()] = theta_code
+    # delta's conjunct after Diag is the normalized property
+    at_code = substitute(delta.body.right, 1, numeral(theta_code))
     return FixedPointCertificate(
         psi=psi, delta=delta, delta_code=a, theta=theta,
-        theta_code=theta_code, witnesses=witnesses,
+        theta_code=theta_code, at_code=at_code, witnesses=witnesses,
         occurrence_position=positions[0],
     )
 
@@ -501,9 +506,7 @@ def check_fixed_point(cert: FixedPointCertificate,
     env = env or standard_oracle_env()
     budget = budget or Budget()
     left = evaluate_full(cert.theta, env, budget, cert.witnesses)
-    instance = substitute(normalize_psi(cert.psi), 1,
-                          numeral(cert.theta_code))
-    right = evaluate_full(instance, env, budget)
+    right = evaluate_full(cert.at_code, env, budget)
     return FixedPointReport(
         certificate=cert,
         theta_truth=left.truth,
@@ -539,10 +542,9 @@ def refute_truth_definition(candidate: Formula,
     env = env or standard_oracle_env()
     budget = budget or Budget()
     theta_truth = evaluate(cert.theta, env, budget, cert.witnesses)
-    at_code = evaluate(
-        substitute(normalize_psi(candidate), 1, numeral(cert.theta_code)),
-        env, budget,
-    )
+    # the certificate's property is the candidate's negation, and
+    # normalize_psi renames below a negation as it does without one
+    at_code = evaluate(cert.at_code.body, env, budget)
     known = Truth.UNKNOWN not in (theta_truth, at_code)
     refuted = known and theta_truth is not at_code
     if refuted:

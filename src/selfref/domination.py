@@ -30,14 +30,13 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
-from .bignat import as_int
 from .diagonal import normalize_psi
 from .parser import parse_formula
-from .semantics import (Budget, OracleEnv, OracleUndecided, Truth, Unknown,
-                        evaluate, pair, sweep, truth_at, unpair)
+from .semantics import (Budget, OracleEnv, Truth, Unknown, catalogue_env,
+                        evaluate, pair, statement_code, sweep, truth_at,
+                        unpair)
 from .syntax import (Add, And, Exists, Forall, Formula, Implies, Lt, Not,
-                     Nat, One, OracleAtom, OracleFun, Var, free_vars,
-                     substitute)
+                     One, OracleAtom, OracleFun, Var, free_vars, substitute)
 
 __all__ = [
     "DefinedFunction", "F_fixed_input", "F_kotlarski", "MicroScheme",
@@ -253,44 +252,17 @@ def build_psi(upsilon: Formula) -> PsiBundle:
 
 def micro_domination_env(scheme: Optional[MicroScheme] = None,
                          budget: Optional[Budget] = None) -> OracleEnv:
-    """Interpret instance codes over the catalogue.
+    """Interpret instance codes over the catalogue (see catalogue_env).
 
-    inst(a, m, n) packs the triple into a code, Tr judges a code by
-    evaluating catalogue formula a at (m, n), and Formula recognizes
-    catalogue codes, with its support declared so sweeps beyond the
-    catalogue resolve."""
+    inst(a, m, n) is the code of the statement "catalogue formula a
+    holds at (m, n)", which Tr judges by evaluating that formula."""
     scheme = scheme or micro_scheme()
     budget = budget or Budget()
-    size = len(scheme.formulas)
     judges = [truth_at(phi, budget=budget) for phi in scheme.formulas]
 
-    def inst_fn(a: Nat, m: Nat, n: Nat) -> int:
-        a_i, m_i, n_i = as_int(a), as_int(m), as_int(n)
-        if a_i is None or m_i is None or n_i is None:
-            raise OracleUndecided("instance code beyond materializable range")
-        return pair(a_i, pair(m_i, n_i)) + 1
-
-    def tr_fn(c: Nat) -> bool:
-        c_i = as_int(c)
-        if c_i is None:
-            raise OracleUndecided("code too large to judge")
-        if c_i <= 0:
-            return False
-        a, rest = unpair(c_i - 1)
+    def judge(a: int, rest: int) -> Truth:
         m, n = unpair(rest)
-        if a >= size:
-            return False
-        verdict = judges[a]({0: m, 1: n})
-        if verdict is Truth.UNKNOWN:
-            raise OracleUndecided("catalogue judgment out of budget")
-        return verdict is Truth.TRUE
+        return judges[a]({0: m, 1: n})
 
-    def formula_fn(a: Nat) -> bool:
-        a_i = as_int(a)
-        if a_i is None:
-            return False
-        return 0 <= a_i < size
-
-    return OracleEnv(atoms={"Tr": tr_fn, "Formula": formula_fn},
-                     funs={"inst": inst_fn},
-                     atom_supports={"Formula": size})
+    return catalogue_env(len(judges), judge, {
+        "inst": lambda a, m, n: statement_code(a, pair(m, n))})

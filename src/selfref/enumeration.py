@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .syntax import (
     Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Mul, Not,
-    One, Or, Term, Var, Zero, is_sentence,
+    One, Or, Term, Var, Zero,
 )
 
 _BIN_TERMS = (Add, Mul)
@@ -104,13 +104,6 @@ def count_formulas(n: int) -> int:
 def formulas_up_to(max_len: int) -> Iterator[Formula]:
     for n in range(3, max_len + 1):
         yield from formulas_of_length(n)
-
-
-def sentences(max_len: int) -> Iterator[Formula]:
-    """Closed core formulas in order of token count."""
-    for phi in formulas_up_to(max_len):
-        if is_sentence(phi):
-            yield phi
 
 
 def unary_formulas(max_len: int) -> Iterator[Formula]:

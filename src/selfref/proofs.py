@@ -67,6 +67,8 @@ __all__ = [
 # goals, premises, or instantiation results
 _POOL_FORMULA_LEN = 64
 _POOL_TERM_LEN = 16
+# the search's term pool holds the numerals 0..3 beside the goal's terms
+_NUMERAL_BOUND = 3
 
 
 class ProofFormatError(ValueError):
@@ -680,7 +682,7 @@ class _Searcher:
     """
 
     def __init__(self, goal: Formula, theory: TheoryHandle,
-                 node_budget: int, numeral_bound: int = 3):
+                 node_budget: int):
         self.goal = goal
         self.theory = theory
         self.node_budget = node_budget
@@ -727,7 +729,7 @@ class _Searcher:
         for t in subterms:
             if fits(t, _POOL_TERM_LEN) and not free_vars(t):
                 terms.setdefault(t, None)
-        for k in range(numeral_bound + 1):
+        for k in range(_NUMERAL_BOUND + 1):
             terms.setdefault(numeral(k), None)
         self.terms = sorted(terms, key=_sort_key)
 
@@ -849,15 +851,14 @@ class _Searcher:
         return proof
 
 
-def search_report(goal: Formula, theory: TheoryHandle, node_budget: int,
-                  numeral_bound: int = 3) -> SearchReport:
-    return _Searcher(goal, theory, node_budget, numeral_bound).run()
+def search_report(goal: Formula, theory: TheoryHandle,
+                  node_budget: int) -> SearchReport:
+    return _Searcher(goal, theory, node_budget).run()
 
 
 def bounded_proof_search(goal: Formula, theory: TheoryHandle,
-                         node_budget: int, numeral_bound: int = 3
-                         ) -> Union[ProofObject, NotFound]:
-    return search_report(goal, theory, node_budget, numeral_bound).outcome
+                         node_budget: int) -> Union[ProofObject, NotFound]:
+    return search_report(goal, theory, node_budget).outcome
 
 
 # -- the two classical sentences -------------------------------------------------------
@@ -885,9 +886,7 @@ def rosser_sentence(theory: TheoryHandle) -> RosserConstruction:
     """The fixed point of the outrun property, plus the extended theory
     that adopts its biconditional as an axiom."""
     certificate = diagonal_sentence(rosser_psi())
-    at_code = substitute(normalize_psi(rosser_psi()), 1,
-                         numeral(certificate.theta_code))
-    biconditional = Iff(at_code, certificate.theta)
+    biconditional = Iff(certificate.at_code, certificate.theta)
     extended = TheoryHandle(theory.axiomatization,
                             extra=theory.extra + (biconditional,),
                             name=theory.name + "+rosser",
@@ -910,13 +909,10 @@ def sentence_stream():
         n += 1
 
 
-def tb_stream(psi: Formula, sentences=None):
-    """Biconditionals Ψ(code of β) ↔ β over a sentence source."""
+def tb_stream(psi: Formula):
+    """Biconditionals Ψ(code of β) ↔ β over the sentence stream."""
     norm = normalize_psi(psi)
-    source = sentence_stream() if sentences is None else sentences
-    for beta in source:
-        if free_vars(beta):
-            raise ValueError("tb_stream needs closed formulas")
+    for beta in sentence_stream():
         yield Iff(substitute(norm, 1, quote(beta)), beta)
 
 
@@ -932,14 +928,6 @@ class ConsistentBySoundness:
 class RefutedByProof:
     proof: ProofObject
     detail: str = ""
-
-
-def _matches_certificate(sentence: Formula,
-                         certificate: FixedPointCertificate) -> bool:
-    at_code = substitute(normalize_psi(certificate.psi), 1,
-                         numeral(certificate.theta_code))
-    return sentence in (Iff(at_code, certificate.theta),
-                        Iff(certificate.theta, at_code))
 
 
 def consistency_witness(sentence: Formula, theory: TheoryHandle,
@@ -959,7 +947,9 @@ def consistency_witness(sentence: Formula, theory: TheoryHandle,
     budget = budget or Budget()
     env = env or proofs_env(theory)
     detail = ""
-    if certificate is not None and _matches_certificate(sentence, certificate):
+    if certificate is not None and sentence in (
+            Iff(certificate.at_code, certificate.theta),
+            Iff(certificate.theta, certificate.at_code)):
         verdict = Truth.TRUE
         detail = ("true by construction: the certificate's splice "
                   "arithmetic is machine-checked and deterministic")

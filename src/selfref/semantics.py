@@ -44,7 +44,7 @@ from itertools import repeat
 from math import isqrt
 from typing import Callable, Optional
 
-from .bignat import BigNat, BigNatError
+from .bignat import BigNat, BigNatError, as_int
 from .syntax import (
     Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Mul, Nat,
     Not, Num, One, OracleAtom, OracleFun, Or, Term, Var, Zero, free_vars,
@@ -146,6 +146,57 @@ def unpair(t: int) -> tuple[int, int]:
     w = (isqrt(8 * t + 1) - 1) // 2
     q = t - w * (w + 1) // 2
     return w - q, q
+
+
+def statement_code(a: int, rest: int) -> int:
+    """The code of the statement "catalogue entry a holds at rest", as
+    catalogue_env's Tr reads it: the Cantor code plus one, so that no
+    statement has code 0."""
+    return pair(a, rest) + 1
+
+
+def catalogue_env(size: int, judge: Callable[[int, int], Truth],
+                  funs: dict[str, Callable[..., Nat]]) -> OracleEnv:
+    """The oracle symbols read over the indices of a catalogue of size
+    entries, the reading both diagonal-free arguments give them.
+
+    Formula(a) says a is an index, with its support declared.  Tr(code)
+    is False on 0 and on statements about entries a >= size, and
+    otherwise the judgment judge(a, rest) of the statement
+    statement_code(a, rest); an UNKNOWN judgment raises OracleUndecided.
+    The functions in funs get their arguments read as indices.  A value
+    beyond machine integers is no index: reading it raises
+    OracleUndecided.
+    """
+    def index(value: Nat) -> int:
+        if type(value) is int:
+            return value
+        out = as_int(value)
+        if out is None:
+            raise OracleUndecided("value too large for the catalogue")
+        return out
+
+    def formula_fn(a: Nat) -> bool:
+        return index(a) < size
+
+    def tr_fn(code: Nat) -> bool:
+        code = index(code)
+        if code <= 0:
+            return False
+        a, rest = unpair(code - 1)
+        if a >= size:
+            return False
+        got = judge(a, rest)
+        if got is Truth.UNKNOWN:
+            raise OracleUndecided("catalogue judgment undecided")
+        return got is Truth.TRUE
+
+    def reading(fn):
+        return lambda *args: fn(*map(index, args))
+
+    return OracleEnv(atoms={"Formula": formula_fn, "Tr": tr_fn},
+                     funs={name: reading(fn) for name, fn in funs.items()},
+                     atom_supports={"Formula": size})
 
 
 @dataclass(frozen=True)
@@ -680,9 +731,11 @@ class Evaluator:
                 return None if got is Truth.UNKNOWN else (0, got)
             if support is None:
                 return None
+            # natural coefficients: with one of positive degree nonzero,
+            # the argument is at least v, so from the support on it is out
             for arg in phi.args:
                 p = _poly(arg, v, asg, self.env)
-                if p is not None and len(p) > 1:
+                if p is not None and any(c != 0 for c in p[1:]):
                     return (max(support, 1), Truth.FALSE)
             return None
         if isinstance(phi, Not):

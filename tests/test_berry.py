@@ -265,9 +265,9 @@ def test_uniqueness_verdict_spot_checks_formulas():
 # -- pigeonhole ---------------------------------------------------------------
 
 def test_pigeonhole_examples():
-    assert pigeonhole_duplicate([0, 1, 0], 2) == (0, 2)
-    assert pigeonhole_duplicate([0, 1], 2) is None
-    assert pigeonhole_duplicate([], 0) is None
+    assert pigeonhole_duplicate([0, 1, 0]) == (0, 2)
+    assert pigeonhole_duplicate([0, 1]) is None
+    assert pigeonhole_duplicate([]) is None
 
 
 def test_pigeonhole_random_lists_always_collide():
@@ -275,7 +275,7 @@ def test_pigeonhole_random_lists_always_collide():
     for _ in range(300):
         p = rng.randint(1, 100)
         codes = [rng.randrange(p) for _ in range(p + 1)]
-        pair = pigeonhole_duplicate(codes, p)
+        pair = pigeonhole_duplicate(codes)
         assert pair is not None
         i, j = pair
         assert i < j and codes[i] == codes[j]

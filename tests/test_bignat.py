@@ -12,18 +12,26 @@ from selfref.bignat import (BASE, BigNat, BigNatError, _digit_count,
 
 
 def _random_runform(rng: random.Random) -> tuple[BigNat, int]:
-    """A run-form value together with its exact integer meaning."""
+    """A run-form value together with its exact integer meaning.  It
+    leads with a nonzero digit and ends in a zero run that makes it
+    longer than bignat._COLLAPSE_DIGITS, so from_runs keeps it in run
+    form."""
     runs = []
     for _ in range(rng.randint(1, 5)):
         plen = rng.randint(1, 4)
         pattern = tuple(rng.randrange(BASE) for _ in range(plen))
+        if not runs:
+            pattern = (rng.randrange(1, BASE),) + pattern[1:]
         runs.append((pattern, rng.randint(1, 40)))
     value = 0
     for pattern, count in runs:
         for _ in range(count):
             for d in pattern:
                 value = value * BASE + d
-    return BigNat.from_runs(runs), value
+    runs.append(((0,), 4200))
+    big = BigNat.from_runs(runs)
+    assert big._runs is not None
+    return big, value * BASE**4200
 
 
 def test_roundtrip_int():

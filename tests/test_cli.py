@@ -7,6 +7,7 @@ suite (code of x=x, the micro-catalogue bound table, the first few
 sentences of the enumeration stream).
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -177,6 +178,35 @@ def test_reports_are_deterministic_modulo_wall_time(capsys):
     first.pop("wall_time_s")
     second.pop("wall_time_s")
     assert first == second
+
+
+# both routes to Tarski: the fixed point and its certificate, and the two
+# diagonal-free experiments over their catalogues
+_PINNED_RUNS = [
+    ["refute-truth", "--preset", "everything-true"],
+    ["refute-truth", "--preset", "nothing-true"],
+    ["refute-truth", "--preset", "parity"],
+    ["diagonalize", "--psi", "x=x"],
+    ["rosser"],
+    ["goedel"],
+    ["berry", "--micro-maxlen", "8"],
+    ["berry", "--upsilon", "¬(x=x)", "--micro-maxlen", "8"],
+    ["tarski-experiment", "--micro-maxlen", "8"],
+    ["dominate", "--x", "5"],
+    ["dominate", "--x", "20", "--kotlarski"],
+    ["tb", "--psi", "x=x"],
+]
+
+
+def test_reports_of_both_routes_are_pinned(capsys):
+    h = hashlib.sha256()
+    for argv in _PINNED_RUNS:
+        code, report = _run(capsys, argv)
+        report.pop("wall_time_s")
+        h.update(json.dumps([argv, code, report], ensure_ascii=False,
+                            sort_keys=True).encode())
+    assert h.hexdigest() == \
+        "597b14f90db5a9ac683f9b068ab25d93767e4b0605851f70a9b9660be19763f3"
 
 
 def test_json_flag_duplicates_stdout(capsys, tmp_path):

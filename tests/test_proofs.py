@@ -30,7 +30,7 @@ from selfref.proofs import (
     make_prf, neg_neg_proof, not_below_zero_proof, parse_proof, pr_formula,
     pr_sentence, proof_code, proofs_env, remark_demo, remark_one_proof,
     robinson_order_axiomatization, rosser_pr_formula, rosser_psi,
-    rosser_sentence, search_report, sentence_stream, serialize_proof,
+    rosser_sentence, search_report, serialize_proof,
     standard_theory, successor_bound_proof, tb_stream,
 )
 
@@ -492,7 +492,7 @@ def test_rosser_not_decided_by_search():
 
 def test_tb_stream_first_element():
     psi = Eq(X, X)
-    first = next(iter(tb_stream(psi, sentence_stream())))
+    first = next(iter(tb_stream(psi)))
     q = quote(ZERO_EQ_ZERO)
     assert first == Iff(Eq(q, q), ZERO_EQ_ZERO)
     assert render(first).endswith("↔(0=0)")
@@ -502,7 +502,7 @@ def test_tb_stream_injective_and_quick():
     psi = Eq(X, X)
     start = time.time()
     items = []
-    for i, item in enumerate(tb_stream(psi, sentence_stream())):
+    for i, item in enumerate(tb_stream(psi)):
         items.append(item)
         if i >= 99:
             break

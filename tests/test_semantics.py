@@ -102,6 +102,19 @@ def test_oracle_support_gives_exact_false():
     assert evaluate(phi2, env) is T
 
 
+def test_a_zero_slope_argument_gives_no_support_tail():
+    # 0·x is 0 at every x, so Formula(0·x) never leaves the support
+    env = OracleEnv(atoms={"Formula": lambda a: a == 0},
+                    atom_supports={"Formula": 10})
+    flat = OracleAtom("Formula", (Mul(Zero(), x),))
+    phi = Exists(x, And(flat, Lt(numeral(100), x)))
+    assert evaluate(phi, env) is U
+    assert evaluate(phi, env, Budget(witness_bound=128)) is T  # x = 101
+    report = defines(flat, env)
+    assert not report.exact
+    assert report.solutions == list(range(65))
+
+
 def test_witnessed_existentials():
     phi = Exists(x, Eq(Mul(x, x), numeral(10**8)))
     assert evaluate(phi, witnesses={(): 10**4}) is T
@@ -167,6 +180,17 @@ def test_defines_is_inexact_when_a_swept_value_is_unknown():
     report = defines(phi, OracleEnv())
     assert not report.exact
     assert report.solutions == list(range(6, 65))
+
+
+def test_defines_reports_over_unary_11_are_pinned():
+    h, count = hashlib.sha256(), 0
+    for phi in unary_formulas(11):
+        report = defines(phi)
+        h.update(repr((report.exact, report.solutions, report.note)).encode())
+        count += 1
+    assert count == 4110
+    assert h.hexdigest() == \
+        "bef5fafdedbb859cfd8b7388b9c3616fd6dd5fadba36c7e08f7c930cb1ada3d5"
 
 
 def test_the_node_budget_covers_a_whole_sweep():
