@@ -462,6 +462,8 @@ class BigNat:
             if single is not None:
                 d, k = single
                 return a._mul_small(d).shift24(k)
+            if b._int is not None and b._int < _SMALL_FACTOR_CAP:
+                return a._mul_small(b._int)
             if b._int is not None and b._int < BASE**64:
                 acc = BigNat(0)
                 for d in _int_to_digits(b._int):

@@ -24,6 +24,7 @@ _SINGLE = {
     "′": "′", "'": "′",
 }
 
+_ZERO, _ONE = syntax.Zero(), syntax.One()
 _CONNECTIVES = {"∧": And, "∨": Or, "→": Implies, "↔": Iff}
 _TERM_OPS = {"+": Add, "·": Mul}
 # oracle names, longest first so a letter run is cut by longest match
@@ -66,6 +67,12 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        # no multi-character token starts with a character of _SINGLE
+        tok = _SINGLE.get(ch)
+        if tok is not None:
+            out.append((tok, i))
+            i += 1
+            continue
         if ch.isspace():
             i += 1
             continue
@@ -89,10 +96,6 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
                 raise ParseError("expected digits after '#'", i)
             out.append(("#" + text[i + 1 : j], i))
             i = j
-            continue
-        if ch in _SINGLE:
-            out.append((_SINGLE[ch], i))
-            i += 1
             continue
         if ch.isalpha():
             j = i
@@ -143,10 +146,10 @@ class _Parser:
             raise ParseError("expected a term", self.here())
         if tok == "0":
             self.pos += 1
-            return syntax.Zero()
+            return _ZERO
         if tok == "1":
             self.pos += 1
-            return syntax.One()
+            return _ONE
         if tok == "x":
             return self.variable()
         if tok.startswith("#"):
@@ -180,8 +183,7 @@ class _Parser:
                 self.pos += 1
                 outer, ctor = pending.pop()
                 left = ctor(outer, left)
-                if ctor is Add and isinstance(outer, syntax.One) \
-                        and value is not None:
+                if ctor is Add and outer is _ONE and value is not None:
                     value += 1
                     if value > syntax.NUMERAL_EXPLICIT_MAX:
                         left = numeral(value)
@@ -257,7 +259,7 @@ class _Parser:
 
 def _numval(node: Term) -> int | None:
     """Value of a numeral-shaped leaf, for chain folding."""
-    if isinstance(node, syntax.One):
+    if node is _ONE:
         return 1
     if isinstance(node, syntax.Num) and isinstance(node.value, int):
         return node.value

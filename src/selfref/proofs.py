@@ -249,13 +249,14 @@ class _Meta(str):
     """A metavariable of a scheme pattern, named after a builder parameter.
 
     It carries the facts the node constructors read from a child, so the
-    builders accept it in any position.
+    builders accept it in any position; a pattern stays unhashed.
     """
 
     fv = frozenset()
     size = 0
     height = 0
     index = None
+    _hash = None
 
 
 _PATTERNS = {name: build(*map(_Meta, inspect.signature(build).parameters))

@@ -19,11 +19,13 @@ token count and digit code of a ``Num`` are produced arithmetically, so
 the node behaves exactly like the chain it abbreviates.
 
 Nodes are immutable and carry facts that never change: the free-variable
-set, the tree size and the height are computed once, at construction,
-from the children's; the structural hash is computed on the first
-``hash()``.  Hashing, equality, substitution and ``repr`` use explicit
-stacks, so nesting depth is limited by memory, not by the interpreter's
-recursion limit.
+set, the tree size, the height and the structural hash are computed
+once, at construction, from the children's.  The one exception is the
+hash of a ``Num`` over a ``BigNat`` and of every node above it, which is
+computed on the first ``hash()``.  The leaves 0, 1 and each variable are
+one shared node apiece.  Hashing, equality, substitution and ``repr``
+use explicit stacks, so nesting depth is limited by memory, not by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -83,7 +85,10 @@ class _Node:
     nodes in the tree (a quantifier's variable is not counted, so it
     never exceeds the token length) and ``height`` the number of nodes
     on its longest root-to-leaf path; all are set at construction.
-    ``_hash`` stays unset until the first ``hash()``.
+    ``_hash`` is ``hash((_TAG, *parts))`` with each child node standing in
+    by its own ``_hash``, also set at construction.  Hashing a run-form
+    ``BigNat`` walks its runs, so a ``Num`` over a ``BigNat`` and every
+    node above it hold ``None`` there until their first ``hash()``.
     """
 
     __slots__ = ("fv", "size", "height", "_hash")
@@ -104,10 +109,8 @@ class _Node:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return _hash_tree(self)
+        h = self._hash
+        return _hash_tree(self) if h is None else h
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -149,22 +152,27 @@ _set_height = _Node.height.__set__
 _set_hash = _Node._hash.__set__
 
 
+def _set_leaf(node: _Node, fv: frozenset[int], h: int | None) -> None:
+    _set_fv(node, fv)
+    _set_size(node, 1)
+    _set_height(node, 1)
+    _set_hash(node, h)
+
+
 def _hash_tree(root: _Node) -> int:
     """Hash every not yet hashed node under root, children first."""
     stack = [root]
     while stack:
         node = stack[-1]
-        try:
-            h = hash((node._TAG, *[p._hash if isinstance(p, _Node) else p
-                                   for p in node._parts()]))
-        except AttributeError:  # some child is not hashed yet
-            todo = [c for c in _children(node) if not hasattr(c, "_hash")]
-            if not todo:
-                raise
+        todo = [c for c in _children(node) if c._hash is None]
+        if todo:
             stack.extend(todo)
             continue
-        _set_hash(node, h)
         stack.pop()
+        if node._hash is None:  # a shared subtree may be queued twice
+            _set_hash(node, hash((node._TAG, *[
+                p._hash if isinstance(p, _Node) else p
+                for p in node._parts()])))
     return root._hash
 
 
@@ -177,8 +185,7 @@ def _same_tree(a: _Node, b: _Node) -> bool:
             continue
         if type(a) is not type(b) or a.size != b.size:
             return False
-        ha = getattr(a, "_hash", None)
-        hb = getattr(b, "_hash", None)
+        ha, hb = a._hash, b._hash
         if ha is not None and hb is not None and ha != hb:
             return False
         for p, q in zip(a._parts(), b._parts()):
@@ -197,12 +204,13 @@ class Term(_Node):
 
 
 class _Constant(Term):
-    __slots__ = ()
+    """0 or 1: one shared node per class, built below."""
 
-    def __init__(self):
-        _set_fv(self, _NO_VARS)
-        _set_size(self, 1)
-        _set_height(self, 1)
+    __slots__ = ()
+    _SHARED: _Constant
+
+    def __new__(cls):
+        return cls._SHARED
 
 
 class Zero(_Constant):
@@ -214,21 +222,28 @@ class One(_Constant):
 
 
 class Var(Term):
+    """The variable of an index: one shared node per index."""
+
     __slots__ = _fields = ("index",)
 
-    def __init__(self, index: int):
-        if index < 0:
-            raise SyntaxError_("variable index must be nonnegative")
-        _set_index(self, index)
-        _set_fv(self, _shared(frozenset((index,))))
-        _set_size(self, 1)
-        _set_height(self, 1)
+    def __new__(cls, index: int):
+        node = _VARS.get(index)
+        if node is None:
+            if index < 0:
+                raise SyntaxError_("variable index must be nonnegative")
+            node = _VARS[index] = object.__new__(cls)
+            _set_index(node, index)
+            _set_leaf(node, _shared(frozenset((index,))),
+                      hash((cls._TAG, index)))
+        return node
 
     def _parts(self) -> tuple:
         return (self.index,)
 
 
 _set_index = Var.index.__set__
+# one entry per variable index ever built; formulas use few variables
+_VARS: dict[int, Var] = {}
 
 
 class Num(Term):
@@ -244,9 +259,9 @@ class Num(Term):
             raise SyntaxError_(
                 f"Num value must be int or BigNat, got {value!r}")
         _set_value(self, value)
-        _set_fv(self, _NO_VARS)
-        _set_size(self, 1)
-        _set_height(self, 1)
+        # a BigNat is hashed on the first hash(), not here
+        _set_leaf(self, _NO_VARS, hash((self._TAG, value))
+                  if isinstance(value, int) else None)
 
     def _parts(self) -> tuple:
         return (self.value,)
@@ -267,6 +282,9 @@ class _Binary(_Node):
         _set_size(self, 1 + left.size + right.size)
         lh, rh = left.height, right.height
         _set_height(self, 1 + (lh if lh > rh else rh))
+        lh, rh = left._hash, right._hash
+        _set_hash(self, None if lh is None or rh is None
+                  else hash((self._TAG, lh, rh)))
 
     def _parts(self) -> tuple:
         return (self.left, self.right)
@@ -299,6 +317,9 @@ class _Oracle(_Node):
         _set_fv(self, fv)
         _set_size(self, 1 + sum(a.size for a in args))
         _set_height(self, 1 + max(a.height for a in args))
+        hashes = [a._hash for a in args]
+        _set_hash(self, None if None in hashes
+                  else hash((self._TAG, name, *hashes)))
 
     def _parts(self) -> tuple:
         return (self.name, *self.args)
@@ -351,6 +372,8 @@ class Not(Formula):
         _set_fv(self, body.fv)
         _set_size(self, 1 + body.size)
         _set_height(self, 1 + body.height)
+        h = body._hash
+        _set_hash(self, None if h is None else hash((self._TAG, h)))
 
     def _parts(self) -> tuple:
         return (self.body,)
@@ -387,6 +410,9 @@ class _Quantifier(Formula):
         _set_fv(self, fv)
         _set_size(self, 1 + body.size)
         _set_height(self, 1 + body.height)
+        h = body._hash
+        _set_hash(self, None if h is None
+                  else hash((self._TAG, var.index, h)))
 
     def _parts(self) -> tuple:
         return (self.var.index, self.body)
@@ -409,6 +435,9 @@ for _tag, _cls in enumerate((Zero, One, Var, Num, Add, Mul, OracleFun, Eq, Lt,
                              Exists)):
     _cls._TAG = _tag
 
+for _cls in (Zero, One):
+    _cls._SHARED = object.__new__(_cls)
+    _set_leaf(_cls._SHARED, _NO_VARS, hash((_cls._TAG,)))
 
 _COMPARISONS = (Eq, Lt)
 

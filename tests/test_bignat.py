@@ -295,6 +295,25 @@ def test_run_form_residues_and_lengths_agree_with_int(runs, m):
     assert (q.to_int(), r) == divmod(value, small)
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, BASE - 1), min_size=1,
+                                   max_size=4).map(tuple),
+                          st.integers(1, 40)), min_size=1, max_size=4),
+       st.one_of(st.integers(0, (1 << 22) + 2), st.integers(0, BASE**64 - 1)))
+def test_run_form_times_int_agrees_with_int(runs, m):
+    # a leading 1 and a zero run too long to step digit by digit keep the
+    # value in run form; factors fall below and above the one-pass cap, up
+    # to the largest one multiplied digit by digit
+    runs = [((1,), 1)] + runs + [((0,), 70_000)]
+    big = BigNat.from_runs(runs)
+    assert big._runs is not None
+    value = _horner([1] + [d for pattern, count in runs[1:-1]
+                           for d in pattern * count]) * BASE**70_000
+    assert (big * m).to_int() == value * m
+    assert (m * big).to_int() == value * m
+    assert (big * BigNat(m)).to_int() == value * m
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(_RUNS, st.integers(min_value=1000, max_value=3000),
        st.integers(min_value=1, max_value=(1 << 61) - 1))

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from selfref.parser import ParseError, parse, parse_formula, parse_term
+from selfref.parser import (ParseError, _tokenize, parse, parse_formula,
+                            parse_term)
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Lt, Mul, Not, Num, One, Or, Var, Zero,
     numeral, render, NUMERAL_EXPLICIT_MAX,
@@ -87,6 +88,41 @@ def test_error_positions():
         parse_term("len(x")
     with pytest.raises(ParseError):
         parse_formula("zebra(x)")
+
+
+def test_tokens_and_their_positions_are_pinned():
+    assert _tokenize("A x (x' = 0 & ~(x<1)) -> E x′ [x <-> #12]") == [
+        ("∀", 0), ("x", 2), ("(", 4), ("x", 5), ("′", 6), ("=", 8),
+        ("0", 10), ("∧", 12), ("¬", 14), ("(", 15), ("x", 16), ("<", 17),
+        ("1", 18), (")", 19), (")", 20), ("→", 22), ("∃", 25), ("x", 27),
+        ("′", 28), ("(", 30), ("x", 31), ("↔", 33), ("#12", 37), (")", 40)]
+    assert _tokenize("x*1 | 0\t=\n1") == [
+        ("x", 0), ("·", 1), ("1", 2), ("∨", 4), ("0", 6), ("=", 8),
+        ("1", 10)]
+    assert _tokenize("x=x<->0<1->x′′=#007") == [
+        ("x", 0), ("=", 1), ("x", 2), ("↔", 3), ("0", 6), ("<", 7),
+        ("1", 8), ("→", 9), ("x", 11), ("′", 12), ("′", 13), ("=", 14),
+        ("#007", 15)]
+    assert _tokenize("x≠1,Tr(inst(0,1,x))") == [
+        ("x", 0), ("≠", 1), ("1", 2), (",", 3), ("Tr", 4), ("(", 6),
+        ("inst", 7), ("(", 11), ("0", 12), (",", 13), ("1", 14), (",", 15),
+        ("x", 16), (")", 17), (")", 18)]
+
+
+@pytest.mark.parametrize("text, pos, message", [
+    ("x = 2", 4, "unexpected character '2'"),
+    ("#", 0, "expected digits after '#'"),
+    ("x=#a", 2, "expected digits after '#'"),
+    ("x=y", 2, "unknown symbol 'y'"),
+    ("x - 1", 2, "unexpected character '-'"),
+    ("x<-1", 2, "unexpected character '-'"),
+    ("Ax(xq=0)", 4, "unknown symbol 'xq'"),
+])
+def test_tokenizer_error_positions(text, pos, message):
+    with pytest.raises(ParseError) as err:
+        _tokenize(text)
+    assert err.value.pos == pos
+    assert str(err.value) == f"{message} (at position {pos})"
 
 
 def test_parse_auto_detects():

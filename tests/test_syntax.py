@@ -13,7 +13,7 @@ from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
     OracleAtom, OracleFun, Or, SyntaxError_, Var, Zero, conj, disj,
     free_vars, is_sentence, length, numeral, render, substitute, tokens,
-    NUMERAL_EXPLICIT_MAX,
+    NUMERAL_EXPLICIT_MAX, _Node,
 )
 
 x = Var(0)
@@ -213,9 +213,9 @@ def test_cached_facts_agree_with_a_fresh_walk(seed, depth):
         assert node.height == _reference_height(node)
     # equal free-variable sets are one shared object
     assert free_vars(phi) is free_vars(twin)
-    assert phi == twin  # compared before either tree is hashed
+    assert phi == twin  # two trees built apart, hashed at construction
     assert hash(phi) == hash(twin)
-    assert phi == twin  # and again with both hashes cached
+    assert phi == twin  # and again after hash() has read the cached hashes
     assert render(phi) == render(twin)
 
 
@@ -255,3 +255,51 @@ def _random_formula(rng: random.Random, depth: int):
                     _random_formula(rng, depth - 1))
     ctor = rng.choice([Forall, Exists])
     return ctor(Var(rng.randrange(3)), _random_formula(rng, depth - 1))
+
+
+def test_leaves_are_shared():
+    assert One() is One() and Zero() is Zero()
+    assert Var(3) is Var(3) and Var(3) is not Var(4)
+    assert numeral(2).left is One()
+    with pytest.raises(SyntaxError_):
+        Var(-1)
+
+
+_RUN_FORM = BigNat.from_runs([((7,), 1), ((0,), 4200)])
+
+
+def _fresh_hash(node) -> int:
+    """hash((TAG, *parts)) by a walk that reads no cached hash."""
+    return hash((node._TAG, *[_fresh_hash(p) if isinstance(p, _Node) else p
+                              for p in node._parts()]))
+
+
+def _over_bignat(node) -> bool:
+    return any(isinstance(n, Num) and isinstance(n.value, BigNat)
+               for n in _subtrees(node))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4),
+       st.sampled_from([None, 300, 10**40, _RUN_FORM]))
+def test_hashes_are_the_structural_formula(seed, depth, big):
+    phi = _random_formula(random.Random(seed), depth)
+    if big is not None:  # a free variable, or else a new conjunct, holds it
+        term = Add(One(), numeral(big))
+        phi = substitute(phi, min(phi.fv), term) if phi.fv \
+            else And(phi, Lt(term, x))
+    # only a Num over a BigNat and the nodes above it wait for hash()
+    for node in _subtrees(phi):
+        assert (node._hash is None) == _over_bignat(node)
+    for node in _subtrees(phi):
+        assert hash(node) == _fresh_hash(node)
+
+
+def test_deep_tower_over_a_run_form_numeral_hashes_without_recursion():
+    leaf = Eq(Num(_RUN_FORM), x)
+    deep = _tower(3000, leaf)
+    expected = _fresh_hash(leaf)
+    for _ in range(3000):
+        expected = hash((Not._TAG, expected))
+    assert hash(deep) == expected
+    assert hash(_tower(3000, Eq(Num(_RUN_FORM), x))) == expected
