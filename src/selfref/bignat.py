@@ -8,7 +8,10 @@ values are still highly structured: their digit strings consist of a few
 explicit stretches plus long periodic runs coming from numeral segments.
 
 ``BigNat`` stores a natural either as a plain ``int`` or as a sequence of
-``(pattern, count)`` runs of base-24 digits (most significant first).  It
+runs of base-24 digits, each ``count`` copies of a ``width``-digit block
+held as one int, as multiple-precision libraries hold words rather than
+digits (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section
+1.1); arithmetic steps a whole stretch per big-int operation.  It
 supports exactly the operations the certificate checker needs: addition,
 subtraction, multiplication by moderate factors or powers of 24, division
 with small divisors, modular reduction, and total ordering.  All of them
@@ -19,7 +22,8 @@ approximating.
 from __future__ import annotations
 
 import sys
-from math import gcd, log2
+from itertools import accumulate
+from math import lcm, log2
 from typing import Iterable
 
 BASE = 24
@@ -29,13 +33,11 @@ if hasattr(sys, "set_int_max_str_digits"):
 
 # Collapse run forms back to plain ints below this many base-24 digits.
 _COLLAPSE_DIGITS = 4096
-# Refuse to materialize ints above this many base-24 digits.
+# Refuse to materialize ints, or to step stretches in one operation, above
+# this many base-24 digits.
 _MATERIALIZE_LIMIT = 1_500_000
-# Largest joint period the streaming engine will fast-forward over.
-_PERIOD_CAP = 4096
-# Segments at most this long are simulated digit by digit.
-_EXPLICIT_CAP = 1 << 16
-# Largest multiplier handled by the carry transducer in one pass.
+# Divisors of run forms stay below this: the remainders of a periodic run
+# can take as many steps to recur.
 _SMALL_FACTOR_CAP = 1 << 22
 
 _LEAF = 512
@@ -116,162 +118,120 @@ def _join_digits(digits, powers: list[int], k: int) -> int:
 
 
 class _Runs:
-    """A digit sequence as (pattern, count) runs, least significant first.
-
-    Patterns are stored least-significant-digit first as well, so the
-    digit at offset j inside a run is ``pattern[j % len(pattern)]``.
-    """
+    """A digit sequence as (block, width, count) runs, least significant
+    first: ``count`` copies of the ``width``-digit block, held as one int."""
 
     __slots__ = ("runs", "total")
 
-    def __init__(self, runs: list[tuple[tuple[int, ...], int]]):
+    def __init__(self, runs: list[tuple[int, int, int]]):
         self.runs = runs
-        self.total = sum(len(p) * c for p, c in runs)
+        self.total = sum(w * c for _, w, c in runs)
 
-    def boundaries(self) -> list[int]:
-        out = [0]
-        pos = 0
-        for p, c in self.runs:
-            pos += len(p) * c
-            out.append(pos)
+    def blocks_at(self, cuts: list[int]) -> list[tuple[int, int, int]]:
+        """(block, width, phase) of the run holding each of the ascending
+        digit positions ``cuts``; the zero block (0, 1, 0) past the end."""
+        out = []
+        i, start = 0, 0
+        for pos in cuts:
+            while i < len(self.runs) and \
+                    start + self.runs[i][1] * self.runs[i][2] <= pos:
+                start += self.runs[i][1] * self.runs[i][2]
+                i += 1
+            if i == len(self.runs):
+                out.append((0, 1, 0))
+            else:
+                v, w, _ = self.runs[i]
+                out.append((v, w, (pos - start) % w))
         return out
 
-    def run_at(self, pos: int) -> tuple[tuple[int, ...], int, int]:
-        """Return (pattern, phase, run_end) for the digit position ``pos``."""
-        start = 0
-        for p, c in self.runs:
-            end = start + len(p) * c
-            if pos < end:
-                return p, (pos - start) % len(p), end
-            start = end
-        return (0,), 0, -1  # zero tail, unbounded
+
+def _segments(a: _Runs, b: _Runs) -> list:
+    """Cut two digit sequences at every run boundary of either, least
+    significant first: (length, block of a, block of b) per stretch, each
+    block as ``_Runs.blocks_at`` gives it at the stretch's first digit."""
+    cuts = sorted({*accumulate((w * c for _, w, c in a.runs), initial=0),
+                   *accumulate((w * c for _, w, c in b.runs), initial=0)})
+    starts = cuts[:-1]
+    return list(zip([hi - lo for lo, hi in zip(cuts, cuts[1:])],
+                    a.blocks_at(starts), b.blocks_at(starts)))
 
 
-def _rotate(pattern: tuple[int, ...], phase: int) -> tuple[int, ...]:
-    if phase == 0:
-        return pattern
-    return pattern[phase:] + pattern[:phase]
+def _window(v: int, w: int, phase: int, length: int) -> int:
+    """The value of ``length`` digits of the w-digit block v repeated
+    without end, from ``phase`` digits above its least significant one."""
+    if not v:
+        return 0
+    if phase + length <= w:  # inside one copy: cut, do not rotate
+        if phase:
+            v //= BASE**phase
+        return v if phase + length == w else v % BASE**length
+    if phase:
+        hi, lo = divmod(v, BASE**phase)
+        v = hi + lo * BASE ** (w - phase)
+    n, rest = divmod(length, w)
+    value = v * ((BASE ** (w * n) - 1) // (BASE**w - 1))
+    return value + (v % BASE**rest) * BASE ** (w * n) if rest else value
 
 
-class _OutBuilder:
-    """Accumulates output digits/runs least significant first."""
+def _stream(a: _Runs, b: _Runs, state: int, step):
+    """Combine two digit sequences with a finite-state transducer that
+    reads whole stretches: ``step(x, y, width, state) -> (out, state)``
+    takes the values of ``width`` digits of each operand and returns the
+    value of ``width`` output digits.
 
-    __slots__ = ("runs", "buf")
-
-    def __init__(self) -> None:
-        self.runs: list[tuple[tuple[int, ...], int]] = []
-        self.buf: list[int] = []
-
-    def digit(self, d: int) -> None:
-        self.buf.append(d)
-
-    def flush(self) -> None:
-        if self.buf:
-            self.runs.append((tuple(self.buf), 1))
-            self.buf = []
-
-    def bulk(self, pattern: tuple[int, ...], count: int) -> None:
-        if count <= 0 or not pattern:
-            return
-        self.flush()
-        self.runs.append((pattern, count))
-
-    def done(self) -> list[tuple[tuple[int, ...], int]]:
-        self.flush()
-        return self.runs
-
-
-def _stream(runs_a: _Runs, runs_b: _Runs, state: int, step,
-            drain_state: int | None):
-    """Combine two digit streams with a finite-state digitwise transducer.
-
-    ``step(da, db, state) -> (digit, state)``; returns the output runs
-    and the final state.  Long stretches where both streams are periodic
-    are fast-forwarded by detecting state cycles at the joint period, so
-    the cost is independent of run lengths.  When
-    ``drain_state`` is given, zero digits are fed in at the significant
-    end until the state settles there; ``None`` stops at the last digit.
+    A stretch between two cuts is stepped in one call when it is shorter
+    than the joint period of the two runs holding it.  Otherwise the joint
+    period is stepped until the state stops changing, and the remaining
+    periods repeat the last output as one run, so the cost is independent
+    of run counts.  The carries and borrows used here are non-decreasing
+    functions of the incoming state, so on a periodic stretch the states
+    are monotone and settle on a fixed point after a few periods.
+    Returns the output runs, least significant first, and the final state.
     """
-    cuts = sorted(set(runs_a.boundaries()) | set(runs_b.boundaries()))
-    out = _OutBuilder()
-    for lo, hi in zip(cuts, cuts[1:]):
-        length = hi - lo
-        if length == 0:
-            continue
-        pa, pha, _ = runs_a.run_at(lo)
-        pb, phb, _ = runs_b.run_at(lo)
-        pa = _rotate(pa, pha)
-        pb = _rotate(pb, phb)
-        pj = len(pa) * len(pb) // gcd(len(pa), len(pb))
-        nblocks, tail = divmod(length, pj)
-        if length <= _EXPLICIT_CAP or nblocks <= 3:
-            if length > _EXPLICIT_CAP:
-                raise BigNatError("joint period too large for exact streaming")
-            for j in range(length):
-                d, state = step(pa[j % len(pa)], pb[j % len(pb)], state)
-                out.digit(d)
-            continue
-        if pj > _PERIOD_CAP:
-            raise BigNatError("joint period too large for exact streaming")
-        block_a = pa * (pj // len(pa))
-        block_b = pb * (pj // len(pb))
-        entry_states: list[int] = []
-        outputs: list[tuple[int, ...]] = []
-        seen: dict[int, int] = {}
-        k = 0
-        while k < nblocks and state not in seen:
-            seen[state] = k
-            entry_states.append(state)
-            digits = []
-            for j in range(pj):
-                d, state = step(block_a[j], block_b[j], state)
-                digits.append(d)
-                out.digit(d)
-            outputs.append(tuple(digits))
-            k += 1
-        if k < nblocks:
-            first = seen[state]
-            cyclen = k - first
-            cyc_digits = tuple(d for block in outputs[first:k] for d in block)
-            whole, part = divmod(nblocks - k, cyclen)
-            out.bulk(cyc_digits, whole)
-            for block in outputs[first:first + part]:
-                for d in block:
-                    out.digit(d)
-            state = entry_states[first + part] if part else entry_states[first]
-        for j in range(tail):
-            d, state = step(block_a[j % pj], block_b[j % pj], state)
-            out.digit(d)
-    if drain_state is not None:
-        guard = 0
-        while state != drain_state:
-            d, state = step(0, 0, state)
-            out.digit(d)
-            guard += 1
-            if guard > 64:
-                raise BigNatError("transducer failed to settle")
-    return out.done(), state
+    out = []
+    for length, (va, wa, pa), (vb, wb, pb) in _segments(a, b):
+        period = min(lcm(wa, wb), length)
+        if period > _MATERIALIZE_LIMIT:
+            raise BigNatError("stretch too long for exact streaming")
+        nblocks, tail = divmod(length, period)
+        x, y = _window(va, wa, pa, period), _window(vb, wb, pb, period)
+        blocks: list[int] = []
+        before = None
+        while len(blocks) < nblocks and state != before:
+            before = state
+            d, state = step(x, y, period, state)
+            blocks.append(d)
+        out += [(_join(blocks, period), period * len(blocks), 1),
+                (blocks[-1], period, nblocks - len(blocks))]
+        if tail:
+            cut = BASE**tail
+            d, state = step(x % cut, y % cut, tail, state)
+            out.append((d, tail, 1))
+    return out, state
 
 
-def _trim_msb_zeros(runs_lsb: list[tuple[tuple[int, ...], int]]) -> list:
-    """Remove most-significant zero digits (they sit at the list tail)."""
-    runs = list(runs_lsb)
-    while runs:
-        pattern, count = runs[-1]
-        if all(d == 0 for d in pattern):
-            runs.pop()
-            continue
-        if count > 1:
-            runs[-1] = (pattern, count - 1)
-            runs.append((pattern, 1))
-            continue
-        digits = list(pattern)
-        while digits and digits[-1] == 0:
-            digits.pop()
+def _join(blocks: list[int], width: int) -> int:
+    """One block from width-digit blocks given least significant first,
+    joined in pairs so that the cost stays near-linear."""
+    top = BASE**width
+    while len(blocks) > 1:
+        pairs = zip(blocks[::2], blocks[1::2] + [0])
+        blocks = [lo + hi * top for lo, hi in pairs]
+        top *= top
+    return blocks[0] if blocks else 0
+
+
+def _trim_msb_zeros(runs_lsb: list[tuple[int, int, int]]) -> list:
+    """Drop empty runs and most significant zero digits, so the top block
+    has no leading zero."""
+    runs = [r for r in runs_lsb if r[1] * r[2]]
+    while runs and runs[-1][0] == 0:
         runs.pop()
-        if digits:
-            runs.append((tuple(digits), 1))
-        break
+    if runs:
+        v, w, c = runs[-1]
+        n = _digit_count(v)
+        if n < w:
+            runs[-1:] = [(v, w, c - 1), (v, n, 1)] if c > 1 else [(v, n, 1)]
     return runs
 
 
@@ -311,7 +271,7 @@ class BigNat:
 
         Pattern digits are given most significant first as well.
         """
-        lsb: list[tuple[tuple[int, ...], int]] = []
+        lsb: list[tuple[int, int, int]] = []
         for pattern, count in reversed(runs_msb):
             if count < 0:
                 raise BigNatError("negative run count")
@@ -319,7 +279,7 @@ class BigNat:
                 continue
             if any(d < 0 or d >= BASE for d in pattern):
                 raise BigNatError("digit out of range")
-            lsb.append((tuple(reversed(pattern)), count))
+            lsb.append((_digits_to_int(pattern), len(pattern), count))
         return BigNat._from_lsb(lsb)
 
     @staticmethod
@@ -329,7 +289,7 @@ class BigNat:
         return BigNat.from_runs([((1,), 1), ((0,), exponent)])
 
     @staticmethod
-    def _from_lsb(runs_lsb: list[tuple[tuple[int, ...], int]]) -> "BigNat":
+    def _from_lsb(runs_lsb: list[tuple[int, int, int]]) -> "BigNat":
         runs_lsb = _trim_msb_zeros(runs_lsb)
         if not runs_lsb:
             return BigNat(0)
@@ -359,17 +319,14 @@ class BigNat:
 
     def _materialize(self) -> int:
         total = 0
-        for pattern, count in reversed(self._runs.runs):  # msb first
-            shift = BASE ** len(pattern)
-            span = shift**count
-            geo = (span - 1) // (shift - 1)
-            total = total * span + _digits_to_int(pattern[::-1]) * geo
+        for v, w, c in reversed(self._runs.runs):  # msb first
+            total = total * BASE ** (w * c) + _window(v, w, 0, w * c)
         return total
 
     def _as_runs(self) -> _Runs:
         if self._runs is not None:
             return self._runs
-        return _Runs([(tuple(reversed(_int_to_digits(self._int))), 1)])
+        return _Runs([(self._int, _digit_count(self._int), 1)])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -378,13 +335,12 @@ class BigNat:
         if self._int is not None and other._int is not None:
             return BigNat(self._int + other._int)
 
-        def step(da: int, db: int, carry: int):
-            s = da + db + carry
-            return s % BASE, s // BASE
+        def step(x: int, y: int, width: int, carry: int):
+            s, top = x + y + carry, BASE**width
+            return (s - top, 1) if s >= top else (s, 0)
 
-        return BigNat._from_lsb(
-            _stream(self._as_runs(), other._as_runs(), 0, step, 0)[0]
-        )
+        out, carry = _stream(self._as_runs(), other._as_runs(), 0, step)
+        return BigNat._from_lsb(out + [(carry, 1, 1)])
 
     def __radd__(self, other: "BigNat | int") -> "BigNat":
         return self.__add__(other)
@@ -396,20 +352,14 @@ class BigNat:
                 raise BigNatError("subtraction would go negative")
             return BigNat(self._int - other._int)
 
-        def step(da: int, db: int, borrow: int):
-            s = da - db - borrow
-            if s < 0:
-                return s + BASE, 1
-            return s, 0
+        def step(x: int, y: int, width: int, borrow: int):
+            s = x - y - borrow
+            return (s + BASE**width, 1) if s < 0 else (s, 0)
 
-        try:
-            return BigNat._from_lsb(
-                _stream(self._as_runs(), other._as_runs(), 0, step, 0)[0]
-            )
-        except BigNatError as exc:
-            if "settle" in str(exc):
-                raise BigNatError("subtraction would go negative") from None
-            raise
+        out, borrow = _stream(self._as_runs(), other._as_runs(), 0, step)
+        if borrow:
+            raise BigNatError("subtraction would go negative")
+        return BigNat._from_lsb(out)
 
     def shift24(self, k: int) -> "BigNat":
         """Multiply by 24**k."""
@@ -418,39 +368,33 @@ class BigNat:
         if self._int is not None and (self._int == 0 or k <= _COLLAPSE_DIGITS):
             return BigNat(self._int * BASE**k)
         runs = list(self._as_runs().runs)
-        return BigNat._from_lsb([((0,), k)] + runs)
+        return BigNat._from_lsb([(0, 1, k)] + runs)
 
     def _mul_small(self, m: int) -> "BigNat":
         if self._int is not None:
             return BigNat(self._int * m)
         if m == 0:
             return BigNat(0)
-        if m >= _SMALL_FACTOR_CAP:
-            raise BigNatError("factor too large for carry transducer")
 
-        def step(da: int, _db: int, carry: int):
-            s = da * m + carry
-            return s % BASE, s // BASE
+        def step(x: int, _y: int, width: int, carry: int):
+            carry, low = divmod(x * m + carry, BASE**width)
+            return low, carry
 
-        out, _ = _stream(self._as_runs(), _Runs([]), 0, step, 0)
-        return BigNat._from_lsb(out)
+        out, carry = _stream(self._runs, _Runs([]), 0, step)
+        return BigNat._from_lsb(out + [(carry, _digit_count(carry), 1)])
 
     def _single_digit(self) -> tuple[int, int] | None:
-        """If the value is d * 24**k, return (d, k)."""
-        if self._int is not None:
-            k = _digit_count(self._int) - 1
-            d, rest = divmod(self._int, BASE**k)
-            return None if rest else (d, k)
+        """If the value is d * 24**k with 0 < d < 24, return (d, k)."""
         found: tuple[int, int] | None = None
         pos = 0
-        for pattern, count in self._runs.runs:  # lsb first
-            nz = sum(1 for d in pattern if d != 0)
-            if nz:
-                if nz * count > 1 or found is not None:
+        for v, w, c in self._as_runs().runs:  # lsb first
+            if v:
+                k = _digit_count(v) - 1
+                d, rest = divmod(v, BASE**k)
+                if rest or c > 1 or found is not None:
                     return None
-                offset = next(j for j, d in enumerate(pattern) if d != 0)
-                found = (pattern[offset], pos + offset)
-            pos += len(pattern) * count
+                found = (d, pos + k)
+            pos += w * c
         return found
 
     def __mul__(self, other: "BigNat | int") -> "BigNat":
@@ -462,15 +406,8 @@ class BigNat:
             if single is not None:
                 d, k = single
                 return a._mul_small(d).shift24(k)
-            if b._int is not None and b._int < _SMALL_FACTOR_CAP:
-                return a._mul_small(b._int)
             if b._int is not None and b._int < BASE**64:
-                acc = BigNat(0)
-                for d in _int_to_digits(b._int):
-                    acc = acc.shift24(1)
-                    if d:
-                        acc = acc + a._mul_small(d)
-                return acc
+                return a._mul_small(b._int)
         raise BigNatError("product of two long run forms is unsupported")
 
     def __rmul__(self, other: "BigNat | int") -> "BigNat":
@@ -485,24 +422,26 @@ class BigNat:
             return BigNat(q), r
         if m >= _SMALL_FACTOR_CAP:
             raise BigNatError("divisor too large for remainder transducer")
-        # long division runs most significant digit first: reuse the
-        # streaming engine on the digit-reversed sequence
-        msb_runs = _Runs(
-            [
-                (tuple(reversed(p)), c)
-                for p, c in reversed(self._runs.runs)
-            ]
-        )
-
-        def step(da: int, _db: int, rem: int):
-            cur = rem * BASE + da
-            return cur // m, cur % m
-
-        out_msb, rem = _stream(msb_runs, _Runs([]), 0, step, None)
-        quotient_lsb = [
-            (tuple(reversed(p)), c) for p, c in reversed(out_msb)
-        ]
-        return BigNat._from_lsb(quotient_lsb), rem
+        # long division, one block at a time from the most significant
+        # run; within a run the remainder recurs, and its cycle repeats
+        out, rem = [], 0  # quotient runs, most significant first
+        for v, w, c in reversed(self._runs.runs):
+            top = BASE**w
+            seen: dict[int, int] = {}
+            blocks: list[int] = []
+            while len(blocks) < c and rem not in seen:
+                seen[rem] = len(blocks)
+                q, rem = divmod(rem * top + v, m)
+                blocks.append(q)
+            out.append((_join(blocks[::-1], w), w * len(blocks), 1))
+            if len(blocks) < c:
+                first = seen[rem]
+                cycle = blocks[first:]
+                whole, part = divmod(c - len(blocks), len(cycle))
+                out.append((_join(cycle[::-1], w), w * len(cycle), whole))
+                out.append((_join(cycle[:part][::-1], w), w * part, 1))
+                rem = list(seen)[first + part]
+        return BigNat._from_lsb(out[::-1]), rem
 
     def mod_int(self, m: int) -> int:
         if m <= 0:
@@ -510,13 +449,8 @@ class BigNat:
         if self._int is not None:
             return self._int % m
         r = 0
-        for pattern, count in reversed(self._runs.runs):  # msb first
-            digits = pattern[::-1]
-            b = 0  # the pattern's value mod m, folded one leaf at a time
-            for i in range(0, len(digits), _LEAF):
-                leaf = digits[i:i + _LEAF]
-                b = (b * pow(BASE, len(leaf), m) + _digits_to_int(leaf)) % m
-            ak, bk = _affine_pow(pow(BASE, len(pattern), m), b, count, m)
+        for v, w, c in reversed(self._runs.runs):  # msb first
+            ak, bk = _affine_pow(pow(BASE, w, m), v % m, c, m)
             r = (ak * r + bk) % m
         return r
 
@@ -529,23 +463,17 @@ class BigNat:
         la, lb = self.digits24, other.digits24
         if la != lb:
             return 1 if la > lb else -1
-        ra = [(tuple(reversed(p)), c) for p, c in reversed(self._as_runs().runs)]
-        rb = [(tuple(reversed(p)), c) for p, c in reversed(other._as_runs().runs)]
-        a, b = _Runs(ra), _Runs(rb)
-        cuts = sorted(set(a.boundaries()) | set(b.boundaries()))
-        for lo, hi in zip(cuts, cuts[1:]):
-            if hi <= lo:
-                continue
-            pa, pha, _ = a.run_at(lo)
-            pb, phb, _ = b.run_at(lo)
-            pa = _rotate(pa, pha)
-            pb = _rotate(pb, phb)
-            window = min(hi - lo, len(pa) + len(pb))
-            for j in range(window):
-                da = pa[j % len(pa)]
-                db = pb[j % len(pb)]
-                if da != db:
-                    return 1 if da > db else -1
+        # from the most significant stretch down; two periodic stretches
+        # that agree on their top wa + wb digits agree all the way down
+        # (Fine and Wilf)
+        for length, (va, wa, pa), (vb, wb, pb) in \
+                reversed(_segments(self._as_runs(), other._as_runs())):
+            window = min(length, wa + wb)
+            skip = length - window
+            x = _window(va, wa, (pa + skip) % wa, window)
+            y = _window(vb, wb, (pb + skip) % wb, window)
+            if x != y:
+                return 1 if x > y else -1
         return 0
 
     def __eq__(self, other: object) -> bool:
@@ -579,7 +507,8 @@ class BigNat:
             return self._int
         return {
             "runs": [
-                [list(reversed(p)), c] for p, c in reversed(self._runs.runs)
+                [[0] * (w - _digit_count(v)) + list(_int_to_digits(v)), c]
+                for v, w, c in reversed(self._runs.runs)
             ]
         }
 

@@ -39,10 +39,10 @@ from .proofs import (
     rosser_sentence, search_report, serialize_proof, standard_theory,
     tb_stream,
 )
-from .semantics import Budget, Truth, evaluate
+from .semantics import Budget, evaluate
 from .syntax import (
-    Add, Eq, Exists, Formula, Not, SyntaxError_, Term, Var, free_vars,
-    is_sentence, length, render,
+    Add, Eq, Exists, Formula, Not, SyntaxError_, Var, free_vars, is_sentence,
+    length, render,
 )
 
 SCHEME_VERSION = "1"
@@ -109,29 +109,6 @@ def _render_capped(x) -> str:
     if len(text) > _RENDER_CAP:
         return text[:_RENDER_CAP] + "...<capped>"
     return text
-
-
-def _plain(x):
-    """Report-safe view of result objects: verdict names, compact
-    renders, digit summaries for giant codes, dicts for dataclasses."""
-    if isinstance(x, bool) or x is None or isinstance(x, (float, str)):
-        return x
-    if isinstance(x, int):
-        return _int_summary(x)
-    if isinstance(x, Truth):
-        return x.name
-    if isinstance(x, BigNat):
-        return _code_payload(x)
-    if isinstance(x, (Formula, Term)):
-        return _render_capped(x)
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _plain(getattr(x, f.name))
-                for f in dataclasses.fields(x)}
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(item) for item in x]
-    return str(x)
 
 
 def _emit(report: dict, json_path: Optional[str]) -> None:
@@ -212,7 +189,7 @@ def _cmd_parse(args, budget) -> tuple[dict, dict]:
     outputs = {
         "canonical": compact if tokens > 10_000 else render(phi),
         "compact": compact,
-        "length": tokens if isinstance(tokens, int) else _plain(tokens),
+        "length": tokens,
         "free_variables": sorted(free_vars(phi)),
         "sentence": is_sentence(phi),
     }
@@ -336,7 +313,8 @@ def _cmd_tarski_experiment(args, budget) -> tuple[dict, dict]:
         "ladder_break": report.ladder_break,
         "codes_listed": len(report.codes),
         "duplicate": list(report.duplicate) if report.duplicate else None,
-        "clash": _plain(report.clash),
+        "clash": (dataclasses.asdict(report.clash) if report.clash
+                  else None),
         "conclusion": report.conclusion,
     }
     return ({"upsilon": args.upsilon, "micro_maxlen": args.micro_maxlen},

@@ -326,3 +326,137 @@ def test_residues_of_giant_run_counts(runs, count_digits, m):
     big = BigNat.from_runs(giant)
     for modulus in (m, 3, 24, (1 << 61) - 1):
         assert big.mod_int(modulus) == _reference_mod(giant, modulus)
+
+
+# -- add, sub and compare of genuine run forms against int -------------------
+
+_DIGIT_TEXT = "0123456789abcdefghijklmn"
+
+
+def _value(digits) -> int:
+    """Reference: the value of base-24 digits, most significant first, read
+    by int() alone."""
+    return int("".join(_DIGIT_TEXT[d] for d in digits), BASE)
+
+
+def _digits_of(runs) -> list[int]:
+    return [d for pattern, count in runs for d in pattern * count]
+
+
+@st.composite
+def _run_lists(draw):
+    """Runs, most significant first, of a value kept in run form: a
+    nonzero lead digit, then periodic runs and explicit stretches of up to
+    12,000 digits, and a last run that pads it past the int-collapse
+    threshold.  Digits lean to 0 and 23, so carries and borrows ripple
+    through whole runs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def digit():
+        return rng.choice((0, BASE - 1, rng.randrange(BASE)))
+
+    runs = [((rng.randrange(1, BASE),), 1)]
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            pattern = tuple(digit() for _ in range(draw(st.integers(1, 4))))
+            runs.append((pattern, draw(st.integers(1, 3000))))
+        else:
+            width = draw(st.integers(1, 12_000))
+            runs.append((tuple(digit() for _ in range(width)), 1))
+    pad = max(1, 4097 - len(_digits_of(runs)))
+    runs.append(((digit(),), pad))
+    return runs
+
+
+@st.composite
+def _twin(draw, runs):
+    """Runs of the same length as ``runs``: each periodic run is kept,
+    regrouped at twice its period, or replaced by the period one digit
+    longer that agrees with it on its top width + 1 digits."""
+    out = []
+    for pattern, count in runs:
+        how = draw(st.sampled_from(["keep", "regroup", "skew"]))
+        if count < 2 or how == "keep":
+            out.append((pattern, count))
+        elif how == "regroup":
+            out += [(pattern * 2, count // 2), (pattern, count % 2)]
+        else:
+            longer = pattern + pattern[:1]
+            whole, rest = divmod(len(pattern) * count, len(longer))
+            out += [(longer, whole), (longer[:rest], 1)]
+    return out
+
+
+@st.composite
+def _operands(draw):
+    """A run form, its value, and a second operand: another run form, a
+    twin of the same length, a random int of up to about 15,000 digits, a
+    near neighbour, or an int sharing a top stretch of the run form's
+    digits and differing below."""
+    runs = draw(_run_lists())
+    a, digits = BigNat.from_runs(runs), _digits_of(runs)
+    assert a._runs is not None
+    value = _value(digits)
+    kind = draw(st.sampled_from(["runs", "twin", "int", "near", "prefix"]))
+    if kind in ("runs", "twin"):
+        other = draw(_run_lists() if kind == "runs" else _twin(runs))
+        return a, value, BigNat.from_runs(other), _value(_digits_of(other))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "int":
+        b = rng.randrange(BASE ** draw(st.integers(1, 15_000)))
+    elif kind == "near":
+        b = max(0, value + draw(st.integers(-3, 3)))
+    else:
+        keep = draw(st.integers(0, len(digits)))
+        low = BASE ** (len(digits) - keep)
+        b = value // low * low + rng.randrange(low)
+    return a, value, b, b
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_operands())
+def test_add_sub_compare_of_run_forms_agree_with_int(operands):
+    a, x, b, y = operands
+    big_b = b if isinstance(b, BigNat) else BigNat(b)
+    total = a + b
+    assert total.to_int() == (b + a).to_int() == x + y
+    assert total.digits24 == _digit_count(x + y)
+    sign = (x > y) - (x < y)
+    assert a.compare(b) == -big_b.compare(a) == sign
+    assert (a == b) == (x == y)
+    assert (a < b) == (x < y)
+    for hi, lo, diff in ((a, b, x - y), (big_b, a, y - x)):
+        if diff >= 0:
+            assert hi.sub(lo).to_int() == diff
+        else:
+            with pytest.raises(BigNatError):
+                hi.sub(lo)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_run_lists())
+def test_run_forms_equal_their_value_in_any_cut(runs):
+    a, digits = BigNat.from_runs(runs), _digits_of(runs)
+    value = _value(digits)
+    one_stretch = BigNat.from_digits(digits)
+    assert one_stretch._runs is not None
+    for equal in (value, BigNat(value), one_stretch):
+        assert a == equal and a.compare(equal) == 0
+        assert a.sub(equal) == 0
+    assert a < value + 1 and not a < value
+
+
+def test_long_explicit_stretch_over_a_periodic_run():
+    # a 70,000-digit stretch is longer than any run the old digit-at-a-time
+    # engine would step, so product and quotient must step it whole
+    rng = random.Random(70)
+    head = (rng.randrange(1, BASE),) + tuple(rng.randrange(BASE)
+                                             for _ in range(69_999))
+    big = BigNat.from_runs([(head, 1), ((7, 3), 5000)])
+    value = _value(head + (7, 3) * 5000)
+    assert (big * 987654321).to_int() == value * 987654321
+    q, r = big.divmod_int(1_000_003)
+    assert (q.to_int(), r) == divmod(value, 1_000_003)
+    other = rng.randrange(BASE**59_999, BASE**60_000)
+    assert (big + other).to_int() == value + other
+    assert big.sub(other).to_int() == value - other
