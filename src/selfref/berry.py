@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 from .diagonal import normalize_psi
@@ -297,20 +297,27 @@ class _DefTable:
 
     def __init__(self, bundle, universe, env, budget):
         self.judge = _upsilon_judge(bundle, universe, env, budget)
-        self.lengths = [f.length for f in universe.facts]
+        self.entries: dict[int, list[int]] = {}  # per length, in order
+        for fact in universe.facts:
+            self.entries.setdefault(fact.length, []).append(fact.index)
         self.memo: dict[tuple[int, int], tuple[Truth, Optional[int]]] = {}
 
     def defined(self, bound: int, n: int) -> tuple[Truth, Optional[int]]:
         """Verdict of "some formula shorter than the bound describes n"
         and the least witnessing catalogue code, if any."""
-        key = (bound, n)
+        found = [self._of_length(alen, n) for alen in self.entries
+                 if alen < bound]
+        witness = min((a for _, a in found if a is not None), default=None)
+        return reduce(t_or, (v for v, _ in found), Truth.FALSE), witness
+
+    def _of_length(self, alen: int, n: int) -> tuple[Truth, Optional[int]]:
+        """defined over the catalogue formulas of one length alone."""
+        key = (alen, n)
         if key in self.memo:
             return self.memo[key]
         verdict = Truth.FALSE
         witness = None
-        for a, alen in enumerate(self.lengths):
-            if alen >= bound:
-                continue
+        for a in self.entries[alen]:
             got = self.judge(a, n)
             if got is Truth.TRUE:
                 verdict, witness = Truth.TRUE, a

@@ -422,10 +422,14 @@ class BigNat:
             return BigNat(q), r
         if m >= _SMALL_FACTOR_CAP:
             raise BigNatError("divisor too large for remainder transducer")
-        # long division, one block at a time from the most significant
-        # run; within a run the remainder recurs, and its cycle repeats
+        # long division from the most significant run, one that can be
+        # materialized in one step; in a longer one the remainder recurs
         out, rem = [], 0  # quotient runs, most significant first
         for v, w, c in reversed(self._runs.runs):
+            if w * c <= _MATERIALIZE_LIMIT:
+                q, rem = divmod(rem * BASE ** (w * c) + _window(v, w, 0, w * c), m)
+                out.append((q, w * c, 1))
+                continue
             top = BASE**w
             seen: dict[int, int] = {}
             blocks: list[int] = []

@@ -63,6 +63,14 @@ class _Usage(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors quote at most 200 characters."""
+
+    def error(self, message: str):
+        super().error(message if len(message) <= 200
+                      else f"{message[:200]}… ({len(message)} characters)")
+
+
 class _VerdictFailure(Exception):
     pass
 
@@ -116,7 +124,11 @@ def _emit(report: dict, json_path: Optional[str]) -> None:
                       ensure_ascii=False) + "\n"
     sys.stdout.write(text)
     if json_path:
-        Path(json_path).write_text(text, encoding="utf-8")
+        try:
+            Path(json_path).write_text(text, encoding="utf-8")
+        except OSError as err:
+            raise _Usage(f"cannot write {_echo(json_path)}: {err.strerror}") \
+                from None
 
 
 def _parse_profile(raw: str) -> dict[str, int]:
@@ -462,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--json", metavar="PATH", default=None,
                         help="also write the report to this file")
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="selfref",
         description="self-reference laboratory for first-order arithmetic")
     subs = top.add_subparsers(dest="command", required=True)
@@ -524,42 +536,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         profile = _parse_profile(os.environ.get("SELFREF_BUDGET_PROFILE", ""))
         budget = _budget(args, profile)
-    except _Usage as err:
-        parser.print_usage(sys.stderr)
-        print(f"selfref: {err}", file=sys.stderr)
-        return 2
-
-    start = time.perf_counter()
-    try:
-        inputs, outputs = _COMMANDS[args.command](args, budget)
+        start = time.perf_counter()
+        try:
+            inputs, outputs = _COMMANDS[args.command](args, budget)
+            code, report = 0, {
+                "inputs": {k: v for k, v in inputs.items() if v is not None},
+                "outputs": outputs}
+        except (_VerdictFailure, BudgetInsufficient) as err:
+            code, report = 1, {"verdict_failure": (
+                json.loads(str(err)) if isinstance(err, _VerdictFailure)
+                else {"budget_insufficient": str(err)})}
+        report.update(command=args.command, version=SCHEME_VERSION,
+                      budgets=dataclasses.asdict(budget),
+                      wall_time_s=round(time.perf_counter() - start, 6))
+        _emit(report, args.json)
+        return code
     except (_Usage, NotACode) as err:
         # a NotACode escaping a command comes from coding an input that
         # uses a symbol without a digit; decode reports its own verdict
         parser.print_usage(sys.stderr)
         print(f"selfref: {err}", file=sys.stderr)
         return 2
-    except (_VerdictFailure, BudgetInsufficient) as err:
-        failure = (json.loads(str(err)) if isinstance(err, _VerdictFailure)
-                   else {"budget_insufficient": str(err)})
-        report = {
-            "command": args.command,
-            "version": SCHEME_VERSION,
-            "verdict_failure": failure,
-            "budgets": dataclasses.asdict(budget),
-            "wall_time_s": round(time.perf_counter() - start, 6),
-        }
-        _emit(report, args.json)
-        return 1
-    report = {
-        "command": args.command,
-        "version": SCHEME_VERSION,
-        "inputs": {k: v for k, v in inputs.items() if v is not None},
-        "outputs": outputs,
-        "budgets": dataclasses.asdict(budget),
-        "wall_time_s": round(time.perf_counter() - start, 6),
-    }
-    _emit(report, args.json)
-    return 0
 
 
 if __name__ == "__main__":

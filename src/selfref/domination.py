@@ -109,18 +109,11 @@ def _witness_scan(phi: Formula, x: int, witness_bound: int
     certifiably empty or merely out of reach.
     """
     budget = Budget(witness_bound=witness_bound)
-    least: Optional[int] = None
-    second = False
-    for z, got in enumerate(sweep(phi, 1, {0: x}, OracleEnv(), budget)):
-        if got is Truth.TRUE:
-            if least is None:
-                least = z
-            else:
-                second = True
-        elif got is not Truth.FALSE:
-            return (None, False, False)
-    if least is not None:
-        return (least, second, False)
+    swept = sweep(phi, 1, {0: x}, OracleEnv(), budget)
+    if Truth.UNKNOWN in swept:
+        return (None, False, False)
+    if Truth.TRUE in swept:
+        return (swept.index(Truth.TRUE), swept.count(Truth.TRUE) > 1, False)
     anywhere = evaluate(Exists(_V, phi), budget=budget, assignment={0: x})
     return (None, False, anywhere is Truth.FALSE)
 

@@ -32,15 +32,19 @@ for oracle symbols.
 Formulas are compiled into closures (Feeley & Lapalme, "Using closures
 for code generation", 1987) lazily, one node at its first visit, so a
 sweep reruns compiled code while a formula that is decided after a few
-nodes costs no more than a tree walk.
+nodes costs no more than a tree walk.  A sweep of a formula of
+connectives, ¬, = and < over int terms instead maps the whole value
+range, at each node, to truths and to the nodes compiled code would
+visit, list in, list out (Boncz, Zukowski & Nes, CIDR 2005).
 """
 
 from __future__ import annotations
 
 import enum
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import isqrt
 from typing import Callable, Optional
 
@@ -821,17 +825,72 @@ def sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
           budget: Budget) -> list[Truth]:
     """phi's truths at var = 0..witness_bound, the rest of asg fixed.
     The node budget covers the whole sweep: the value at which the
-    nodes visited in all exceed it, and every later one, are UNKNOWN."""
+    nodes visited in all exceed it, and every later one, are UNKNOWN.
+    A formula _batch reads runs over the values the budget can reach
+    at once (each visits a node at least)."""
+    n = budget.witness_bound + 1
+    batch = _batch(phi, var, asg, min(n, budget.node_budget + 1), 0,
+                   budget) if phi.height <= DEPTH_CAP else None
+    if batch is not None:
+        cut = bisect_right(list(accumulate(batch[1])), budget.node_budget)
+        return [_T if t else _F for t in batch[0][:cut]] + [_U] * (n - cut)
     ev, spent, out = Evaluator(env, budget), 0, []
     at, asg = ev.compile(phi), dict(asg)
-    for w in range(budget.witness_bound + 1):
+    for w in range(n):
         asg[var] = w
         got = at(asg)
         spent += ev.nodes
         if spent > budget.node_budget:
-            return out + [_U] * (budget.witness_bound + 1 - w)
+            return out + [_U] * (n - w)
         out.append(got)
     return out
+
+
+def _batch(phi: Formula, var: int, asg: dict, n: int, depth: int,
+           budget: Budget) -> Optional[tuple[list, list]]:
+    """phi at var = 0..n-1 as two lists: truths as bools, and the nodes
+    the compiled code visits at each value.  None unless phi is made of
+    connectives, ¬, = and < over _batch_term's terms within the depth
+    bound; DEPTH_CAP is the caller's check, on phi's height."""
+    kind, below = type(phi), (var, asg, n, depth + 1, budget)
+    if depth > budget.depth_bound:
+        return None
+    if kind is Eq or kind is Lt:
+        a = _batch_term(phi.left, var, asg, n)
+        b = None if a is None else _batch_term(phi.right, var, asg, n)
+        return None if b is None else (
+            list(map(operator.eq if kind is Eq else operator.lt, a, b)),
+            [1] * n)
+    if kind is Not:
+        body = _batch(phi.body, *below)
+        return body and ([not t for t in body[0]], [k + 1 for k in body[1]])
+    left = kind in _CONNECTIVES and _batch(phi.left, *below)
+    right = left and _batch(phi.right, *below)
+    if not right:
+        return None
+    (a, ka), (b, kb) = left, right
+    if kind is Iff:
+        return list(map(operator.eq, a, b)), [1 + i + j for i, j in zip(ka, kb)]
+    if kind is Implies:  # a → b is ¬a ∨ b
+        a = [not s for s in a]
+    settle = kind is not And  # the left value that settles the verdict
+    return ([s if s is settle else t for s, t in zip(a, b)],
+            [1 + i + (0 if s is settle else j) for s, i, j in zip(a, ka, kb)])
+
+
+def _batch_term(t: Term, var: int, asg: dict, n: int) -> Optional[list]:
+    """t at var = 0..n-1 if it is +, · over 0, 1 and ints, else None."""
+    kind = type(t)
+    if kind is Add or kind is Mul:
+        a = _batch_term(t.left, var, asg, n)
+        b = None if a is None else _batch_term(t.right, var, asg, n)
+        return None if b is None else list(
+            map(operator.add if kind is Add else operator.mul, a, b))
+    if kind is Var and t.index == var:
+        return list(range(n))
+    value = asg.get(t.index) if kind is Var else t.value if kind is Num \
+        else {Zero: 0, One: 1}.get(kind)
+    return [value] * n if type(value) is int else None
 
 
 @dataclass

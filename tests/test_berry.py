@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 from selfref.berry import (
+    _DefTable,
     BerryBundle,
     BudgetInsufficient,
     berry_contradiction_report,
@@ -29,7 +30,7 @@ from selfref.berry import (
     truth_oracle_property,
 )
 from selfref.parser import parse_formula
-from selfref.semantics import Budget, Truth, evaluate
+from selfref.semantics import Budget, Truth, evaluate, t_or
 from selfref.syntax import (
     Add, Eq, Exists, Lt, Mul, Not, OracleAtom, Var, Zero, free_vars, length,
     numeral, render, substitute,
@@ -328,3 +329,33 @@ def test_tarski_experiment_with_nothing_true_states_tb_failure():
     assert report.duplicate is None
     assert report.clash is None
     assert "biconditional" in report.conclusion
+
+
+# -- the definability table against a scan per (bound, value) ----------------
+
+def _scanned(table: _DefTable, universe, bound: int, n: int):
+    """defined(bound, n) by its reading: the entries shorter than the
+    bound in catalogue order, up to the first judged TRUE."""
+    verdict = Truth.FALSE
+    for a, fact in enumerate(universe.facts):
+        if fact.length < bound:
+            got = table.judge(a, n)
+            if got is Truth.TRUE:
+                return Truth.TRUE, a
+            verdict = t_or(verdict, got)
+    return verdict, None
+
+
+# a value horizon of 2 leaves the genuine judge UNKNOWN on larger values
+@pytest.mark.parametrize("horizon", [64, 2])
+@pytest.mark.parametrize("order", ["length", "shuffled"])
+@pytest.mark.parametrize("upsilon", [truth_oracle_property(), NOTHING_TRUE],
+                         ids=["genuine", "nothing-true"])
+def test_def_table_columns_match_the_scan_per_bound(horizon, order, upsilon):
+    universe = micro_universe(9, Budget(witness_bound=horizon), order)
+    bundle = build_bundle(upsilon)
+    table = _DefTable(bundle, universe, micro_env(universe), universe.budget)
+    for bound in (*range(universe.max_len + 1), 6 * bundle.ell):
+        for n in range(17):
+            assert table.defined(bound, n) == \
+                _scanned(table, universe, bound, n)

@@ -460,3 +460,13 @@ def test_long_explicit_stretch_over_a_periodic_run():
     other = rng.randrange(BASE**59_999, BASE**60_000)
     assert (big + other).to_int() == value + other
     assert big.sub(other).to_int() == value - other
+
+
+def test_divmod_of_a_run_too_long_to_materialize_walks_its_remainders():
+    # 2,000,000 digits of a two-digit block pass _MATERIALIZE_LIMIT, so the
+    # quotient comes from the remainder cycle, not from one division
+    big = BigNat.from_runs([((7,), 1), ((0, 5), 1_000_000), ((3, 1, 4), 1)])
+    for m in (7, 24, 577, 1000, 99_991):
+        q, r = big.divmod_int(m)
+        assert 0 <= r < m and r == big.mod_int(m)
+        assert q * m + r == big

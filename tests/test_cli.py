@@ -7,12 +7,17 @@ suite (code of x=x, the micro-catalogue bound table, the first few
 sentences of the enumeration stream).
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfref import cli
 from selfref.cli import main
@@ -293,3 +298,101 @@ def test_int_summary_matches_the_decimal_spelling(n):
     text = str(n)
     want = n if len(text) <= 40 else f"{text[0]}.{text[1:5]}e{len(text) - 1}"
     assert cli._int_summary(n) == want
+
+
+# -- argv fuzz -----------------------------------------------------------------
+
+_NESTED = st.integers(1, 700)
+_FORMULA_TEXT = st.one_of(
+    st.sampled_from(["x=x", "¬(x=x)", "Tr(x)", "Tr(0)∨(x=x)", "∃x′(x′·x′=x)",
+                     "x<#" + "9" * 60, "len(x)<x", "prf(x,x)", "inst(x,0,0)=0",
+                     "x=+", "", "(((", "∀x", "x=x)", "#-3=x"]),
+    _NESTED.map(lambda k: "¬(" * k + "x=x" + ")" * k),
+    _NESTED.map(lambda k: "len(" * k + "x" + ")" * k + "=0"),
+    _NESTED.map(lambda k: "(" * k + "x=x" + ")" * k),
+    st.text(st.sampled_from(list("x′01+·=<¬∧∨→↔∀∃()#9,Trlen ")), max_size=40),
+)
+_MALFORMED_INT = st.sampled_from(["-1", "-0", "-99999999999", "abc", "", "1.5",
+                                  "0x10", "1e3", " 2", "٣", "9" * 400 + "x"])
+_HUGE_INT = st.integers(10, 5000).map(lambda k: "9" * k)
+
+
+def _small_int(top: int):
+    return st.one_of(st.integers(0, top).map(str), _MALFORMED_INT)
+
+
+_CODE_TEXT = st.one_of(
+    st.integers(0, 10**6).map(str), _HUGE_INT, _MALFORMED_INT,
+    st.integers(0, 10**40).map(hex), st.just("0x" + "f" * 3000))
+# per subcommand: its flags and positional argument, each with values
+# drawn from a strategy; budgets and --micro-maxlen stay small, so every
+# run is short, and huge values go where they cost nothing to refuse
+_BUDGET_FLAGS = {"--witness-bound": _small_int(4),
+                 "--depth-bound": st.one_of(_small_int(8), _HUGE_INT),
+                 "--node-budget": _small_int(300)}
+_MICRO = {"--upsilon": _FORMULA_TEXT, "--micro-maxlen": _small_int(6)}
+_SUBCOMMANDS = {
+    "parse": ([_FORMULA_TEXT], {}),
+    "encode": ([_FORMULA_TEXT], {}),
+    "decode": ([_CODE_TEXT], {}),
+    "diagonalize": ([], {"--psi": _FORMULA_TEXT}),
+    "refute-truth": ([], {"--candidate": _FORMULA_TEXT,
+                          "--preset": st.one_of(
+                              st.sampled_from(sorted(cli._PRESETS)),
+                              _FORMULA_TEXT)}),
+    "berry": ([], _MICRO),
+    "tarski-experiment": ([], _MICRO),
+    "prove": ([], {"--goal": _FORMULA_TEXT, "--budget": _small_int(40)}),
+    "rosser": ([], {}),
+    "goedel": ([], {}),
+    "remark-demo": ([], {}),
+    "dominate": ([], {"--x": st.one_of(_small_int(6), _HUGE_INT)}),
+    "tb": ([], {"--psi": _FORMULA_TEXT, "--count": _small_int(3)}),
+}
+
+
+@st.composite
+def _argv(draw):
+    """(argv, where --json points: None, or a key of _JSON_PATHS)."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    positional, flags = _SUBCOMMANDS[command]
+    argv = [command] + [draw(value) for value in positional
+                        if draw(st.integers(0, 3))]
+    options = {**flags, **_BUDGET_FLAGS}
+    if command in ("berry", "tarski-experiment"):  # the default is 12
+        argv += ["--micro-maxlen", draw(st.integers(0, 6).map(str))]
+    if command == "dominate" and draw(st.booleans()):
+        # F_kotlarski costs x + 1 witness scans per catalogue formula
+        argv.append("--kotlarski")
+        options["--x"] = _small_int(6)
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=4)):
+        argv += [flag, draw(options[flag])]
+    stray = draw(st.integers(0, 9))
+    if stray == 0:  # an unknown subcommand
+        argv[0] = draw(_FORMULA_TEXT)
+    elif stray == 1:  # a flag no subcommand has, or a stray argument
+        argv.append(draw(st.one_of(
+            st.sampled_from(["--bogus", "-x", "--", "--json"]),
+            _FORMULA_TEXT)))
+    return argv, draw(st.sampled_from([None] * 4 + sorted(_JSON_PATHS)))
+
+
+_JSON_PATHS = {"a directory": "", "a missing directory": "no/such/report.json",
+               "a new file": "report.json"}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_argv())
+def test_argv_fuzz_gives_an_exit_code_and_short_stderr(drawn):
+    argv, json_to = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if json_to is not None:
+            argv = argv + ["--json", os.path.join(tmp, _JSON_PATHS[json_to])]
+        try:
+            code = main(argv)
+        except SystemExit as done:  # argparse's usage errors
+            code = done.code
+    assert code in (0, 1, 2)
+    assert all(len(line) <= 300 for line in err.getvalue().splitlines())

@@ -14,8 +14,8 @@ from selfref.bignat import BigNat
 from selfref.enumeration import unary_formulas
 from selfref.parser import parse_formula
 from selfref.semantics import (
-    DEPTH_CAP, Budget, DefinesReport, OracleEnv, OracleUndecided, Truth,
-    _compile_term, defines, evaluate, evaluate_full, eval_term,
+    DEPTH_CAP, Budget, DefinesReport, Evaluator, OracleEnv, OracleUndecided,
+    Truth, _batch, _compile_term, defines, evaluate, evaluate_full, eval_term,
     standard_oracle_env, sweep, t_and, t_iff, t_implies, t_or, truth_at,
 )
 from selfref.syntax import (
@@ -487,3 +487,68 @@ def test_larger_budgets_never_flip_a_decided_verdict(phi, asg, nodes, sweep,
                                       node_budget=nodes + more_nodes),
                      assignment=asg)
     assert small is U or large is small
+
+
+# -- batched sweeps ----------------------------------------------------------
+
+def _scalar_sweep(phi, var, asg, env, budget):
+    """The sweep loop before batching: the compiled code once per value,
+    ev.nodes read after each, the values from the one past the budget on
+    UNKNOWN."""
+    ev, spent, out = Evaluator(env, budget), 0, []
+    at, asg = ev.compile(phi), dict(asg)
+    for w in range(budget.witness_bound + 1):
+        asg[var] = w
+        got = at(asg)
+        spent += ev.nodes
+        if spent > budget.node_budget:
+            return out + [U] * (budget.witness_bound + 1 - w)
+        out.append(got)
+    return out
+
+
+def _qf_term(rng: random.Random, depth: int):
+    """A term over 0, 1, x, x′ and int numerals, spelled out or as Num."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Zero(), One(), Var(rng.randrange(2)),
+                           numeral(rng.randrange(2, 9)),
+                           Num(rng.randrange(1, 400))])
+    ctor = rng.choice([Add, Mul])
+    return ctor(_qf_term(rng, depth - 1), _qf_term(rng, depth - 1))
+
+
+def _qf_formula(rng: random.Random, depth: int):
+    """A quantifier-free, oracle-free formula over x and x′."""
+    if depth == 0 or rng.random() < 0.25:
+        ctor = rng.choice([Eq, Lt])
+        return ctor(_qf_term(rng, 2), _qf_term(rng, 2))
+    if rng.random() < 0.25:
+        return Not(_qf_formula(rng, depth - 1))
+    ctor = rng.choice([And, Or, Implies, Iff])
+    return ctor(_qf_formula(rng, depth - 1), _qf_formula(rng, depth - 1))
+
+
+def _formula_nodes(phi) -> int:
+    if type(phi) is Not:
+        return 1 + _formula_nodes(phi.body)
+    if type(phi) in (And, Or, Implies, Iff):
+        return 1 + _formula_nodes(phi.left) + _formula_nodes(phi.right)
+    return 1
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), _VALUES,
+       st.integers(0, 40), st.data())
+def test_a_batched_sweep_equals_the_scalar_loop(seed, var, other, bound, data):
+    phi = _qf_formula(random.Random(seed), 4)
+    # a value visits at most the formula's connectives and atoms, so this
+    # budget can cut the sweep at any value, or not at all
+    nodes = data.draw(st.integers(0, _formula_nodes(phi) * (bound + 1)))
+    depth = data.draw(st.sampled_from([256, 2]))
+    budget = Budget(witness_bound=bound, node_budget=nodes, depth_bound=depth)
+    asg = {1 - var: other}
+    if depth == 256:  # the batch reads every drawn formula
+        assert _batch(phi, var, asg, bound + 1, 0, budget) is not None
+    env = OracleEnv()
+    assert sweep(phi, var, asg, env, budget) == \
+        _scalar_sweep(phi, var, asg, env, budget)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfref.bignat import BigNat, BigNatError
 from selfref.diagonal import normalize_psi
+from selfref.semantics import OracleEnv, eval_term
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
     OracleAtom, OracleFun, Or, SyntaxError_, Var, Zero, conj, disj,
@@ -303,3 +304,38 @@ def test_deep_tower_over_a_run_form_numeral_hashes_without_recursion():
         expected = hash((Not._TAG, expected))
     assert hash(deep) == expected
     assert hash(_tower(3000, Eq(Num(_RUN_FORM), x))) == expected
+
+
+# -- token counts and substitution on random trees -----------------------------
+
+def _core_term(rng: random.Random, depth: int, top: int):
+    """A term over 0, 1, x to x′′′ and Num leaves of int values below top."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Zero(), One(), Var(rng.randrange(4)),
+                           Num(rng.randrange(1, top))])
+    ctor = rng.choice([Add, Mul])
+    return ctor(_core_term(rng, depth - 1, top),
+                _core_term(rng, depth - 1, top))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_length_is_the_token_count(seed, depth):
+    rng = random.Random(seed)
+    term = _core_term(rng, depth, 300)
+    phi = _random_formula(rng, depth)
+    for node in (term, substitute(phi, 0, term)):
+        assert length(node) == len(list(tokens(node)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3),
+       st.fixed_dictionaries({i: st.integers(0, 10**6) for i in range(4)}))
+def test_the_substitution_lemma_on_terms(seed, index, asg):
+    # t[s/x_index] at asg is t at asg with x_index set to the value of s
+    rng = random.Random(seed)
+    t, s = _core_term(rng, 4, 10**12), _core_term(rng, 3, 10**12)
+    env = OracleEnv()
+    inner = {**asg, index: eval_term(s, asg, env)}
+    assert eval_term(substitute(t, index, s), asg, env) == \
+        eval_term(t, inner, env)
