@@ -2,10 +2,16 @@
 
 Accepts the exact output of ``syntax.render`` plus a few input
 conveniences: ASCII aliases (~ & | -> <-> ' * A E), square brackets as
-alternative parentheses, ``#123`` for the numeral of 123, and
-whitespace anywhere between tokens.  None of the aliases are ever
-produced on output, so render-then-parse is the identity on
-canonically built trees.
+alternative parentheses, ``#123`` for the numeral of 123, ``≠`` for a
+negated equation, and whitespace anywhere between tokens.  None of the
+aliases are ever produced on output, so render-then-parse is the
+identity on canonically built trees.
+
+Parsing is one left-to-right pass over the tokens that keeps the open
+constructs on an explicit stack, so it has no depth limit: any nesting
+that fits in memory parses, and ``coding.decode`` inverts
+``coding.encode`` however deep the tree.  An oracle applied to the
+wrong number of arguments is a parse error.
 """
 
 from __future__ import annotations
@@ -27,9 +33,13 @@ _SINGLE = {
 _ZERO, _ONE = syntax.Zero(), syntax.One()
 _CONNECTIVES = {"∧": And, "∨": Or, "→": Implies, "↔": Iff}
 _TERM_OPS = {"+": Add, "·": Mul}
+_QUANTIFIERS = {"∀": Forall, "∃": Exists}
+# ≠ is input sugar only; the canonical spelling is the negation
+_COMPARISONS = {"=": Eq, "<": Lt,
+                "≠": lambda left, right: Not(Eq(left, right))}
+_ARITIES = {**syntax.ORACLE_ATOMS, **syntax.ORACLE_FUNS}
 # oracle names, longest first so a letter run is cut by longest match
-_NAMES = sorted({*syntax.ORACLE_ATOMS, *syntax.ORACLE_FUNS},
-                key=len, reverse=True)
+_NAMES = sorted(_ARITIES, key=len, reverse=True)
 
 
 class ParseError(ValueError):
@@ -108,190 +118,132 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return out
 
 
-class _Parser:
-    def __init__(self, toks: list[tuple[str, int]], text_len: int):
-        self.toks = toks
-        self.pos = 0
-        self.text_len = text_len
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][0]
-        return None
-
-    def here(self) -> int:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][1]
-        return self.text_len
-
-    def expect(self, tok: str) -> None:
-        got = self.peek()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}", self.here())
-        self.pos += 1
-
-    # -- terms ---------------------------------------------------------
-
-    def variable(self) -> Var:
-        self.expect("x")
-        index = 0
-        while self.peek() == "′":
-            self.pos += 1
-            index += 1
-        return Var(index)
-
-    def factor(self) -> Term:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a term", self.here())
-        if tok == "0":
-            self.pos += 1
-            return _ZERO
-        if tok == "1":
-            self.pos += 1
-            return _ONE
-        if tok == "x":
-            return self.variable()
-        if tok.startswith("#"):
-            self.pos += 1
-            return numeral(int(tok[1:]))
-        if tok in syntax.ORACLE_FUNS:
-            self.pos += 1
-            self.expect("(")
-            args = [self.term()]
-            while self.peek() == ",":
-                self.pos += 1
-                args.append(self.term())
-            self.expect(")")
-            return OracleFun(tok, tuple(args))
-        raise ParseError(f"expected a term, got {tok!r}", self.here())
-
-    def term(self) -> Term:
-        left = self.factor()
-        value = _numval(left)
-        pending: list[tuple[Term, type]] = []
-        while True:
-            tok = self.peek()
-            if tok in _TERM_OPS and self._lookahead_open():
-                ctor = _TERM_OPS[tok]
-                self.pos += 2
-                pending.append((left, ctor))
-                left = self.factor()
-                value = _numval(left)
-                continue
-            if tok == ")" and pending:
-                self.pos += 1
-                outer, ctor = pending.pop()
-                left = ctor(outer, left)
-                if ctor is Add and outer is _ONE and value is not None:
-                    value += 1
-                    if value > syntax.NUMERAL_EXPLICIT_MAX:
-                        left = numeral(value)
-                else:
-                    value = None
-                continue
-            if pending:
-                raise ParseError(
-                    f"expected ')' to close a term, got {tok!r}", self.here()
-                )
-            return left
-
-    def _lookahead_open(self) -> bool:
-        nxt = self.pos + 1
-        return nxt < len(self.toks) and self.toks[nxt][0] == "("
-
-    # -- formulas --------------------------------------------------------
-
-    def unit(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a formula", self.here())
-        if tok == "¬":
-            self.pos += 1
-            self.expect("(")
-            body = self.formula()
-            self.expect(")")
-            return Not(body)
-        if tok in ("∀", "∃"):
-            self.pos += 1
-            var = self.variable()
-            self.expect("(")
-            body = self.formula()
-            self.expect(")")
-            return (Forall if tok == "∀" else Exists)(var, body)
-        if tok in syntax.ORACLE_ATOMS:
-            self.pos += 1
-            self.expect("(")
-            args = [self.term()]
-            while self.peek() == ",":
-                self.pos += 1
-                args.append(self.term())
-            self.expect(")")
-            return OracleAtom(tok, tuple(args))
-        left = self.term()
-        op = self.peek()
-        if op == "=":
-            self.pos += 1
-            return Eq(left, self.term())
-        if op == "<":
-            self.pos += 1
-            return Lt(left, self.term())
-        if op == "≠":
-            # input sugar only; the canonical spelling is the negation
-            self.pos += 1
-            return Not(Eq(left, self.term()))
-        raise ParseError(f"expected '=' or '<', got {op!r}", self.here())
-
-    def formula(self) -> Formula:
-        out = self.unit()
-        while True:
-            tok = self.peek()
-            if tok in _CONNECTIVES:
-                ctor = _CONNECTIVES[tok]
-                self.pos += 1
-                self.expect("(")
-                right = self.formula()
-                self.expect(")")
-                out = ctor(out, right)
-                continue
-            return out
+def _expect(toks: list[tuple[str, int]], i: int, tok: str) -> int:
+    got, pos = toks[i]
+    if got != tok:
+        raise ParseError(f"expected {tok!r}, got {got!r}", pos)
+    return i + 1
 
 
-def _numval(node: Term) -> int | None:
-    """Value of a numeral-shaped leaf, for chain folding."""
-    if node is _ONE:
-        return 1
-    if isinstance(node, syntax.Num) and isinstance(node.value, int):
-        return node.value
-    return None
+def _variable(toks: list[tuple[str, int]], i: int) -> tuple[Var, int]:
+    """The variable whose primes start at toks[i], after its 'x'."""
+    j = i
+    while toks[j][0] == "′":
+        j += 1
+    return Var(j - i), j
 
 
-def _parse_whole(text: str, rule):
-    """Run one grammar rule over all of the text."""
-    p = _Parser(_tokenize(text), len(text))
-    try:
-        out = rule(p)
-    except RecursionError:
-        raise ParseError("nesting too deep", 0) from None
-    if p.peek() is not None:
-        raise ParseError(f"trailing input {p.peek()!r}", p.here())
-    return out
+def _parse(text: str, top):
+    """Parse all of text as a ``top``: Term, Formula, or None for either.
+
+    One left-to-right pass over the tokens.  ``done`` is the term or
+    formula just completed, and ``stack`` holds the constructs still
+    open around it, innermost last, as ``(closer, want, build, parts)``:
+    ``want`` is the kind of operand the construct takes next, and on
+    closing the node is ``build(*parts, operand)``.  A ``")"`` closer is
+    a parenthesized right side (of ``¬``, a quantifier, a connective or
+    a term operator), ``","`` an oracle's argument list (``build`` is
+    the oracle's name, ``parts`` the arguments so far), and ``"="`` a
+    comparison's right term, which ends where the term does.
+    """
+    toks = _tokenize(text)
+    toks.append((None, len(text)))
+    stack: list[tuple] = []
+    # value: done's value while done is a chain 1+(1+(...)) of known
+    # length, so chains longer than NUMERAL_EXPLICIT_MAX fold into a Num
+    done = value = None
+    i = 0
+    while True:
+        tok, pos = toks[i]
+        want = stack[-1][1] if stack else top
+        if done is None:  # an operand of kind `want` starts at tok
+            i += 1
+            if tok == "0":
+                done = _ZERO
+            elif tok == "1":
+                done, value = _ONE, 1
+            elif tok == "x":
+                done, i = _variable(toks, i)
+            elif tok is not None and tok[0] == "#":
+                value = int(tok[1:]) or None
+                done = numeral(value or 0)
+            elif tok in syntax.ORACLE_FUNS or (
+                    want is not Term and tok in syntax.ORACLE_ATOMS):
+                stack.append((",", Term, tok, []))
+                i = _expect(toks, i, "(")
+            elif want is not Term and tok == "¬":
+                stack.append((")", Formula, Not, ()))
+                i = _expect(toks, i, "(")
+            elif want is not Term and tok in _QUANTIFIERS:
+                var, i = _variable(toks, _expect(toks, i, "x"))
+                stack.append((")", Formula, _QUANTIFIERS[tok], (var,)))
+                i = _expect(toks, i, "(")
+            else:
+                what = "a term" if want is Term else "a formula"
+                raise ParseError(f"expected {what}" if tok is None
+                                 else f"expected {what}, got {tok!r}", pos)
+            continue
+        is_term = isinstance(done, Term)
+        if is_term and tok in _TERM_OPS:
+            stack.append((")", Term, _TERM_OPS[tok], (done,)))
+            done = value = None
+            i = _expect(toks, i + 1, "(")
+        elif is_term and stack and stack[-1][0] == "=":
+            _, _, build, (left,) = stack.pop()
+            done = build(left, done)  # tok is read again, after the formula
+        elif is_term and want is not Term and (want or tok is not None):
+            # a formula is wanted (or either, with input left): compare
+            if tok not in _COMPARISONS:
+                raise ParseError(f"expected '=' or '<', got {tok!r}", pos)
+            stack.append(("=", Term, _COMPARISONS[tok], (done,)))
+            done = value = None
+            i += 1
+        elif not is_term and tok in _CONNECTIVES:
+            stack.append((")", Formula, _CONNECTIVES[tok], (done,)))
+            done = value = None
+            i = _expect(toks, i + 1, "(")
+        elif not stack:
+            if tok is not None:
+                raise ParseError(f"trailing input {tok!r}", pos)
+            return done
+        elif stack[-1][0] == ",":
+            if tok not in (",", ")"):
+                raise ParseError(f"expected ')', got {tok!r}", pos)
+            _, _, name, args = stack[-1]
+            args.append(done)
+            done = value = None
+            i += 1
+            if tok == ")":
+                stack.pop()
+                if len(args) != _ARITIES[name]:
+                    raise ParseError(f"{name} expects {_ARITIES[name]} "
+                                     f"arguments, got {len(args)}", pos)
+                done = (OracleAtom if name in syntax.ORACLE_ATOMS
+                        else OracleFun)(name, args)
+        elif tok != ")":
+            close = " to close a term" if want is Term else ""
+            raise ParseError(f"expected ')'{close}, got {tok!r}", pos)
+        else:
+            _, _, build, parts = stack.pop()
+            i += 1
+            if build is Add and parts[0] is _ONE and value is not None:
+                value += 1
+                if value > syntax.NUMERAL_EXPLICIT_MAX:
+                    done = numeral(value)
+                    continue
+            else:
+                value = None
+            done = build(*parts, done)
 
 
 def parse_formula(text: str) -> Formula:
-    return _parse_whole(text, _Parser.formula)
+    return _parse(text, Formula)
 
 
 def parse_term(text: str) -> Term:
-    return _parse_whole(text, _Parser.term)
+    return _parse(text, Term)
 
 
 def parse(text: str):
-    """Parse a formula if possible, otherwise a term."""
-    try:
-        return parse_formula(text)
-    except ParseError as first:
-        try:
-            return parse_term(text)
-        except ParseError:
-            raise first from None
+    """Parse a formula or a term, whichever the text spells."""
+    return _parse(text, None)

@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from selfref import cli
 from selfref.cli import main
+from selfref.coding import encode
+from selfref.parser import parse_formula
 
 
 def _run(capsys, argv):
@@ -70,9 +72,14 @@ def test_decode_roundtrip(capsys):
     assert report["outputs"]["compact"] == "x=x"
 
 
-def test_decode_non_code_is_verdict_failure(capsys):
-    code, report = _run(capsys, ["decode", "8083"])
-    assert code == 1
+@pytest.mark.parametrize("code", [
+    "8083",
+    # the digits of len(0,0)=0: an oracle applied to the wrong arity
+    "99004635193",
+])
+def test_decode_non_code_is_verdict_failure(capsys, code):
+    exit_code, report = _run(capsys, ["decode", code])
+    assert exit_code == 1
     assert report["verdict_failure"]["decodes"] is False
 
 
@@ -246,8 +253,10 @@ def test_bad_budget_profile_is_usage_error(capsys, monkeypatch):
     assert main(["parse", "0=0"]) == 2
 
 
-def test_negative_budget_profile_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SELFREF_BUDGET_PROFILE", "witness-bound=-4")
+@pytest.mark.parametrize("bound", ["-4", str(cli._WITNESS_BOUND_MAX + 1)])
+def test_out_of_range_budget_profile_is_usage_error(capsys, monkeypatch,
+                                                    bound):
+    monkeypatch.setenv("SELFREF_BUDGET_PROFILE", f"witness-bound={bound}")
     assert main(["parse", "0=0"]) == 2
 
 
@@ -260,29 +269,39 @@ def test_entry_point_subprocess():
     assert report["outputs"]["canonical"] == "0=0"
 
 
+_DEEP_NEGATION = "¬(" * 1200 + "0=0" + ")" * 1200
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     # formulas using Tr or inst have no code: a usage error
     (["encode", "Tr(x)"], 2),
     (["encode", "inst(0,0,0)=0"], 2),
     (["diagonalize", "--psi", "Tr(x)"], 2),
     (["refute-truth", "--candidate", "Tr(x)"], 2),
-    # nesting past the parser's reach, in a term and in a formula
-    (["encode", "len(" * 1200 + "0" + ")" * 1200], 2),
-    (["encode", "¬(" * 1200 + "0=0" + ")" * 1200], 2),
+    # an oracle applied to the wrong number of arguments
+    (["encode", "len(0,0)=0"], 2),
+    # deep nesting, in a term and in a formula, and back from a code
+    (["encode", "len(" * 1200 + "0" + ")" * 1200], 0),
+    (["encode", _DEEP_NEGATION], 0),
+    (["decode", str(encode(parse_formula(_DEEP_NEGATION)))], 0),
+    (["diagonalize", "--psi", "¬(" * 1200 + "x=x" + ")" * 1200], 0),
     (["berry", "--micro-maxlen", "6", "--upsilon", "Tr(0)∨(x=x)"], 0),
     # an unsettled report is a verdict failure
     (["berry", "--micro-maxlen", "6", "--upsilon", "inst(x,0,0)=0"], 1),
-    # integer flags take values >= 0
+    # integer flags take values >= 0, the witness bound at most 10**6
     (["berry", "--micro-maxlen", "6", "--witness-bound", "-1"], 2),
+    (["dominate", "--x", "1", "--witness-bound", "1" + "0" * 30], 2),
     (["dominate", "--x", "-1"], 2),
     (["berry", "--micro-maxlen", "-3"], 2),
     (["prove", "--goal", "0=0", "--budget", "-1"], 2),
     (["tb", "--psi", "x=x", "--count", "-1"], 2),
     (["diagonalize", "--psi", "x=x", "--node-budget", "-5"], 2),
 ], ids=["encode-Tr", "encode-inst", "diagonalize-Tr", "refute-truth-Tr",
-        "deep-term", "deep-negation", "berry-Tr0", "berry-unsettled",
-        "negative-witness-bound", "negative-x", "negative-micro-maxlen",
-        "negative-budget", "negative-count", "negative-node-budget"])
+        "encode-arity", "deep-term", "deep-negation", "decode-deep-negation",
+        "diagonalize-deep-negation", "berry-Tr0", "berry-unsettled",
+        "negative-witness-bound", "huge-witness-bound", "negative-x",
+        "negative-micro-maxlen", "negative-budget", "negative-count",
+        "negative-node-budget"])
 def test_exit_codes_without_traceback(argv, exit_code):
     done = subprocess.run([sys.executable, "-m", "selfref.cli", *argv],
                           capture_output=True, text=True, timeout=120)

@@ -11,9 +11,11 @@ from selfref.coding import (
     ID_TOKENS, TOKEN_IDS, NotACode, code_length, decode, encode,
     load_pinned_table, neg_code, quote,
 )
+from selfref.semantics import Truth, evaluate, standard_oracle_env
 from selfref.syntax import (
-    Eq, Not, Num, One, Var, Zero, length, numeral, render, tokens,
+    Eq, Not, Num, One, OracleAtom, Var, Zero, length, numeral, render, tokens,
 )
+from .test_parser import DEEP_SHAPES, deep_tree
 from .test_syntax import _random_formula, _random_term
 
 
@@ -67,6 +69,22 @@ def test_decode_roundtrip():
     assert decode(9929) == Eq(Var(0), Var(0))
 
 
+@pytest.mark.parametrize("shape, depth", DEEP_SHAPES)
+def test_decode_inverts_encode_on_deep_nesting(shape, depth):
+    tree = deep_tree(shape, depth)
+    assert decode(encode(tree)) == tree
+
+
+def test_formula_oracle_reads_deep_and_misapplied_codes():
+    def is_formula(code):
+        return evaluate(OracleAtom("Formula", (numeral(code),)),
+                        standard_oracle_env())
+
+    assert is_formula(encode(deep_tree("not", 1_000))) is Truth.TRUE
+    # the digits of len(0,0)=0: len applied to two arguments
+    assert is_formula(99004635193) is Truth.FALSE
+
+
 def test_decode_rejects_non_codes():
     with pytest.raises(NotACode):
         decode(0)
@@ -76,6 +94,8 @@ def test_decode_rejects_non_codes():
         decode(TOKEN_IDS["("])  # lone parenthesis
     with pytest.raises(NotACode):
         decode(TOKEN_IDS["="] * BASE + TOKEN_IDS["="])
+    with pytest.raises(NotACode):
+        decode(99004635193)  # len(0,0)=0
 
 
 def test_concatenation_law():

@@ -9,8 +9,8 @@ import pytest
 from selfref.parser import (ParseError, _tokenize, parse, parse_formula,
                             parse_term)
 from selfref.syntax import (
-    Add, And, Eq, Exists, Forall, Lt, Mul, Not, Num, One, Or, Var, Zero,
-    numeral, render, NUMERAL_EXPLICIT_MAX,
+    Add, And, Eq, Exists, Forall, Lt, Mul, Not, Num, One, OracleFun, Or, Var,
+    Zero, numeral, render, NUMERAL_EXPLICIT_MAX,
 )
 from .test_syntax import _random_formula, _random_term
 
@@ -60,6 +60,7 @@ def test_numeral_chains_parse_and_canonicalize():
     assert out == Num(NUMERAL_EXPLICIT_MAX + 1)
     # a hash literal means the same thing
     assert parse_term(f"#{NUMERAL_EXPLICIT_MAX + 1}") == out
+    assert parse_term(f"1+(#{NUMERAL_EXPLICIT_MAX})") == out
     assert parse_term("#7") == numeral(7)
 
 
@@ -74,6 +75,8 @@ def test_non_numeral_chains_keep_their_shape():
     assert t == Add(Add(Zero(), One()), Var(0))
     t2 = parse_term("1+(1+(0))")
     assert t2 == Add(One(), Add(One(), Zero()))
+    t3 = parse_term(f"0+(#{NUMERAL_EXPLICIT_MAX})")
+    assert t3 == Add(Zero(), numeral(NUMERAL_EXPLICIT_MAX))
 
 
 def test_error_positions():
@@ -128,6 +131,57 @@ def test_tokenizer_error_positions(text, pos, message):
 def test_parse_auto_detects():
     assert parse("x=x") == Eq(Var(0), Var(0))
     assert parse("x+(1)") == Add(Var(0), One())
+    rng = random.Random(79)
+    for _ in range(200):
+        text = render(_random_formula(rng, 4))
+        assert parse(text) == parse_formula(text)
+        text = render(_random_term(rng, 4))
+        assert parse(text) == parse_term(text)
+
+
+def deep_tree(shape: str, depth: int):
+    """A tree nested ``depth`` levels deep in one of five shapes."""
+    leaf = Eq(Zero(), Zero())
+    out = Zero() if shape == "len" else leaf
+    for i in range(depth):
+        if shape == "not":
+            out = Not(out)
+        elif shape == "and":  # right-nested: 0=0∧(0=0∧(...))
+            out = And(leaf, out)
+        elif shape == "quantifiers":
+            out = (Forall, Exists)[i % 2](Var(i % 3), out)
+        else:
+            out = OracleFun("len", (out,))
+    return out
+
+
+DEEP_SHAPES = [("not", 1_000), ("not", 10_000), ("and", 1_000),
+               ("quantifiers", 1_000), ("len", 1_000)]
+
+
+@pytest.mark.parametrize("shape, depth", DEEP_SHAPES)
+def test_deep_nesting_round_trips(shape, depth):
+    tree = deep_tree(shape, depth)
+    text = render(tree)
+    assert (parse_term if shape == "len" else parse_formula)(text) == tree
+    assert parse(text) == tree
+
+
+@pytest.mark.parametrize("text, pos, message", [
+    ("", 0, "expected a formula"),
+    (")", 0, "expected a formula, got ')'"),
+    ("x=x∧0=0", 4, "expected '(', got '0'"),
+    ("x+1=0", 2, "expected '(', got '1'"),
+    ("¬(x)", 3, "expected '=' or '<', got ')'"),
+    ("len(x+(0,1))", 8, "expected ')' to close a term, got ','"),
+    ("len(0,0)=0", 7, "len expects 1 arguments, got 2"),
+    ("x=x=x", 3, "trailing input '='"),
+])
+def test_grammar_error_messages(text, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.pos == pos
+    assert str(err.value) == f"{message} (at position {pos})"
 
 
 def test_not_equal_sugar():
