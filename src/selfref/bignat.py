@@ -223,8 +223,15 @@ def _join(blocks: list[int], width: int) -> int:
 
 def _trim_msb_zeros(runs_lsb: list[tuple[int, int, int]]) -> list:
     """Drop empty runs and most significant zero digits, so the top block
-    has no leading zero."""
-    runs = [r for r in runs_lsb if r[1] * r[2]]
+    has no leading zero, and join neighbouring runs of one block, so that
+    repeated additions of a small int do not splinter a run form."""
+    runs: list[tuple[int, int, int]] = []
+    for v, w, c in runs_lsb:
+        if not w * c:
+            continue
+        if runs and runs[-1][0] == v and runs[-1][1] == w:
+            c += runs.pop()[2]
+        runs.append((v, w, c))
     while runs and runs[-1][0] == 0:
         runs.pop()
     if runs:
@@ -334,6 +341,12 @@ class BigNat:
         other = _coerce(other)
         if self._int is not None and other._int is not None:
             return BigNat(self._int + other._int)
+        big, small = (other, self) if self._int is not None else (self, other)
+        if small._int is not None:  # an int kept inside the lowest block
+            (v, w, c), *rest = big._runs.runs
+            low = v + small._int
+            if low < BASE**w:
+                return BigNat._from_lsb([(low, w, 1), (v, w, c - 1), *rest])
 
         def step(x: int, y: int, width: int, carry: int):
             s, top = x + y + carry, BASE**width

@@ -30,7 +30,7 @@ from .berry import (
 )
 from .bignat import BigNat, BigNatError, _digit_count
 from .coding import NotACode, decode, encode
-from .diagonal import check_fixed_point, diagonal_sentence, \
+from .diagonal import NotOneFree, check_fixed_point, diagonal_sentence, \
     refute_truth_definition
 from .domination import F_fixed_input, F_kotlarski, micro_scheme
 from .parser import ParseError, parse, parse_formula
@@ -556,7 +556,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                       wall_time_s=round(time.perf_counter() - start, 6))
         _emit(report, args.json)
         return code
-    except (_Usage, NotACode) as err:
+    except (_Usage, NotACode, NotOneFree) as err:
         # a NotACode escaping a command comes from coding an input that
         # uses a symbol without a digit; decode reports its own verdict
         parser.print_usage(sys.stderr)

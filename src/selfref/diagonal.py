@@ -367,6 +367,10 @@ def check_diag_instance(phi: Formula,
     )
 
 
+class NotOneFree(ValueError):
+    """The property must have exactly one free variable."""
+
+
 def normalize_psi(psi: Formula, binder_floor: int = 0) -> Formula:
     """Rewrite a one-free-variable property for use inside delta.
 
@@ -378,7 +382,7 @@ def normalize_psi(psi: Formula, binder_floor: int = 0) -> Formula:
     """
     fv = free_vars(psi)
     if len(fv) != 1:
-        raise ValueError("the property must have exactly one free variable")
+        raise NotOneFree("the property must have exactly one free variable")
     (free,) = fv
 
     counter = max(max(fv | {1}) + 1, binder_floor)

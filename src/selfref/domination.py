@@ -30,7 +30,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
-from .diagonal import normalize_psi
+from .diagonal import NotOneFree, normalize_psi
 from .parser import parse_formula
 from .semantics import (Budget, OracleEnv, Truth, Unknown, catalogue_env,
                         evaluate, pair, statement_code, sweep, truth_at,
@@ -49,10 +49,6 @@ _U, _V, _ALPHA, _Z, _W = Var(0), Var(1), Var(2), Var(3), Var(4)
 # binders for a normalized truth property start above every variable
 # with a fixed role in psi
 _BINDER_FLOOR = 5
-
-
-class NotOneFree(ValueError):
-    """The candidate property must have exactly one free variable."""
 
 
 class UnresolvedPoint(Exception):

@@ -42,7 +42,7 @@ from .semantics import (Budget, OracleEnv, OracleUndecided, Truth, Unknown,
                         WitnessMap, evaluate, standard_oracle_env, t_iff)
 from .syntax import (Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt,
                      Mul, Nat, Not, One, Or, OracleAtom, OracleFun, Term, Var,
-                     Zero, free_vars, length, numeral, render, substitute,
+                     Zero, free_vars, numeral, render, substitute,
                      _children)
 
 __all__ = [
@@ -253,7 +253,7 @@ class _Meta(str):
     """
 
     fv = frozenset()
-    size = 0
+    length = 0
     height = 0
     index = None
     _hash = None
@@ -660,14 +660,22 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _int_length(node) -> Optional[int]:
-    return as_int(length(node))
-
-
 def _sort_key(node):
     # length first, spelling second: total, deterministic, cheap on the
     # small nodes that survive the pool caps
-    return (_int_length(node), render(node, compact=True))
+    return (node.length, render(node, compact=True))
+
+
+def _tree_size_at_most(node, cap: int) -> bool:
+    """Whether the tree has at most cap nodes, counting a shared subtree
+    once per occurrence and no quantifier's variable."""
+    stack = [node]
+    while stack:
+        cap -= 1
+        if cap < 0:
+            return False
+        stack.extend(_children(stack.pop()))
+    return True
 
 
 class _Searcher:
@@ -698,37 +706,30 @@ class _Searcher:
         subformulas = [n for n in nodes if isinstance(n, Formula)]
         subterms = [n for n in nodes if isinstance(n, Term)]
 
-        def fits(node, cap: int) -> bool:
-            # the tree size is a lower bound on the token length
-            if node.size > cap:
-                return False
-            value = _int_length(node)
-            return value is not None and value <= cap
-
         # generalization targets, by premise and in variable order:
         # universal subformulas small enough to ever be reached by
-        # closing over a derived premise in which the variable is free
+        # closing over a derived premise in which the variable is free;
+        # the cap is on tree size, not tokens, so quoted codes pass
         self.closures: dict[Formula, list[Forall]] = {}
         for f in sorted((f for f in subformulas if isinstance(f, Forall)
-                         and f.size <= 4 * _POOL_FORMULA_LEN
-                         and f.var.index in f.body.fv),
+                         and f.var.index in f.body.fv
+                         and _tree_size_at_most(f, 4 * _POOL_FORMULA_LEN)),
                         key=lambda f: f.var.index):
             self.closures.setdefault(f.body, []).append(f)
 
         pool: dict[Formula, None] = {}
         for f in subformulas:
-            if fits(f, _POOL_FORMULA_LEN):
+            if f.length <= _POOL_FORMULA_LEN:
                 pool.setdefault(f, None)
         for f in list(pool):
             neg = Not(f)
-            if _int_length(neg) is not None \
-                    and _int_length(neg) <= _POOL_FORMULA_LEN:
+            if neg.length <= _POOL_FORMULA_LEN:
                 pool.setdefault(neg, None)
         self.pool = sorted(pool, key=_sort_key)
 
         terms: dict[Term, None] = {}
         for t in subterms:
-            if fits(t, _POOL_TERM_LEN) and not free_vars(t):
+            if t.length <= _POOL_TERM_LEN and not free_vars(t):
                 terms.setdefault(t, None)
         for k in range(_NUMERAL_BOUND + 1):
             terms.setdefault(numeral(k), None)
@@ -736,7 +737,7 @@ class _Searcher:
 
         exists_targets: dict[Formula, None] = {}
         for f in subformulas:
-            if isinstance(f, Exists) and fits(f, _POOL_FORMULA_LEN):
+            if isinstance(f, Exists) and f.length <= _POOL_FORMULA_LEN:
                 exists_targets.setdefault(f, None)
         self.exists_targets = sorted(exists_targets, key=_sort_key)
 

@@ -19,10 +19,11 @@ token count and digit code of a ``Num`` are produced arithmetically, so
 the node behaves exactly like the chain it abbreviates.
 
 Nodes are immutable and carry facts that never change: the free-variable
-set, the tree size, the height and the structural hash are computed
-once, at construction, from the children's.  The one exception is the
-hash of a ``Num`` over a ``BigNat`` and of every node above it, which is
-computed on the first ``hash()``.  The leaves 0, 1 and each variable are
+set, the token length, the height and the structural hash are computed
+once, at construction, from the children's.  The token length is a
+``BigNat`` at and above a ``Num`` over a ``BigNat``.  The one exception is
+the hash of such a ``Num`` and of every node above it, which is computed
+on the first ``hash()``.  The leaves 0, 1 and each variable are
 one shared node apiece.  Hashing, equality, substitution and ``repr``
 use explicit stacks, so nesting depth is limited by memory, not by the
 interpreter's recursion limit.
@@ -81,17 +82,17 @@ def _union(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
 class _Node:
     """An immutable syntax node.
 
-    ``fv`` is the set of free variable indices, ``size`` the number of
-    nodes in the tree (a quantifier's variable is not counted, so it
-    never exceeds the token length) and ``height`` the number of nodes
-    on its longest root-to-leaf path; all are set at construction.
+    ``fv`` is the set of free variable indices, ``length`` the token count
+    of the canonical spelling and ``height`` the number of nodes on its
+    longest root-to-leaf path (a quantifier's variable is not counted);
+    all are set at construction.
     ``_hash`` is ``hash((_TAG, *parts))`` with each child node standing in
     by its own ``_hash``, also set at construction.  Hashing a run-form
     ``BigNat`` walks its runs, so a ``Num`` over a ``BigNat`` and every
     node above it hold ``None`` there until their first ``hash()``.
     """
 
-    __slots__ = ("fv", "size", "height", "_hash")
+    __slots__ = ("fv", "length", "height", "_hash")
     # field names in constructor order, read by repr and by pattern matching
     _fields: tuple[str, ...] = ()
     # fixed per class (assigned below), so hashes and therefore set and
@@ -147,14 +148,15 @@ class _Node:
 
 # Slot writers for construction; ordinary assignment is refused.
 _set_fv = _Node.fv.__set__
-_set_size = _Node.size.__set__
+_set_length = _Node.length.__set__
 _set_height = _Node.height.__set__
 _set_hash = _Node._hash.__set__
 
 
-def _set_leaf(node: _Node, fv: frozenset[int], h: int | None) -> None:
+def _set_leaf(node: _Node, fv: frozenset[int], n: Nat,
+              h: int | None) -> None:
     _set_fv(node, fv)
-    _set_size(node, 1)
+    _set_length(node, n)
     _set_height(node, 1)
     _set_hash(node, h)
 
@@ -177,13 +179,13 @@ def _hash_tree(root: _Node) -> int:
 
 
 def _same_tree(a: _Node, b: _Node) -> bool:
-    """Structural equality: type, size and any cached hashes first."""
+    """Structural equality: type, token length and any cached hashes first."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
         if a is b:
             continue
-        if type(a) is not type(b) or a.size != b.size:
+        if type(a) is not type(b) or a.length != b.length:
             return False
         ha, hb = a._hash, b._hash
         if ha is not None and hb is not None and ha != hb:
@@ -233,7 +235,7 @@ class Var(Term):
                 raise SyntaxError_("variable index must be nonnegative")
             node = _VARS[index] = object.__new__(cls)
             _set_index(node, index)
-            _set_leaf(node, _shared(frozenset((index,))),
+            _set_leaf(node, _shared(frozenset((index,))), index + 1,
                       hash((cls._TAG, index)))
         return node
 
@@ -259,9 +261,12 @@ class Num(Term):
             raise SyntaxError_(
                 f"Num value must be int or BigNat, got {value!r}")
         _set_value(self, value)
-        # a BigNat is hashed on the first hash(), not here
-        _set_leaf(self, _NO_VARS, hash((self._TAG, value))
-                  if isinstance(value, int) else None)
+        # value - 1 times 1+( and ), around one 1; a BigNat is hashed on
+        # the first hash(), not here
+        if isinstance(value, int):
+            _set_leaf(self, _NO_VARS, 4 * value - 3, hash((self._TAG, value)))
+        else:
+            _set_leaf(self, _NO_VARS, (value * 4).sub(3), None)
 
     def _parts(self) -> tuple:
         return (self.value,)
@@ -274,12 +279,14 @@ class _Binary(_Node):
     """Two operands: the term operators, comparisons and connectives."""
 
     __slots__ = _fields = ("left", "right")
+    # the operator and the parentheses around the right operand
+    _TOKENS = 3
 
     def __init__(self, left, right):
         _set_left(self, left)
         _set_right(self, right)
         _set_fv(self, _union(left.fv, right.fv))
-        _set_size(self, 1 + left.size + right.size)
+        _set_length(self, self._TOKENS + left.length + right.length)
         lh, rh = left.height, right.height
         _set_height(self, 1 + (lh if lh > rh else rh))
         lh, rh = left._hash, right._hash
@@ -315,7 +322,8 @@ class _Oracle(_Node):
         for a in args:
             fv = _union(fv, a.fv)
         _set_fv(self, fv)
-        _set_size(self, 1 + sum(a.size for a in args))
+        # the name, the parentheses and a comma between arguments
+        _set_length(self, sum((a.length for a in args), len(args) + 2))
         _set_height(self, 1 + max(a.height for a in args))
         hashes = [a._hash for a in args]
         _set_hash(self, None if None in hashes
@@ -352,10 +360,12 @@ class Formula(_Node):
 
 class Eq(_Binary, Formula):
     __slots__ = ()
+    _TOKENS = 1
 
 
 class Lt(_Binary, Formula):
     __slots__ = ()
+    _TOKENS = 1
 
 
 class OracleAtom(_Oracle, Formula):
@@ -370,7 +380,7 @@ class Not(Formula):
     def __init__(self, body: Formula):
         _set_not_body(self, body)
         _set_fv(self, body.fv)
-        _set_size(self, 1 + body.size)
+        _set_length(self, 3 + body.length)  # ¬( … )
         _set_height(self, 1 + body.height)
         h = body._hash
         _set_hash(self, None if h is None else hash((self._TAG, h)))
@@ -408,7 +418,7 @@ class _Quantifier(Formula):
         if var.index in fv:
             fv = _shared(fv - {var.index})
         _set_fv(self, fv)
-        _set_size(self, 1 + body.size)
+        _set_length(self, 3 + var.length + body.length)  # ∀x( … )
         _set_height(self, 1 + body.height)
         h = body._hash
         _set_hash(self, None if h is None
@@ -437,7 +447,7 @@ for _tag, _cls in enumerate((Zero, One, Var, Num, Add, Mul, OracleFun, Eq, Lt,
 
 for _cls in (Zero, One):
     _cls._SHARED = object.__new__(_cls)
-    _set_leaf(_cls._SHARED, _NO_VARS, hash((_cls._TAG,)))
+    _set_leaf(_cls._SHARED, _NO_VARS, 1, hash((_cls._TAG,)))
 
 _COMPARISONS = (Eq, Lt)
 
@@ -506,37 +516,10 @@ def _rebuild(node, kids: list, var):
 
 
 def length(x) -> Nat:
-    """Token count of the canonical spelling, computed arithmetically."""
-    total: Nat = 0
-    stack = [x]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _Constant):
-            total = total + 1
-        elif isinstance(node, Var):
-            total = total + node.index + 1
-        elif isinstance(node, Num):
-            v = node.value
-            if isinstance(v, int):
-                total = total + (4 * v - 3)
-            else:
-                total = (v * 4).sub(3) + total
-        elif isinstance(node, _Binary):
-            total = total + (1 if isinstance(node, _COMPARISONS) else 3)
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Not):
-            total = total + 3
-            stack.append(node.body)
-        elif isinstance(node, _Quantifier):
-            total = total + node.var.index + 4
-            stack.append(node.body)
-        elif isinstance(node, _Oracle):
-            total = total + len(node.args) + 2
-            stack.extend(node.args)
-        else:
-            raise SyntaxError_(f"not a term or formula: {node!r}")
-    return total
+    """Token count of the canonical spelling, read from the node."""
+    if not isinstance(x, _Node):
+        raise SyntaxError_(f"not a term or formula: {x!r}")
+    return x.length
 
 
 def free_vars(x) -> frozenset[int]:

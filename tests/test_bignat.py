@@ -65,6 +65,23 @@ def test_add_sub_against_ints():
         assert hi.sub(lo).to_int() == abs(a - b)
 
 
+@pytest.mark.parametrize("runs", [
+    [((7,), 1), ((0,), 4200)],
+    [((5, 23), 3), ((23,), 4200)],  # additions carry through 4,200 digits
+    [((1, 2, 3), 2000)],
+    [((9,), 1), ((23,), 5000), ((4, 5), 1)],
+])
+def test_small_additions_keep_a_run_form_short(runs):
+    a = BigNat.from_runs(runs)
+    value = a.to_int()
+    for k in range(600):
+        a = k % 7 + a if k % 2 else a + BigNat(k % 7)
+        value += k % 7
+        # neighbouring runs of one block are joined, so they do not pile up
+        assert len(a._runs.runs) <= len(runs) + 3
+    assert a.to_int() == value
+
+
 def test_sub_negative_raises():
     with pytest.raises(BigNatError):
         BigNat.from_int(3).sub(BigNat.from_int(5))

@@ -296,12 +296,21 @@ _DEEP_NEGATION = "¬(" * 1200 + "0=0" + ")" * 1200
     (["prove", "--goal", "0=0", "--budget", "-1"], 2),
     (["tb", "--psi", "x=x", "--count", "-1"], 2),
     (["diagonalize", "--psi", "x=x", "--node-budget", "-5"], 2),
+    # a property needs exactly one free variable
+    (["diagonalize", "--psi", "0=0"], 2),
+    (["diagonalize", "--psi", "x=x′"], 2),
+    (["refute-truth", "--candidate", "0=0"], 2),
+    (["tb", "--psi", "0=0"], 2),
+    (["berry", "--upsilon", "0=0"], 2),
+    (["tarski-experiment", "--upsilon", "x=x′"], 2),
 ], ids=["encode-Tr", "encode-inst", "diagonalize-Tr", "refute-truth-Tr",
         "encode-arity", "deep-term", "deep-negation", "decode-deep-negation",
         "diagonalize-deep-negation", "berry-Tr0", "berry-unsettled",
         "negative-witness-bound", "huge-witness-bound", "negative-x",
         "negative-micro-maxlen", "negative-budget", "negative-count",
-        "negative-node-budget"])
+        "negative-node-budget", "diagonalize-closed", "diagonalize-two-free",
+        "refute-truth-closed", "tb-closed", "berry-closed",
+        "tarski-experiment-two-free"])
 def test_exit_codes_without_traceback(argv, exit_code):
     done = subprocess.run([sys.executable, "-m", "selfref.cli", *argv],
                           capture_output=True, text=True, timeout=120)
@@ -323,7 +332,7 @@ def test_int_summary_matches_the_decimal_spelling(n):
 
 _NESTED = st.integers(1, 700)
 _FORMULA_TEXT = st.one_of(
-    st.sampled_from(["x=x", "¬(x=x)", "Tr(x)", "Tr(0)∨(x=x)", "∃x′(x′·x′=x)",
+    st.sampled_from(["x=x", "0=0", "x=x′", "¬(x=x)", "Tr(x)", "Tr(0)∨(x=x)", "∃x′(x′·x′=x)",
                      "x<#" + "9" * 60, "len(x)<x", "prf(x,x)", "inst(x,0,0)=0",
                      "x=+", "", "(((", "∀x", "x=x)", "#-3=x"]),
     _NESTED.map(lambda k: "¬(" * k + "x=x" + ")" * k),

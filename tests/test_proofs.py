@@ -18,7 +18,8 @@ from selfref.diagonal import diagonal_sentence, normalize_psi, taut_equiv
 from selfref.semantics import Budget, Truth, evaluate
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, One, Or,
-    OracleAtom, OracleFun, Var, Zero, free_vars, numeral, render, substitute,
+    OracleAtom, OracleFun, Var, Zero, free_vars, length, numeral, render,
+    substitute,
 )
 from selfref.parser import parse_formula
 from selfref.proofs import (
@@ -32,6 +33,7 @@ from selfref.proofs import (
     robinson_order_axiomatization, rosser_pr_formula, rosser_psi,
     rosser_sentence, search_report, serialize_proof,
     standard_theory, successor_bound_proof, tb_stream,
+    _POOL_FORMULA_LEN, _Searcher,
 )
 
 X, X1, X2 = Var(0), Var(1), Var(2)
@@ -406,6 +408,26 @@ def test_search_is_deterministic():
     b = search_report(NOT_DELTA, T, 1000)
     assert serialize_proof(a.outcome) == serialize_proof(b.outcome)
     assert a.nodes_used == b.nodes_used
+
+
+def _closes(f: Forall) -> bool:
+    """Whether a search for f may generalize its body back to f."""
+    searcher = _Searcher(f, standard_theory(), 1000)
+    return f in searcher.closures.get(f.body, [])
+
+
+def test_generalization_targets_are_capped_by_tree_size_not_tokens():
+    # a quoted code is one node but many tokens
+    quoted = Forall(X, Eq(X, numeral(10**60 - 1)))
+    assert length(quoted) > 10**60
+    assert _closes(quoted)
+    # ∀x(¬(…¬(x=x)…)) has k + 4 nodes: the cap of 4 * 64 is inclusive
+    cap = 4 * _POOL_FORMULA_LEN
+    for k, size in ((cap - 4, cap), (cap - 3, cap + 1)):
+        body = Eq(X, X)
+        for _ in range(k):
+            body = Not(body)
+        assert _closes(Forall(X, body)) == (size <= cap)
 
 
 def test_search_never_proves_the_false():

@@ -212,6 +212,7 @@ def test_cached_facts_agree_with_a_fresh_walk(seed, depth):
     for node in _subtrees(phi):
         assert free_vars(node) == _reference_free_vars(node)
         assert node.height == _reference_height(node)
+        assert node.length == len(list(tokens(node)))
     # equal free-variable sets are one shared object
     assert free_vars(phi) is free_vars(twin)
     assert phi == twin  # two trees built apart, hashed at construction
@@ -294,6 +295,24 @@ def test_hashes_are_the_structural_formula(seed, depth, big):
         assert (node._hash is None) == _over_bignat(node)
     for node in _subtrees(phi):
         assert hash(node) == _fresh_hash(node)
+
+
+def test_lengths_at_and_above_a_run_form_numeral():
+    # the spelled-out count, (v*4).sub(3) plus each node's own tokens
+    leaf = Num(_RUN_FORM)
+    spelled = (_RUN_FORM * 4).sub(3)
+    assert isinstance(length(leaf), BigNat) and length(leaf) == spelled
+    atom = Eq(leaf, x)
+    assert length(atom) == spelled + 2
+    deep = _tower(3000, atom)
+    assert isinstance(length(deep), BigNat)
+    assert length(deep) == spelled + 2 + 3 * 3000
+    assert length(deep).to_int() == 4 * _RUN_FORM.to_int() - 3 + 2 + 9000
+    # every kind above it: ∀x′′(…) 6, ∧ 3, < 1, + 3, 1 1, prf(,) 4, x 1
+    mixed = Forall(x2, And(deep, Lt(Add(One(), leaf),
+                                    OracleAtom("prf", (leaf, x)))))
+    assert length(mixed) == spelled + 2 + 3 * 3000 + 6 + 3 + 1 + 3 + 1 \
+        + spelled + 4 + spelled + 1
 
 
 def test_deep_tower_over_a_run_form_numeral_hashes_without_recursion():
