@@ -36,6 +36,8 @@ _COLLAPSE_DIGITS = 4096
 # Refuse to materialize ints, or to step stretches in one operation, above
 # this many base-24 digits.
 _MATERIALIZE_LIMIT = 1_500_000
+# Carries join the block copies they change up to this many digits.
+_JOIN_DIGITS = 64
 # Divisors of run forms stay below this: the remainders of a periodic run
 # can take as many steps to recur.
 _SMALL_FACTOR_CAP = 1 << 22
@@ -342,11 +344,10 @@ class BigNat:
         if self._int is not None and other._int is not None:
             return BigNat(self._int + other._int)
         big, small = (other, self) if self._int is not None else (self, other)
-        if small._int is not None:  # an int kept inside the lowest block
-            (v, w, c), *rest = big._runs.runs
-            low = v + small._int
-            if low < BASE**w:
-                return BigNat._from_lsb([(low, w, 1), (v, w, c - 1), *rest])
+        n, w = small._int, big._runs.runs[0][1]
+        # below 24**w, read from the bit length (16**w) where it can be
+        if n is not None and (n.bit_length() <= 4 * w or n < BASE**w):
+            return BigNat._from_lsb(_add_int(big._runs.runs, n))
 
         def step(x: int, y: int, width: int, carry: int):
             s, top = x + y + carry, BASE**width
@@ -551,6 +552,37 @@ def as_int(value: "BigNat | int") -> "int | None":
     if isinstance(value, BigNat):
         return value.to_int() if value.is_materializable() else None
     return value if isinstance(value, int) else None
+
+
+def _add_int(runs: list[tuple[int, int, int]], n: int) -> list:
+    """The runs of a run form plus n, least significant first, for n
+    below 24**width of the lowest block.
+
+    The carry out of a block is then at most one.  It passes a run of
+    top blocks (every digit 23) in one step and stops in the first other
+    block copy; the runs it does not reach stay as they are.  Neighbouring
+    single copies it changes are joined while the block stays shorter
+    than _JOIN_DIGITS, so that repeated small additions do not splinter
+    the low end into one-digit runs.
+    """
+    out = [(0, 0, 1)]
+    for i, (v, w, c) in enumerate(runs):
+        top = BASE**w
+        while c and n:
+            if n == 1 and v == top - 1:
+                out.append((0, w, c))
+                c = 0
+                continue
+            n, low = divmod(v + n, top)
+            c -= 1
+            pv, pw, pc = out[-1]
+            if pc == 1 and pw + w <= _JOIN_DIGITS:
+                out[-1] = (pv + low * BASE**pw, pw + w, 1)
+            else:
+                out.append((low, w, 1))
+        if not n:
+            return out + [(v, w, c)] + runs[i + 1:]
+    return out + [(n, 1, 1)]
 
 
 def _affine_pow(a: int, b: int, k: int, m: int) -> tuple[int, int]:

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -468,7 +469,10 @@ _COMMANDS = {
 
 # -- argument wiring --------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no
+    state in it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--witness-bound", type=_non_negative, default=None,
                         help="existential witness sweep bound")

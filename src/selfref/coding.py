@@ -6,8 +6,9 @@ them has no code.  The table below assigns ids 1..23; no token gets
 the digit 0, so the code of a
 nonempty token string never contains a zero digit and the string can
 be recovered from the value alone.  Concatenation of token strings is
-code(s)*24**|t| + code(t), which is what makes codes of numerals and
-of spliced formulas computable without writing the strings out.
+code(s)*24**|t| + code(t), which is what makes codes of numerals, of
+spliced formulas and of a node from its children's cached codes
+computable without writing the strings out.
 
 Codes of small expressions are plain ints; codes of expressions
 containing large lazy numerals come out as run-length ``BigNat``
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import groupby
 
 from .bignat import (BASE, BigNat, BigNatError, _digit_count,
                      _digits_to_int, _int_to_digits)
-from .syntax import Nat, Term, token_pieces
+from .syntax import CODE_FACT, Nat, Num, Term, cached_fact
 from . import parser
 
 TOKEN_IDS: dict[str, int] = {
@@ -36,9 +38,9 @@ TOKEN_IDS: dict[str, int] = {
 ID_TOKENS: dict[int, str] = {v: k for k, v in TOKEN_IDS.items()}
 
 # digit blocks of a numeral spelling: "1+(" repeated, "1", ")" repeated
-_NUM_HEAD = (TOKEN_IDS["1"], TOKEN_IDS["+"], TOKEN_IDS["("])
-_NUM_MID = (TOKEN_IDS["1"],)
-_NUM_TAIL = (TOKEN_IDS[")"],)
+_NUM_HEAD = (TOKEN_IDS["1"] * BASE + TOKEN_IDS["+"]) * BASE + TOKEN_IDS["("]
+_NUM_MID = TOKEN_IDS["1"]
+_NUM_TAIL = TOKEN_IDS[")"]
 
 
 class NotACode(ValueError):
@@ -54,31 +56,68 @@ def load_pinned_table() -> dict:
 
 
 def encode(x) -> Nat:
-    """Code of a term or formula as a base-24 digit string value."""
-    runs: list[tuple[tuple[int, ...], int]] = []  # most significant first
-    digits: list[int] = []
-    for piece in token_pieces(x):
-        if isinstance(piece, str):
+    """Code of a term or formula as a base-24 digit string value.
+
+    A node that holds facts keeps its code (see ``syntax.cached_fact``).
+    """
+    return cached_fact(x, CODE_FACT, code_of_pieces)
+
+
+def code_of_pieces(pieces) -> Nat:
+    """Code of the token string that a list of token pieces spells.
+
+    A piece is a token, a lazy ``Num``, whose spelling is three periodic
+    digit runs, or a node, whose code is its (cached) fact.
+    """
+    try:  # tokens only
+        return _digits_to_int(bytes(map(TOKEN_IDS.__getitem__, pieces)))
+    except KeyError:
+        pass
+    runs: list[tuple[int, int, int]] = []  # (block, width, count), msb first
+    chunks: list[tuple[int, int]] = []  # (value, width) of an explicit stretch
+    for kind, group in groupby(pieces, type):
+        if kind is str:
             try:
-                digits.append(TOKEN_IDS[piece])
-            except KeyError:
-                raise NotACode(f"{piece!r} has no digit, so an expression "
-                               f"using it has no code") from None
+                digits = bytes(map(TOKEN_IDS.__getitem__, group))
+            except KeyError as err:
+                raise NotACode(f"{err.args[0]!r} has no digit, so an "
+                               f"expression using it has no code") from None
+            chunks.append((_digits_to_int(digits), len(digits)))
             continue
-        # a lazy numeral: its spelling is three periodic digit runs
-        n = piece.value
-        if isinstance(n, BigNat):
-            raise BigNatError(
-                "code of a formula holding a run-form numeral is out of range"
-            )
-        runs += [(tuple(digits), 1), (_NUM_HEAD, n - 1), (_NUM_MID, 1),
-                 (_NUM_TAIL, n - 1)]
-        digits = []
+        for node in group:
+            if kind is Num:
+                n = node.value
+                if isinstance(n, BigNat):
+                    raise BigNatError("code of a formula holding a run-form "
+                                      "numeral is out of range")
+                code = [(_NUM_HEAD, 3, n - 1), (_NUM_MID, 1, 1),
+                        (_NUM_TAIL, 1, n - 1)]
+            else:
+                code = cached_fact(node, CODE_FACT, code_of_pieces)
+                if not isinstance(code, BigNat):
+                    chunks.append((code, node.length))
+                    continue
+                code = code._as_runs().runs[::-1]  # it holds a numeral
+            runs += [(*_concat(chunks), 1), *code]
+            chunks = []
     if runs:
-        return BigNat.from_runs(runs + [(tuple(digits), 1)])
-    if not digits:
-        raise NotACode("empty token string")
-    return _digits_to_int(digits)
+        return BigNat._from_lsb([*runs, (*_concat(chunks), 1)][::-1])
+    return _concat(chunks)[0]
+
+
+def _concat(chunks: list[tuple[int, int]]) -> tuple[int, int]:
+    """(value, width) of digit strings given most significant first.
+
+    Shifting by w digits multiplies by 3**w and shifts by 3w bits, since
+    24 = 3 * 2**3: the power is a third of the size of 24**w.
+    """
+    if len(chunks) == 1:
+        return chunks[0]
+    value = width = 0
+    for v, w in chunks:
+        value = ((value * 3**w) << 3 * w) + v
+        width += w
+    return value, width
 
 
 def decode(code: Nat):

@@ -38,16 +38,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
 
-from .bignat import BASE, BigNat, _digits_to_int
-from .coding import TOKEN_IDS, encode
+from .bignat import BASE, BigNat
+from .coding import TOKEN_IDS, code_of_pieces, encode
 from .semantics import (
     Budget, OracleEnv, Truth, WitnessMap, evaluate, evaluate_full,
     standard_oracle_env, t_iff,
 )
 from .syntax import (
     Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Mul, Nat,
-    Not, One, OracleFun, Or, Term, Var, conj, disj, free_vars, length,
-    numeral, substitute, tokens, _children, _rebuild,
+    Not, Num, One, OracleFun, Or, Term, Var, conj, disj, free_vars, length,
+    numeral, render, substitute, token_pieces, _children, _rebuild,
 )
 
 _X, _Y = Var(0), Var(1)
@@ -214,11 +214,36 @@ def meta_diagonalize(phi: Formula) -> Formula:
     return substitute(phi, 0, numeral(encode(phi)))
 
 
-def bare_occurrence_positions(token_list: list[str]) -> list[int]:
+def bare_occurrence_positions(token_list: list) -> list[int]:
     """Indices of variable tokens not followed by a prime."""
     n = len(token_list)
     return [i for i, t in enumerate(token_list)
             if t == "x" and (i + 1 == n or token_list[i + 1] != "′")]
+
+
+def _splice_pieces(phi: Formula) -> list:
+    """phi's token pieces, where a node that holds facts comes through
+    whole only if its compact spelling holds no bare x token.
+
+    A node's compact spelling ends with a whole token, and a prime only
+    ever follows x or a prime, so the count within the spelling is exact.
+    """
+    pieces = list(token_pieces(phi, []))
+    i = 0
+    while i < len(pieces):
+        p = pieces[i]
+        if not isinstance(p, (str, Num)):
+            text = render(p, compact=True)
+            if text.count("x") != text.count("x′"):
+                pieces[i:i + 1] = token_pieces(p, [])
+                continue
+        i += 1
+    return pieces
+
+
+def _width(pieces: list) -> int:
+    """Token count of a list of token pieces."""
+    return sum(1 if isinstance(p, str) else p.length for p in pieces)
 
 
 @dataclass
@@ -253,9 +278,13 @@ def _anchor_values(a: int) -> dict[int, Nat]:
     }
 
 
-def _splice_all(token_list: list[str], a: int) -> _Splice:
-    """Witness the substitution hitting every bare occurrence."""
-    positions = bare_occurrence_positions(token_list)
+def _splice_all(pieces: list, a: int) -> _Splice:
+    """Witness the substitution hitting every bare occurrence.
+
+    pieces are as _splice_pieces lists them, so every bare occurrence
+    is a token among them.
+    """
+    positions = bare_occurrence_positions(pieces)
     r = len(positions)
     if not 1 <= r <= 3:
         raise ValueError(
@@ -265,15 +294,16 @@ def _splice_all(token_list: list[str], a: int) -> _Splice:
     solution[_XH] = a
     n_val, t_val = solution[_N], solution[_T]
 
-    chunks: list[list[str]] = []
+    chunks: list[list] = []
     prev = -1
     for pos in positions:
-        chunks.append(token_list[prev + 1:pos])
+        chunks.append(pieces[prev + 1:pos])
         prev = pos
-    chunks.append(token_list[prev + 1:])
+    chunks.append(pieces[prev + 1:])
 
-    def fold(toks: list[str]) -> int:
-        return _digits_to_int([TOKEN_IDS[t] for t in toks])
+    def fold(chunk: list) -> int:
+        code = code_of_pieces(chunk)
+        return code.to_int() if isinstance(code, BigNat) else code
 
     g0 = fold(chunks[0])
     solution[_g0_index(r)] = g0
@@ -281,7 +311,7 @@ def _splice_all(token_list: list[str], a: int) -> _Splice:
     for j, chunk in enumerate(chunks[1:]):
         blk = _block_indices(j)
         g = fold(chunk)
-        ell = len(chunk)
+        ell = _width(chunk)
         p = BASE**ell
         solution[blk["p"]] = p
         solution[blk["g"]] = g
@@ -350,7 +380,7 @@ def check_diag_instance(phi: Formula,
     a = encode(phi)
     if isinstance(a, BigNat):
         a = a.to_int()
-    splice = _splice_all(list(tokens(phi)), a)
+    splice = _splice_all(_splice_pieces(phi), a)
     image = meta_diagonalize(phi)
     image_code = encode(image)
     if splice.y_value != image_code:
@@ -467,14 +497,14 @@ def diagonal_sentence(psi: Formula) -> FixedPointCertificate:
     theta = substitute(delta, 0, numeral(a))
     theta_code = encode(theta)
 
-    toks = list(tokens(delta))
-    positions = bare_occurrence_positions(toks)
+    pieces = _splice_pieces(delta)
+    positions = bare_occurrence_positions(pieces)
     if len(positions) != 1:
         raise AssertionError(
             f"delta must have exactly one splice point, found "
             f"{len(positions)}"
         )
-    splice = _splice_all(toks, a)
+    splice = _splice_all(pieces, a)
     if splice.y_value != theta_code:
         raise AssertionError("splice arithmetic disagrees with encode")
 
@@ -485,7 +515,7 @@ def diagonal_sentence(psi: Formula) -> FixedPointCertificate:
     return FixedPointCertificate(
         psi=psi, delta=delta, delta_code=a, theta=theta,
         theta_code=theta_code, at_code=at_code, witnesses=witnesses,
-        occurrence_position=positions[0],
+        occurrence_position=_width(pieces[:positions[0]]),
     )
 
 

@@ -24,9 +24,11 @@ once, at construction, from the children's.  The token length is a
 ``BigNat`` at and above a ``Num`` over a ``BigNat``.  The one exception is
 the hash of such a ``Num`` and of every node above it, which is computed
 on the first ``hash()``.  The leaves 0, 1 and each variable are
-one shared node apiece.  Hashing, equality, substitution and ``repr``
-use explicit stacks, so nesting depth is limited by memory, not by the
-interpreter's recursion limit.
+one shared node apiece.  Long nodes also keep their code and compact
+spelling once asked for, joined from their children's (``cached_fact``).
+Hashing, equality, substitution, ``repr`` and those joins use explicit
+stacks, so nesting depth is limited by memory, not by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -90,9 +92,12 @@ class _Node:
     by its own ``_hash``, also set at construction.  Hashing a run-form
     ``BigNat`` walks its runs, so a ``Num`` over a ``BigNat`` and every
     node above it hold ``None`` there until their first ``hash()``.
+    ``_facts`` is left unset until a node that holds facts (see
+    ``_holds_facts``) is first encoded or compactly rendered; it then
+    holds ``[code, compact spelling]``, each ``None`` until asked for.
     """
 
-    __slots__ = ("fv", "length", "height", "_hash")
+    __slots__ = ("fv", "length", "height", "_hash", "_facts")
     # field names in constructor order, read by repr and by pattern matching
     _fields: tuple[str, ...] = ()
     # fixed per class (assigned below), so hashes and therefore set and
@@ -151,6 +156,7 @@ _set_fv = _Node.fv.__set__
 _set_length = _Node.length.__set__
 _set_height = _Node.height.__set__
 _set_hash = _Node._hash.__set__
+_set_facts = _Node._facts.__set__
 
 
 def _set_leaf(node: _Node, fv: frozenset[int], n: Nat,
@@ -533,13 +539,37 @@ def is_sentence(phi: Formula) -> bool:
 
 # -- token stream and rendering -----------------------------------------
 
+# Nodes shorter than this never cache their code or spelling.
+_FACT_FLOOR = 256
+# indices into a node's _facts
+CODE_FACT, TEXT_FACT = 0, 1
 
-def token_pieces(x) -> Iterator:
+
+def _holds_facts(node) -> bool:
+    """Whether the node keeps its code and compact spelling once asked.
+
+    It does when its token length is at least the floor and has more bits
+    than each child's.  The lengths of such nodes on a root-to-leaf path
+    have distinct bit counts, so a token lies under at most
+    log2(length / floor) + 1 of them, and the cached digits and
+    characters stay within that factor of the tree's token count (and
+    within twice it on a chain such as a ¬ tower).
+    """
+    n = node.length
+    if type(n) is not int or n < _FACT_FLOOR:
+        return False
+    bits = n.bit_length()
+    return all(c.length.bit_length() < bits for c in _children(node))
+
+
+def token_pieces(x, facts: list | None = None) -> Iterator:
     """Canonical token stream with lazy numerals left as Num nodes.
 
     Yields token strings, except that each Num node comes through
     as itself so that consumers can handle its spelling
-    arithmetically instead of expanding it.
+    arithmetically instead of expanding it.  Given a list for facts,
+    so does every node below x that holds facts, and each node that
+    comes through is also appended to that list.
     """
     stack: list = [x]
     while stack:
@@ -556,7 +586,11 @@ def token_pieces(x) -> Iterator:
             yield "x"
             for _ in range(node.index):
                 yield "′"
-        elif isinstance(node, Num):
+        elif isinstance(node, Num) or (
+                facts is not None and node.length >= _FACT_FLOOR
+                and node is not x and _holds_facts(node)):
+            if facts is not None:
+                facts.append(node)
             yield node
         elif isinstance(node, _COMPARISONS):
             stack.extend([node.right, _BINARY_TOKEN[type(node)], node.left])
@@ -582,6 +616,69 @@ def token_pieces(x) -> Iterator:
             raise SyntaxError_(f"not a term or formula: {node!r}")
 
 
+def _known(node, k: int):
+    facts = getattr(node, "_facts", None)
+    return None if facts is None else facts[k]
+
+
+def cached_fact(x, k: int, join):
+    """Fact k of x: join over x's token pieces, with facts listed.
+
+    Each node among the pieces has fact k filled first, and a node that
+    holds facts keeps it.
+    """
+    if not isinstance(x, _Node):
+        raise SyntaxError_(f"not a term or formula: {x!r}")
+    n = x.length
+    if type(n) is int and n < _FACT_FLOOR:  # nothing here holds facts
+        return join(list(token_pieces(x)))
+    # a frame is [node, its pieces]: listed on the first visit, joined on
+    # the second, once the frames above it have filled their facts
+    stack = [[x, None]]
+    while stack:
+        frame = stack[-1]
+        node, out = frame
+        value = _known(node, k)
+        if value is not None:  # x itself, or a shared node filled meanwhile
+            stack.pop()
+            continue
+        if out is None:
+            found: list = []
+            frame[1] = list(token_pieces(node, found))
+            stack += [[p, None] for p in found
+                      if not isinstance(p, Num) and _known(p, k) is None]
+            continue
+        stack.pop()
+        value = join(out)
+        if stack or _holds_facts(node):
+            facts = getattr(node, "_facts", None)
+            if facts is None:
+                facts = [None, None]
+                _set_facts(node, facts)
+            facts[k] = value
+    return value
+
+
+def _numeral_text(node: Num) -> str:
+    v = node.value
+    if isinstance(v, BigNat):
+        if not v.is_materializable():
+            raise BigNatError("numeral value too large even for compact form")
+        v = v.to_int()
+    return "#" + str(v)
+
+
+def _join_text(pieces: list) -> str:
+    try:
+        return "".join(pieces)
+    except TypeError:  # numerals or nodes among the pieces
+        return "".join([
+            p if isinstance(p, str)
+            else _numeral_text(p) if isinstance(p, Num)
+            else cached_fact(p, TEXT_FACT, _join_text)
+            for p in pieces])
+
+
 def tokens(x, compact: bool = False) -> Iterator[str]:
     """Canonical token stream.
 
@@ -593,16 +690,10 @@ def tokens(x, compact: bool = False) -> Iterator[str]:
         if isinstance(piece, str):
             yield piece
             continue
-        v = piece.value
         if compact:
-            if isinstance(v, BigNat):
-                if not v.is_materializable():
-                    raise BigNatError(
-                        "numeral value too large even for compact form"
-                    )
-                v = v.to_int()
-            yield "#" + str(v)
+            yield _numeral_text(piece)
             continue
+        v = piece.value
         if isinstance(v, BigNat):
             if v > NUMERAL_STREAM_MAX:
                 raise BigNatError("numeral too large to spell out")
@@ -619,8 +710,10 @@ def tokens(x, compact: bool = False) -> Iterator[str]:
 
 
 def render(x, compact: bool = False) -> str:
-    """Canonical spelling as a single string."""
-    return "".join(tokens(x, compact=compact))
+    """Canonical spelling as a single string; the compact one is a fact."""
+    if compact:
+        return cached_fact(x, TEXT_FACT, _join_text)
+    return "".join(tokens(x))
 
 
 # -- substitution --------------------------------------------------------

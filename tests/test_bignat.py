@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selfref import bignat
 from selfref.bignat import (BASE, BigNat, BigNatError, _digit_count,
                             _digits_to_int, _int_to_digits)
 
@@ -487,3 +489,45 @@ def test_divmod_of_a_run_too_long_to_materialize_walks_its_remainders():
         q, r = big.divmod_int(m)
         assert 0 <= r < m and r == big.mod_int(m)
         assert q * m + r == big
+
+
+@contextlib.contextmanager
+def _counting_streams():
+    """The argument tuples of the bignat._stream calls made inside."""
+    calls, real = [], bignat._stream
+    bignat._stream = lambda *args: calls.append(args) or real(*args)
+    try:
+        yield calls
+    finally:
+        bignat._stream = real
+
+
+@pytest.mark.parametrize("runs, n", [
+    ([((5,), 1), ((23,), 5000)], 1),  # the carry clears a whole run
+    ([((5, 23), 3), ((23,), 4200)], 7),
+    ([((1,), 1), ((0,), 4200), ((23, 23), 900), ((23,), 10)], 23),
+    ([((9,), 1), ((23,), 5000), ((4, 5), 1)], 24**2 - 1),
+    ([((2, 3, 14), 2000)], 24**3 - 1),
+])
+def test_small_int_carries_only_through_the_runs_it_reaches(runs, n):
+    a = BigNat.from_runs(runs)
+    value = a.to_int()
+    with _counting_streams() as calls:
+        sums = [a + n, n + a, a + BigNat(n)]
+    assert calls == []
+    for got in sums:
+        assert got.to_int() == value + n
+        assert got == value + n
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_RUNS, st.integers(1, 3), st.integers(0, 3000), st.data())
+def test_small_int_additions_agree_with_int(runs, width, tops, data):
+    # a run of top blocks below the drawn runs makes the carry travel
+    runs = [((1,), 1), ((0,), 4200)] + runs + [((BASE - 1,) * width, tops)]
+    a = BigNat.from_runs(runs)
+    n = data.draw(st.integers(0, BASE ** a._runs.runs[0][1] - 1))
+    with _counting_streams() as calls:
+        got = a + n
+    assert calls == []
+    assert got.to_int() == a.to_int() + n

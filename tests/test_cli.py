@@ -424,3 +424,41 @@ def test_argv_fuzz_gives_an_exit_code_and_short_stderr(drawn):
             code = done.code
     assert code in (0, 1, 2)
     assert all(len(line) <= 300 for line in err.getvalue().splitlines())
+
+
+def _streams(argv) -> tuple:
+    """Exit code, stdout (wall time dropped) and stderr of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    report = out.getvalue()
+    if report:
+        report = json.loads(report)
+        report.pop("wall_time_s")
+    return code, report, err.getvalue()
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path):
+    unwritable = str(tmp_path / "missing" / "report.json")
+    runs = [
+        ["parse", "x=+"],  # a usage error of the command
+        ["frobnicate"],  # an argparse error
+        ["refute-truth", "--preset", "p" * 400],  # capped at 200 characters
+        ["parse", "0=0"],
+        ["encode", "x=x", "--json", unwritable],
+        ["encode", "x=x", "--json", str(tmp_path / "report.json")],
+        ["decode", "9929"],
+    ]
+    cached = [_streams(argv) for argv in runs]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(_streams(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 2, 2, 0, 2, 0, 0]
+    assert "… (495 characters)" in cached[2][2]
+    assert "cannot write" in cached[4][2]

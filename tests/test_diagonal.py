@@ -7,11 +7,13 @@ codes are read off the last token directly (base 24 is even, so a
 value is odd exactly when its last digit is).
 """
 
+import dataclasses
 import gc
 from importlib import resources
 
 import pytest
 
+from selfref import diagonal, syntax
 from selfref.bignat import BigNat
 from selfref.coding import decode, encode
 from selfref.diagonal import (
@@ -280,3 +282,52 @@ def test_giant_code_arithmetic_leaves_no_cyclic_garbage():
     assert isinstance(cert.theta_code, BigNat)
     del cert
     assert gc.collect() == 0
+
+
+def test_a_second_bare_x_fails_the_splice_point_check(monkeypatch):
+    # the extra "∃x(x=0)" sits under a 100-deep tower, inside nodes that
+    # keep their spelling, so the check must open them to see it
+    extra = Exists(Var(0), Eq(Var(0), Zero()))
+    for _ in range(100):
+        extra = Not(extra)
+    real = diagonal.build_delta
+    monkeypatch.setattr(diagonal, "build_delta",
+                        lambda psi: And(real(psi), extra))
+    with pytest.raises(AssertionError,
+                       match="exactly one splice point, found 3"):
+        diagonal_sentence.__wrapped__(EVEN)
+
+
+def test_a_splice_that_disagrees_with_encode_is_caught(monkeypatch):
+    real = diagonal._splice_all
+
+    def off_by_one(pieces, a):
+        splice = real(pieces, a)
+        return dataclasses.replace(splice, y_value=splice.y_value + 1)
+
+    monkeypatch.setattr(diagonal, "_splice_all", off_by_one)
+    with pytest.raises(AssertionError,
+                       match="splice arithmetic disagrees with encode"):
+        diagonal_sentence.__wrapped__(ODD)
+
+
+def test_a_new_property_streams_only_its_own_tokens(monkeypatch):
+    # Diag's 11,280 tokens are read from cached facts once one property
+    # has been diagonalized; streaming all of delta and theta would pass
+    # about 33,000 tokens through token_pieces
+    diagonal_sentence.__wrapped__(EVEN)
+    streamed = []
+    real = syntax.token_pieces
+
+    def counted(x, facts=None):
+        for piece in real(x, facts):
+            streamed.append(piece)
+            yield piece
+
+    for module in (syntax, diagonal):
+        monkeypatch.setattr(module, "token_pieces", counted)
+    cert = diagonal_sentence.__wrapped__(
+        parse_formula("∃x′′(1+(1+(1+(1+(1))))·(x′′)=x)"))
+    assert 0 < len(streamed) < 1000
+    assert bare_occurrence_positions(list(tokens(cert.delta))) == \
+        [cert.summary()["splice_position"]] == [13]
