@@ -567,13 +567,17 @@ def _add_int(runs: list[tuple[int, int, int]], n: int) -> list:
     """
     out = [(0, 0, 1)]
     for i, (v, w, c) in enumerate(runs):
-        top = BASE**w
         while c and n:
-            if n == 1 and v == top - 1:
+            # no carry: the margin dwarfs the float error of the logarithms,
+            # so 24**w is computed only for a sum close to it
+            if log2(v + n) < w * log2(BASE) - 1e-6:
+                n, low = 0, v + n
+            elif n == 1 and v == BASE**w - 1:
                 out.append((0, w, c))
                 c = 0
                 continue
-            n, low = divmod(v + n, top)
+            else:
+                n, low = divmod(v + n, BASE**w)
             c -= 1
             pv, pw, pc = out[-1]
             if pc == 1 and pw + w <= _JOIN_DIGITS:

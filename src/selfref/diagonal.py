@@ -34,6 +34,7 @@ copies x to a bound stand-in.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -46,8 +47,9 @@ from .semantics import (
 )
 from .syntax import (
     Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Mul, Nat,
-    Not, Num, One, OracleFun, Or, Term, Var, conj, disj, free_vars, length,
-    numeral, render, substitute, token_pieces, _children, _rebuild,
+    Not, Num, One, OracleAtom, OracleFun, Or, Term, Var, conj, disj,
+    free_vars, length, numeral, preorder, render, substitute, token_pieces,
+    _children, _rebuild,
 )
 
 _X, _Y = Var(0), Var(1)
@@ -325,21 +327,6 @@ def _splice_all(pieces: list, a: int) -> _Splice:
     return _Splice(r=r, y_value=y, solution=solution)
 
 
-def _exists_nodes(phi: Formula):
-    """(path, variable index) for every existential node."""
-    stack = [(phi, ())]
-    while stack:
-        node, path = stack.pop()
-        if isinstance(node, Exists):
-            yield path, node.var.index
-            stack.append((node.body, path + (0,)))
-        elif isinstance(node, (Forall, Not)):
-            stack.append((node.body, path + (0,)))
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.append((node.left, path + (0,)))
-            stack.append((node.right, path + (1,)))
-
-
 def _witnesses_for(host: Formula, diag_path: tuple[int, ...],
                    splice: _Splice) -> WitnessMap:
     """Map existential paths of the active branch to their values.
@@ -349,12 +336,24 @@ def _witnesses_for(host: Formula, diag_path: tuple[int, ...],
     """
     witnesses: WitnessMap = {}
     branch = diag_path + _BRANCH_PATHS[splice.r]
-    for path, index in _exists_nodes(host):
+    for path, node in preorder(((), host), _paths_below):
+        if not isinstance(node, Exists):
+            continue
+        index = node.var.index
         if path == diag_path:
             witnesses[path] = splice.solution[_XH]
         elif path[:len(branch)] == branch and index in splice.solution:
             witnesses[path] = splice.solution[index]
     return witnesses
+
+
+def _paths_below(item: tuple) -> list:
+    """(path, subformula) for each subformula of a connective or
+    quantifier, as the evaluator numbers them; terms are not entered."""
+    path, node = item
+    if isinstance(node, (Eq, Lt, OracleAtom)):
+        return []
+    return [(path + (i,), kid) for i, kid in enumerate(_children(node))]
 
 
 @dataclass
@@ -424,11 +423,7 @@ def normalize_psi(psi: Formula, binder_floor: int = 0) -> Formula:
     while work:
         item = work.pop()
         if item[0] is None:
-            _, node, var = item
-            n = len(_children(node))
-            kids = done[len(done) - n:]
-            del done[len(done) - n:]
-            done.append(_rebuild(node, kids, var))
+            _rebuild(item[1], done, item[2])
             continue
         node, mapping = item
         if isinstance(node, Var):
@@ -602,45 +597,47 @@ def refute_truth_definition(candidate: Formula,
 
 def taut_equiv(left: Formula, right: Formula, max_atoms: int = 16) -> bool:
     """Propositional equivalence, treating non-connective subformulas
-    as letters.  Closed variable-free comparisons become constants."""
-    atoms: list[Formula] = []
+    as letters.  Closed variable-free comparisons become constants.
 
-    def skeleton(phi):
-        if isinstance(phi, Not):
-            return ("not", skeleton(phi.body))
-        if isinstance(phi, (And, Or, Implies, Iff)):
-            return (type(phi).__name__.lower(),
-                    skeleton(phi.left), skeleton(phi.right))
-        if isinstance(phi, (Eq, Lt)) and not free_vars(phi):
-            got = evaluate(phi)
-            if got is not Truth.UNKNOWN:
-                return ("const", got is Truth.TRUE)
-        if phi not in atoms:
-            atoms.append(phi)
-        return ("atom", atoms.index(phi))
-
-    sl, sr = skeleton(left), skeleton(right)
-    if len(atoms) > max_atoms:
+    left ↔ right becomes a postorder program that must hold on every row:
+    an int reads that entry of the row, which holds False, True and then
+    each letter's value, and a connective applies its truth function.
+    """
+    letters: dict[Formula, int] = {}
+    program: list = []
+    for node in reversed(list(preorder(Iff(left, right), _connective_parts))):
+        got = (evaluate(node) if isinstance(node, (Eq, Lt)) and not node.fv
+               else Truth.UNKNOWN)
+        if type(node) in _TRUTH_TABLES:
+            program.append(_TRUTH_TABLES[type(node)])
+        elif got is Truth.UNKNOWN:
+            program.append(letters.setdefault(node, len(letters) + 2))
+        else:
+            program.append(int(got is Truth.TRUE))
+    if len(letters) > max_atoms:
         raise ValueError(f"more than {max_atoms} distinct atoms")
+    return all(_run_program(program, (False, True, *values))
+               for values in _cartesian([False, True], repeat=len(letters)))
 
-    def run(sk, row) -> bool:
-        kind = sk[0]
-        if kind == "const":
-            return sk[1]
-        if kind == "atom":
-            return row[sk[1]]
-        if kind == "not":
-            return not run(sk[1], row)
-        a, b = run(sk[1], row), run(sk[2], row)
-        if kind == "and":
-            return a and b
-        if kind == "or":
-            return a or b
-        if kind == "implies":
-            return (not a) or b
-        return a == b
 
-    for row in _cartesian([False, True], repeat=len(atoms)):
-        if run(sl, row) != run(sr, row):
-            return False
-    return True
+# each connective's truth function (on bools, <= is implication)
+_TRUTH_TABLES = {Not: operator.not_, And: operator.and_, Or: operator.or_,
+                 Implies: operator.le, Iff: operator.eq}
+
+
+def _connective_parts(node) -> tuple:
+    return _children(node) if type(node) in _TRUTH_TABLES else ()
+
+
+def _run_program(program: list, row: tuple) -> bool:
+    """A postorder program's value on a row, computed on a value stack."""
+    values: list[bool] = []
+    for op in program:
+        if type(op) is int:
+            values.append(row[op])
+        elif op is operator.not_:
+            values[-1] = not values[-1]
+        else:
+            b = values.pop()
+            values[-1] = op(values[-1], b)
+    return values[0]

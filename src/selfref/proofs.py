@@ -42,8 +42,8 @@ from .semantics import (Budget, OracleEnv, OracleUndecided, Truth, Unknown,
                         WitnessMap, evaluate, standard_oracle_env, t_iff)
 from .syntax import (Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt,
                      Mul, Nat, Not, One, Or, OracleAtom, OracleFun, Term, Var,
-                     Zero, free_vars, numeral, render, substitute,
-                     _children)
+                     Zero, free_vars, numeral, preorder, render,
+                     substitute, _children)
 
 __all__ = [
     "Axiom", "Axiomatization", "CheckReport", "ConsistentBySoundness",
@@ -666,18 +666,6 @@ def _sort_key(node):
     return (node.length, render(node, compact=True))
 
 
-def _tree_size_at_most(node, cap: int) -> bool:
-    """Whether the tree has at most cap nodes, counting a shared subtree
-    once per occurrence and no quantifier's variable."""
-    stack = [node]
-    while stack:
-        cap -= 1
-        if cap < 0:
-            return False
-        stack.extend(_children(stack.pop()))
-    return True
-
-
 class _Searcher:
     """Forward saturation over schema instances drawn from the goal.
 
@@ -697,23 +685,29 @@ class _Searcher:
         self.node_budget = node_budget
         # every distinct subtree of the goal, equal subtrees once
         nodes: dict = {}
-        stack = [goal]
-        while stack:
-            node = stack.pop()
-            if node not in nodes:
-                nodes[node] = None
-                stack.extend(_children(node))
+
+        def unseen_children(node) -> tuple:
+            if node in nodes:
+                return ()
+            nodes[node] = None
+            return _children(node)
+
+        for _ in preorder(goal, unseen_children):
+            pass
         subformulas = [n for n in nodes if isinstance(n, Formula)]
         subterms = [n for n in nodes if isinstance(n, Term)]
 
         # generalization targets, by premise and in variable order:
         # universal subformulas small enough to ever be reached by
         # closing over a derived premise in which the variable is free;
-        # the cap is on tree size, not tokens, so quoted codes pass
+        # the cap is on tree size (each occurrence of a shared subtree,
+        # no quantifier's variable), not tokens, so quoted codes pass
+        cap = 4 * _POOL_FORMULA_LEN
         self.closures: dict[Formula, list[Forall]] = {}
         for f in sorted((f for f in subformulas if isinstance(f, Forall)
                          and f.var.index in f.body.fv
-                         and _tree_size_at_most(f, 4 * _POOL_FORMULA_LEN)),
+                         and sum(1 for _ in itertools.islice(
+                             preorder(f), cap + 1)) <= cap),
                         key=lambda f: f.var.index):
             self.closures.setdefault(f.body, []).append(f)
 

@@ -52,6 +52,7 @@ from .bignat import BigNat, BigNatError, as_int
 from .syntax import (
     Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Mul, Nat,
     Not, Num, One, OracleAtom, OracleFun, Or, Term, Var, Zero, free_vars,
+    preorder,
 )
 
 Path = tuple[int, ...]
@@ -674,7 +675,7 @@ class Evaluator:
         pinning equation has no solution in N (so the existential is
         exactly false), and (True, value) otherwise.
         """
-        for conjunct in _and_spine(body):
+        for conjunct in preorder(body, _conjuncts):
             if not isinstance(conjunct, Eq):
                 continue
             pl = _poly(conjunct.left, v, asg, self.env)
@@ -768,15 +769,8 @@ class Evaluator:
         return None
 
 
-def _and_spine(phi: Formula):
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
-            yield node
+def _conjuncts(node) -> tuple:
+    return (node.left, node.right) if isinstance(node, And) else ()
 
 
 def _nat_divide_exact(a: Nat, b: Nat) -> Optional[Nat]:

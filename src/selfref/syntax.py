@@ -28,7 +28,8 @@ one shared node apiece.  Long nodes also keep their code and compact
 spelling once asked for, joined from their children's (``cached_fact``).
 Hashing, equality, substitution, ``repr`` and those joins use explicit
 stacks, so nesting depth is limited by memory, not by the interpreter's
-recursion limit.
+recursion limit.  ``preorder`` is the one walk that hashing, ``repr``,
+those joins and the other modules' subtree walks share.
 """
 
 from __future__ import annotations
@@ -126,29 +127,27 @@ class _Node:
         return _same_tree(self, other)
 
     def __repr__(self) -> str:
-        # nodes on the stack are still to be spelled, strings are done
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if not isinstance(item, _Node):
-                out.append(item)
-                continue
-            parts: list = [f"{type(item).__name__}("]
-            for i, name in enumerate(item._fields):
-                value = getattr(item, name)
-                parts.append(f"{', ' if i else ''}{name}=")
-                if isinstance(value, tuple):  # oracle arguments
-                    for j, v in enumerate(value):
-                        parts.append(", " if j else "(")
-                        parts.append(v if isinstance(v, _Node) else repr(v))
-                    parts.append(",)" if len(value) == 1 else ")")
-                else:
-                    parts.append(value if isinstance(value, _Node)
-                                 else repr(value))
-            parts.append(")")
-            stack.extend(reversed(parts))
-        return "".join(out)
+        return "".join([p for p in preorder(self, _repr_parts)
+                        if isinstance(p, str)])
+
+
+def _repr_parts(item) -> list:
+    """A node's repr as strings and child nodes, last first."""
+    if not isinstance(item, _Node):
+        return []
+    parts: list = [f"{type(item).__name__}("]
+    for i, name in enumerate(item._fields):
+        value = getattr(item, name)
+        parts.append(f"{', ' if i else ''}{name}=")
+        if isinstance(value, tuple):  # oracle arguments
+            for j, v in enumerate(value):
+                parts.append(", " if j else "(")
+                parts.append(v if isinstance(v, _Node) else repr(v))
+            parts.append(",)" if len(value) == 1 else ")")
+        else:
+            parts.append(value if isinstance(value, _Node) else repr(value))
+    parts.append(")")
+    return parts[::-1]
 
 
 # Slot writers for construction; ordinary assignment is refused.
@@ -169,19 +168,21 @@ def _set_leaf(node: _Node, fv: frozenset[int], n: Nat,
 
 def _hash_tree(root: _Node) -> int:
     """Hash every not yet hashed node under root, children first."""
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        todo = [c for c in _children(node) if c._hash is None]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        if node._hash is None:  # a shared subtree may be queued twice
+    for item in preorder(root, _unhashed_below):
+        if type(item) is tuple:
+            node = item[0]
             _set_hash(node, hash((node._TAG, *[
                 p._hash if isinstance(p, _Node) else p
                 for p in node._parts()])))
     return root._hash
+
+
+def _unhashed_below(item) -> list:
+    # a node's 1-tuple is listed before its unhashed children, so it comes
+    # out after them; a shared subtree hashed meanwhile is not entered again
+    if type(item) is tuple or item._hash is not None:
+        return []
+    return [(item,), *[c for c in _children(item) if c._hash is None]]
 
 
 def _same_tree(a: _Node, b: _Node) -> bool:
@@ -512,13 +513,30 @@ def _children(node) -> tuple:
     return tuple(p for p in node._parts() if isinstance(p, _Node))
 
 
-def _rebuild(node, kids: list, var):
-    """A node of node's kind over new children; var is a quantifier's."""
+def preorder(x, children=_children) -> Iterator:
+    """x and every item below it, each before the items children gives
+    for it.  The walk keeps an explicit stack and pops the last child
+    first, so ``reversed(list(preorder(x)))`` is a postorder, and the
+    first child comes out after everything below the others."""
+    stack = [x]
+    while stack:
+        item = stack.pop()
+        yield item
+        stack.extend(children(item))
+
+
+def _rebuild(node, done: list, var) -> None:
+    """Pop the results for node's children off done and push a node of
+    node's kind over them; var is a quantifier's variable."""
+    n = len(_children(node))
+    kids = done[len(done) - n:]
+    del done[len(done) - n:]
     if isinstance(node, _Quantifier):
-        return type(node)(var, kids[0])
-    if isinstance(node, _Oracle):
-        return type(node)(node.name, kids)
-    return type(node)(*kids)
+        done.append(type(node)(var, kids[0]))
+    elif isinstance(node, _Oracle):
+        done.append(type(node)(node.name, kids))
+    else:
+        done.append(type(node)(*kids))
 
 
 def length(x) -> Nat:
@@ -632,30 +650,29 @@ def cached_fact(x, k: int, join):
     n = x.length
     if type(n) is int and n < _FACT_FLOOR:  # nothing here holds facts
         return join(list(token_pieces(x)))
-    # a frame is [node, its pieces]: listed on the first visit, joined on
-    # the second, once the frames above it have filled their facts
-    stack = [[x, None]]
-    while stack:
-        frame = stack[-1]
-        node, out = frame
-        value = _known(node, k)
-        if value is not None:  # x itself, or a shared node filled meanwhile
-            stack.pop()
-            continue
-        if out is None:
-            found: list = []
-            frame[1] = list(token_pieces(node, found))
-            stack += [[p, None] for p in found
-                      if not isinstance(p, Num) and _known(p, k) is None]
-            continue
-        stack.pop()
-        value = join(out)
-        if stack or _holds_facts(node):
-            facts = getattr(node, "_facts", None)
-            if facts is None:
-                facts = [None, None]
-                _set_facts(node, facts)
-            facts[k] = value
+    value = _known(x, k)
+    if value is not None:
+        return value
+
+    # a node's (node, pieces) pair is listed before the nodes among its
+    # pieces, so it comes out after they have filled their facts
+    def unfilled(item) -> list:
+        if type(item) is tuple or _known(item, k) is not None:
+            return []
+        found: list = []
+        pieces = list(token_pieces(item, found))
+        return [(item, pieces), *[p for p in found if not isinstance(p, Num)]]
+
+    for item in preorder(x, unfilled):
+        if type(item) is tuple:
+            node, pieces = item
+            value = join(pieces)
+            if node is not x or _holds_facts(node):
+                facts = getattr(node, "_facts", None)
+                if facts is None:
+                    facts = [None, None]
+                    _set_facts(node, facts)
+                facts[k] = value
     return value
 
 
@@ -747,11 +764,7 @@ def substitute(x, index: int, replacement: Term):
     while work:
         item = work.pop()
         if item[0] is _BUILD:
-            _, node, var = item
-            n = len(_children(node))
-            new = done[len(done) - n:]
-            del done[len(done) - n:]
-            done.append(_rebuild(node, new, var))
+            _rebuild(item[1], done, item[2])
         elif item[0] is _RENAMED:
             _, node, fresh, i, repl = item
             work.append((_BUILD, node, fresh))

@@ -508,6 +508,11 @@ def _counting_streams():
     ([((1,), 1), ((0,), 4200), ((23, 23), 900), ((23,), 10)], 23),
     ([((9,), 1), ((23,), 5000), ((4, 5), 1)], 24**2 - 1),
     ([((2, 3, 14), 2000)], 24**3 - 1),
+    # a wide lowest block just below its top, and at it: the sum is
+    # too close to 24**width for the logarithm to tell
+    ([((7,), 1), ((0,), 4200), ((23,) * 99 + (22,), 1)], 1),
+    ([((7,), 1), ((0,), 4200), ((23,) * 99 + (22,), 1)], 2),
+    ([((7,), 1), ((0,), 4200), ((23,) * 100, 1)], 24**100 - 1),
 ])
 def test_small_int_carries_only_through_the_runs_it_reaches(runs, n):
     a = BigNat.from_runs(runs)

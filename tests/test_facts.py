@@ -21,7 +21,7 @@ from selfref.diagonal import build_delta, diagonal_sentence
 from selfref.parser import parse, parse_formula
 from selfref.syntax import (
     And, Eq, Exists, Iff, Implies, Not, Or, Var, Zero, conj, numeral,
-    render, tokens, _children,
+    preorder, render, tokens,
 )
 from .test_parser import deep_tree
 from .test_syntax import _random_formula
@@ -31,16 +31,6 @@ _PSI = parse_formula("∃x′′(x′′+(x′′)=x)")
 
 def _reference_code(x) -> int:
     return _digits_to_int([TOKEN_IDS[t] for t in tokens(x)])
-
-
-def _subtrees(x) -> list:
-    """Every node occurrence under x, parents before children."""
-    out, stack = [], [x]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(_children(node))
-    return out
 
 
 def _shared_contexts(rng: random.Random) -> list:
@@ -75,7 +65,7 @@ def test_cached_facts_match_the_token_stream(seed, roots_first, kind):
                  "theta": [diagonal_sentence(_PSI).theta],
                  "parsed-delta": [delta, parse(render(delta, compact=True))],
                  }[kind]
-    nodes = [n for root in roots for n in _subtrees(root)]
+    nodes = [n for root in roots for n in preorder(root)]
     if kind != "random":  # Diag's 4,009 subtrees would take minutes
         picked = sorted(rng.sample(range(len(nodes)), 40))
         nodes = roots + [nodes[i] for i in picked]
@@ -97,7 +87,7 @@ def test_cached_digits_and_characters_stay_linear(shape, depth):
     assert decode(code) == tree
     assert parse_formula(text) == tree
     digits = chars = 0
-    for node in _subtrees(tree):
+    for node in preorder(tree):
         facts = getattr(node, "_facts", None)
         if facts is not None:
             digits += _digit_count(facts[0])

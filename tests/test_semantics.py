@@ -227,6 +227,15 @@ def test_a_vacuous_sweep_runs_its_body_once():
     assert (report.truth, report.nodes_used, report.budget_hit) == (U, 31, True)
 
 
+def test_linear_solving_tries_the_right_conjunct_first():
+    # the ∧-spine is walked right to left and the first conjunct that
+    # pins y decides: y = 1 fails the other conjunct at once, where
+    # y = 1+(1) would cost one node more
+    phi = Exists(y, And(Eq(y, Add(One(), One())), Eq(y, One())))
+    report = evaluate_full(phi)
+    assert (report.truth, report.nodes_used) == (F, 3)
+
+
 def test_standard_oracle_env():
     env = standard_oracle_env()
     code = coding.encode(parse_formula("x=x"))

@@ -7,14 +7,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selfref import syntax
 from selfref.bignat import BigNat, BigNatError
-from selfref.diagonal import normalize_psi
+from selfref.diagonal import normalize_psi, taut_equiv
 from selfref.semantics import OracleEnv, eval_term
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
     OracleAtom, OracleFun, Or, SyntaxError_, Var, Zero, conj, disj,
-    free_vars, is_sentence, length, numeral, render, substitute, tokens,
-    NUMERAL_EXPLICIT_MAX, _Node,
+    free_vars, is_sentence, length, numeral, preorder, render, substitute,
+    tokens, NUMERAL_EXPLICIT_MAX, _Node, _children,
 )
 
 x = Var(0)
@@ -154,6 +155,23 @@ def test_deep_negation_needs_no_recursion():
     assert repr(deep) == "Not(body=" * 3000 + \
         "Eq(left=Var(index=0), right=Zero())" + ")" * 3000
     assert normalize_psi(deep) == _tower(3000, Eq(Var(1), Zero()))
+    assert taut_equiv(deep, Eq(x, Zero()))
+    assert not taut_equiv(deep, Not(Eq(x, Zero())))
+
+
+def test_preorder_pops_the_right_child_first():
+    a, b, c = Eq(x, Zero()), Lt(x, One()), Eq(One(), x)
+    phi = And(a, Or(b, c))
+    assert list(preorder(phi)) == [phi, Or(b, c), c, x, One(), b, One(),
+                                   x, a, Zero(), x]
+    # reversed, every node follows its children
+    seen: set = set()
+    for node in reversed(list(preorder(phi))):
+        assert all(id(kid) in seen for kid in _children(node))
+        seen.add(id(node))
+    spine = list(preorder(phi, lambda n: (n.left, n.right)
+                          if isinstance(n, (And, Or)) else ()))
+    assert spine == [phi, Or(b, c), c, b, a]
 
 
 def _reference_free_vars(x) -> frozenset:
@@ -323,6 +341,23 @@ def test_deep_tower_over_a_run_form_numeral_hashes_without_recursion():
         expected = hash((Not._TAG, expected))
     assert hash(deep) == expected
     assert hash(_tower(3000, Eq(Num(_RUN_FORM), x))) == expected
+
+
+def test_shared_subtrees_over_a_run_form_numeral_hash_once(monkeypatch):
+    # And(phi, phi) 20 times unfolds to 2**20 leaves, but the hash walk
+    # stays linear in the 22 distinct unhashed nodes (the Num among them)
+    phi = shared = Eq(Num(_RUN_FORM), x)
+    for _ in range(20):
+        phi = And(phi, phi)
+    entered = []
+    monkeypatch.setattr(syntax, "_children",
+                        lambda n: entered.append(n) or _children(n))
+    expected = _fresh_hash(shared)
+    for _ in range(20):
+        expected = hash((And._TAG, expected, expected))
+    assert hash(phi) == expected
+    walked = len(entered)  # keeps the 2**20-leaf tree out of the report
+    assert walked < 100
 
 
 # -- token counts and substitution on random trees -----------------------------
