@@ -26,7 +26,14 @@ one catalogue code describing two different numbers.
 Genuine definers are certified within the budget's value horizon; the
 ladder treats numbers beyond it as undescribed, which is sound here
 because every catalogue definer pins a value far below any horizon in
-use.
+use.  A formula whose sweep ran out of nodes is undecided from the
+first value left open, so a small node budget gives UNKNOWN verdicts,
+never different ones.
+
+The inner formula's quantifier over catalogue entries is replayed one
+length at a time: the genuine truth oracle reads an index of the
+description facts, and a property the batched sweep can read is judged
+over all statement codes of a length in one pass.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import Callable, Optional
 from .diagonal import normalize_psi
 from .semantics import (
     Budget, OracleEnv, Truth, catalogue_env, evaluate, from_bool,
-    statement_code, t_and, t_implies, t_or, truth_at,
+    statement_code, t_and, t_implies, t_or, truth_at, truths_at,
 )
 from .syntax import (
     And, Eq, Exists, Forall, Formula, Implies, Lt, Mul, Not, OracleAtom,
@@ -146,19 +153,21 @@ class FormulaFacts:
     exact: bool
     cofinite: bool
     defines: Optional[int]
+    undecided: Optional[int]  # the first swept value left UNKNOWN
 
 
 def _describe_status(fact: FormulaFacts, n: int, horizon: int) -> Truth:
     """Does this formula describe exactly n?  Unknown only when the
     solution set is not fully pinned and n could still be the lone
-    solution."""
+    solution: a value beyond the horizon, or at or past the first value
+    the sweep left undecided."""
     if fact.defines == n:
         return Truth.TRUE
     if fact.exact or fact.cofinite:
         return Truth.FALSE
     if n in fact.solutions:
         return Truth.FALSE if len(fact.solutions) >= 2 else Truth.UNKNOWN
-    if n <= horizon:
+    if n <= horizon and (fact.undecided is None or n < fact.undecided):
         return Truth.FALSE
     return Truth.UNKNOWN
 
@@ -199,6 +208,7 @@ def _build_universe(max_len: int, budget: Budget, order: str) -> MicroUniverse:
             exact=rep.exact,
             cofinite=cofinite,
             defines=ints[0] if pinned else None,
+            undecided=rep.undecided,
         ))
     return MicroUniverse(
         max_len=max_len,
@@ -279,21 +289,17 @@ def _upsilon_judge(bundle: BerryBundle, universe: MicroUniverse,
         return lambda a, y: _describe_status(universe.facts[a], y, horizon)
 
     at = truth_at(bundle.normalized_upsilon, env, budget)
-    memo: dict[int, Truth] = {}
-
-    def judge(a: int, y: int) -> Truth:
-        code = statement_code(a, y)
-        got = memo.get(code)
-        if got is None:
-            got = memo[code] = at({1: code})
-        return got
-
-    return judge
+    return lambda a, y: at({1: statement_code(a, y)})
 
 
 class _DefTable:
     """Memoized verdicts of the inner formula, computed by enumerating
-    the catalogue exactly as the formula's own quantifier would."""
+    the catalogue exactly as the formula's own quantifier would.
+
+    A length is judged at once where it can be: the genuine Tr through
+    an index of the description facts, and a property _batch reads
+    through one truths_at pass over the length's statement codes.  Any
+    other property is judged entry by entry."""
 
     def __init__(self, bundle, universe, env, budget):
         self.judge = _upsilon_judge(bundle, universe, env, budget)
@@ -301,6 +307,21 @@ class _DefTable:
         for fact in universe.facts:
             self.entries.setdefault(fact.length, []).append(fact.index)
         self.memo: dict[tuple[int, int], tuple[Truth, Optional[int]]] = {}
+        self.facts, self.horizon = universe.facts, universe.value_horizon
+        self.upsilon, self.budget = bundle.normalized_upsilon, budget
+        self.index: Optional[dict] = None
+        if self.upsilon == truth_oracle_property(1):
+            # per length: the first entry defining each value, and the
+            # entries whose facts are open (neither exact nor cofinite)
+            self.index = {alen: ({}, []) for alen in self.entries}
+            for fact in universe.facts:
+                first, open_ = self.index[fact.length]
+                if fact.defines is not None:
+                    first.setdefault(fact.defines, fact.index)
+                if not (fact.exact or fact.cofinite):
+                    open_.append(fact.index)
+        self.batched = self.index is None and \
+            truths_at(self.upsilon, 1, (), budget) is not None
 
     def defined(self, bound: int, n: int) -> tuple[Truth, Optional[int]]:
         """Verdict of "some formula shorter than the bound describes n"
@@ -313,18 +334,34 @@ class _DefTable:
     def _of_length(self, alen: int, n: int) -> tuple[Truth, Optional[int]]:
         """defined over the catalogue formulas of one length alone."""
         key = (alen, n)
-        if key in self.memo:
-            return self.memo[key]
-        verdict = Truth.FALSE
-        witness = None
-        for a in self.entries[alen]:
-            got = self.judge(a, n)
-            if got is Truth.TRUE:
-                verdict, witness = Truth.TRUE, a
-                break
-            verdict = t_or(verdict, got)
-        self.memo[key] = (verdict, witness)
+        if key not in self.memo:
+            self.memo[key] = self._judge_length(alen, n)
         return self.memo[key]
+
+    def _judge_length(self, alen: int, n: int) -> tuple[Truth, Optional[int]]:
+        entries = self.entries[alen]
+        if self.index is not None:  # only open entries can be UNKNOWN
+            first, entries = self.index[alen]
+            if n in first:
+                return Truth.TRUE, first[n]
+            truths = [_describe_status(self.facts[a], n, self.horizon)
+                      for a in entries]
+        elif self.batched:
+            truths = truths_at(self.upsilon, 1,
+                               [statement_code(a, n) for a in entries],
+                               self.budget)
+        else:
+            verdict = Truth.FALSE
+            for a in entries:  # one by one, up to the first TRUE
+                got = self.judge(a, n)
+                if got is Truth.TRUE:
+                    return got, a
+                verdict = t_or(verdict, got)
+            return verdict, None
+        if Truth.TRUE in truths:
+            return Truth.TRUE, entries[truths.index(Truth.TRUE)]
+        verdict = Truth.UNKNOWN if Truth.UNKNOWN in truths else Truth.FALSE
+        return verdict, None
 
     def berry_status(self, bound: int, n: int) -> Truth:
         out = ~self.defined(bound, n)[0]

@@ -823,7 +823,7 @@ def sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
     A formula _batch reads runs over the values the budget can reach
     at once (each visits a node at least)."""
     n = budget.witness_bound + 1
-    batch = _batch(phi, var, asg, min(n, budget.node_budget + 1), 0,
+    batch = _batch(phi, var, asg, range(min(n, budget.node_budget + 1)), 0,
                    budget) if phi.height <= DEPTH_CAP else None
     if batch is not None:
         cut = bisect_right(list(accumulate(batch[1])), budget.node_budget)
@@ -840,21 +840,36 @@ def sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
     return out
 
 
-def _batch(phi: Formula, var: int, asg: dict, n: int, depth: int,
+def truths_at(phi: Formula, var: int, values, budget: Optional[Budget] = None
+              ) -> Optional[list[Truth]]:
+    """[truth_at(phi, budget=budget)({var: v}) for v in values] in one
+    batched pass: each value gets the whole node budget, and is UNKNOWN
+    where its nodes exceed it.  None where _batch cannot read phi, which
+    includes a free variable other than var."""
+    budget = budget or Budget()
+    batch = _batch(phi, var, {}, values, 0, budget) \
+        if phi.height <= DEPTH_CAP else None
+    if batch is None:
+        return None
+    limit = budget.node_budget
+    return [_U if k > limit else _T if t else _F for t, k in zip(*batch)]
+
+
+def _batch(phi: Formula, var: int, asg: dict, values, depth: int,
            budget: Budget) -> Optional[tuple[list, list]]:
-    """phi at var = 0..n-1 as two lists: truths as bools, and the nodes
-    the compiled code visits at each value.  None unless phi is made of
-    connectives, ¬, = and < over _batch_term's terms within the depth
-    bound; DEPTH_CAP is the caller's check, on phi's height."""
-    kind, below = type(phi), (var, asg, n, depth + 1, budget)
+    """phi at var = each of values as two lists: truths as bools, and the
+    nodes the compiled code visits at each value.  None unless phi is
+    made of connectives, ¬, = and < over _batch_term's terms within the
+    depth bound; DEPTH_CAP is the caller's check, on phi's height."""
+    kind, below = type(phi), (var, asg, values, depth + 1, budget)
     if depth > budget.depth_bound:
         return None
     if kind is Eq or kind is Lt:
-        a = _batch_term(phi.left, var, asg, n)
-        b = None if a is None else _batch_term(phi.right, var, asg, n)
+        a = _batch_term(phi.left, var, asg, values)
+        b = None if a is None else _batch_term(phi.right, var, asg, values)
         return None if b is None else (
             list(map(operator.eq if kind is Eq else operator.lt, a, b)),
-            [1] * n)
+            [1] * len(values))
     if kind is Not:
         body = _batch(phi.body, *below)
         return body and ([not t for t in body[0]], [k + 1 for k in body[1]])
@@ -872,19 +887,20 @@ def _batch(phi: Formula, var: int, asg: dict, n: int, depth: int,
             [1 + i + (0 if s is settle else j) for s, i, j in zip(a, ka, kb)])
 
 
-def _batch_term(t: Term, var: int, asg: dict, n: int) -> Optional[list]:
-    """t at var = 0..n-1 if it is +, · over 0, 1 and ints, else None."""
+def _batch_term(t: Term, var: int, asg: dict, values) -> Optional[list]:
+    """t at var = each of values if it is +, · over 0, 1 and ints, else
+    None."""
     kind = type(t)
     if kind is Add or kind is Mul:
-        a = _batch_term(t.left, var, asg, n)
-        b = None if a is None else _batch_term(t.right, var, asg, n)
+        a = _batch_term(t.left, var, asg, values)
+        b = None if a is None else _batch_term(t.right, var, asg, values)
         return None if b is None else list(
             map(operator.add if kind is Add else operator.mul, a, b))
     if kind is Var and t.index == var:
-        return list(range(n))
+        return list(values)
     value = asg.get(t.index) if kind is Var else t.value if kind is Num \
         else {Zero: 0, One: 1}.get(kind)
-    return [value] * n if type(value) is int else None
+    return [value] * len(values) if type(value) is int else None
 
 
 @dataclass
@@ -892,6 +908,7 @@ class DefinesReport:
     exact: bool
     solutions: list
     note: str = ""
+    undecided: Optional[int] = None  # the first swept value left UNKNOWN
 
 
 def defines(phi: Formula, env: Optional[OracleEnv] = None,
@@ -910,7 +927,8 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
     swept = sweep(phi, 0, {}, env, budget)
     solutions = [w for w, got in enumerate(swept) if got is Truth.TRUE]
     if Truth.UNKNOWN in swept:
-        return DefinesReport(False, solutions, "a swept value is unknown")
+        return DefinesReport(False, solutions, "a swept value is unknown",
+                             swept.index(Truth.UNKNOWN))
     ev = Evaluator(env, budget)
     tail = ev._eventual(phi, 0, {}) if phi.height <= DEPTH_CAP else None
     if tail is not None and tail[0] <= limit:

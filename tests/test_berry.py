@@ -17,6 +17,7 @@ import pytest
 
 from selfref.berry import (
     _DefTable,
+    _describe_status,
     BerryBundle,
     BudgetInsufficient,
     berry_contradiction_report,
@@ -30,7 +31,9 @@ from selfref.berry import (
     truth_oracle_property,
 )
 from selfref.parser import parse_formula
-from selfref.semantics import Budget, Truth, evaluate, t_or
+from selfref.semantics import (
+    Budget, Truth, evaluate, statement_code, t_or, truth_at,
+)
 from selfref.syntax import (
     Add, Eq, Exists, Lt, Mul, Not, OracleAtom, Var, Zero, free_vars, length,
     numeral, render, substitute,
@@ -161,6 +164,18 @@ def test_least_undefinable_short_horizon_is_honest():
     u = micro_universe(8, budget=Budget(witness_bound=2))
     with pytest.raises(BudgetInsufficient):
         least_undefinable(u)
+
+
+def test_a_decided_least_undefinable_does_not_move_with_the_node_budget():
+    # at node budget 0 no swept value is decided, so nothing is undescribed
+    decided = set()
+    for nodes in (0, 2000, Budget().node_budget):
+        try:
+            decided.add(least_undefinable(
+                micro_universe(10, Budget(node_budget=nodes))))
+        except BudgetInsufficient:
+            pass
+    assert decided == {3}
 
 
 def test_bounded_definition_thresholds():
@@ -359,3 +374,49 @@ def test_def_table_columns_match_the_scan_per_bound(horizon, order, upsilon):
         for n in range(17):
             assert table.defined(bound, n) == \
                 _scanned(table, universe, bound, n)
+
+
+# -- the definability table against a per-entry loop --------------------------
+
+_TABLE_BUDGETS = {
+    "default": Budget(),
+    "nodes-2000": Budget(node_budget=2000),
+    "wide": Budget(witness_bound=300, node_budget=20000),
+    "nodes-0": Budget(node_budget=0),
+}
+
+
+@pytest.mark.parametrize("budget", _TABLE_BUDGETS.values(),
+                         ids=_TABLE_BUDGETS.keys())
+@pytest.mark.parametrize("upsilon", [
+    truth_oracle_property(), NOTHING_TRUE, EVERYTHING_TRUE,
+    OracleAtom("Formula", (Var(0),))],
+    ids=["genuine", "nothing-true", "everything-true", "formula"])
+def test_def_table_matches_a_per_entry_loop(budget, upsilon):
+    universe = micro_universe(10, budget)
+    bundle = build_bundle(upsilon)
+    table = _DefTable(bundle, universe, micro_env(universe), budget)
+    horizon = universe.value_horizon
+    if upsilon == truth_oracle_property():
+        def judged(a, n):
+            return _describe_status(universe.facts[a], n, horizon)
+    else:
+        at = truth_at(bundle.normalized_upsilon, micro_env(universe), budget)
+
+        def judged(a, n):
+            return at({1: statement_code(a, n)})
+    memo = {}
+    for bound in (*range(universe.max_len + 2), 6 * bundle.ell):
+        for n in (*range(18), *range(horizon - 2, horizon + 3)):
+            verdict, witness = Truth.FALSE, None
+            for fact in universe.facts:  # in catalogue order
+                if fact.length >= bound:
+                    continue
+                key = (fact.index, n)
+                if key not in memo:
+                    memo[key] = judged(*key)
+                if memo[key] is Truth.TRUE:
+                    verdict, witness = Truth.TRUE, fact.index
+                    break
+                verdict = t_or(verdict, memo[key])
+            assert table.defined(bound, n) == (verdict, witness)

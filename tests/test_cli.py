@@ -43,6 +43,14 @@ def test_parse_echoes_canonical_rendering(capsys):
     assert report["outputs"]["free_variables"] == []
 
 
+def test_berry_without_nodes_reports_the_budget_insufficient(capsys):
+    # no swept value is decided, so no least undescribed value is either
+    code, report = _run(capsys, ["berry", "--micro-maxlen", "8",
+                                 "--node-budget", "0"])
+    assert code == 1
+    assert "budget_insufficient" in report["verdict_failure"]
+
+
 def test_parse_rejects_garbage_with_usage_exit(capsys):
     assert main(["parse", "x=+"]) == 2
     assert capsys.readouterr().out == ""  # no report on usage errors

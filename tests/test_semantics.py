@@ -17,6 +17,7 @@ from selfref.semantics import (
     DEPTH_CAP, Budget, DefinesReport, Evaluator, OracleEnv, OracleUndecided,
     Truth, _batch, _compile_term, defines, evaluate, evaluate_full, eval_term,
     standard_oracle_env, sweep, t_and, t_iff, t_implies, t_or, truth_at,
+    truths_at,
 )
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
@@ -557,7 +558,37 @@ def test_a_batched_sweep_equals_the_scalar_loop(seed, var, other, bound, data):
     budget = Budget(witness_bound=bound, node_budget=nodes, depth_bound=depth)
     asg = {1 - var: other}
     if depth == 256:  # the batch reads every drawn formula
-        assert _batch(phi, var, asg, bound + 1, 0, budget) is not None
+        assert _batch(phi, var, asg, range(bound + 1), 0, budget) is not None
     env = OracleEnv()
     assert sweep(phi, var, asg, env, budget) == \
         _scalar_sweep(phi, var, asg, env, budget)
+
+
+# value lists out of order, with repeats, and past machine words
+_VALUE_LISTS = st.lists(st.one_of(st.integers(0, 40),
+                                  st.integers(2**62, 2**70)), max_size=12)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), _VALUES, _VALUE_LISTS,
+       st.data())
+def test_truths_at_equals_truth_at_per_value(seed, var, other, values, data):
+    phi = substitute(_qf_formula(random.Random(seed), 4), 1 - var,
+                     Num(other + 1))
+    values = values + values[: data.draw(st.integers(0, len(values)))]
+    # each value visits at most every node, so this can cut any of them
+    nodes = data.draw(st.integers(0, _formula_nodes(phi)))
+    depth = data.draw(st.sampled_from([256, 2]))
+    budget = Budget(node_budget=nodes, depth_bound=depth)
+    got = truths_at(phi, var, values, budget)
+    if depth == 256:  # the batch reads every drawn formula
+        assert got is not None
+    at = truth_at(phi, OracleEnv(), budget)
+    assert got is None or got == [at({var: v}) for v in values]
+
+
+@pytest.mark.parametrize("phi", [
+    OracleAtom("Tr", (x,)), Exists(y, Eq(y, x)), Eq(x, y)],
+    ids=["oracle-atom", "quantifier", "second-free-variable"])
+def test_truths_at_declines_what_the_batch_cannot_read(phi):
+    assert truths_at(phi, 0, [0, 1, 2]) is None
