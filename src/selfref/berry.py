@@ -398,6 +398,9 @@ def _tb_check(bundle: BerryBundle, universe: MicroUniverse, env: OracleEnv,
                 false_seen += 1
         if true_seen >= _TB_SAMPLE and false_seen >= _TB_SAMPLE:
             break
+    if not sample:  # an empty sample would license the ladder vacuously
+        raise BudgetInsufficient(
+            "no truth biconditional settled within the budget")
     counterexample = None
     for a, y, right in sample:
         left = judge(a, y)

@@ -514,9 +514,18 @@ class BigNat:
     def __hash__(self) -> int:
         if self._int is not None:
             return hash(self._int)
-        # ints hash as their residue modulo this prime, so equal values
-        # hash alike in either form
-        return hash(self.mod_int(sys.hash_info.modulus))
+        # ints hash as their residue modulo the prime p, so equal values
+        # hash alike in either form.  a = 24**w mod p is never 0, so a**c
+        # needs only c mod (p - 1) (Fermat), and never 1 below the order of
+        # 24 mod p (2.6e17 for 2**61 - 1, 7.2e8 for 2**31 - 1), so the sum
+        # of a run's copies divides by a - 1
+        p = sys.hash_info.modulus
+        r = 0
+        for v, w, c in reversed(self._runs.runs):  # msb first
+            a = pow(BASE, w, p)
+            ac = pow(a, c % (p - 1), p)
+            r = (ac * r + v * (ac - 1) * pow(a - 1, -1, p)) % p
+        return hash(r)
 
     # -- serialization ------------------------------------------------
 

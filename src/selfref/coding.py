@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from itertools import groupby
+from itertools import accumulate, groupby
 
 from .bignat import (BASE, BigNat, BigNatError, _digit_count,
                      _digits_to_int, _int_to_digits)
@@ -131,9 +131,11 @@ def decode(code: Nat):
     digits = _int_to_digits(code)
     if 0 in digits:
         raise NotACode("zero digit")
-    text = "".join(map(ID_TOKENS.__getitem__, digits))
+    # the tokens at their offsets in the spelling, as parsing it would give
+    toks = list(map(ID_TOKENS.__getitem__, digits))
+    starts = list(accumulate(map(len, toks), initial=0))
     try:
-        return parser.parse(text)
+        return parser._parse(list(zip(toks, starts)), starts[-1], None)
     except parser.ParseError as exc:
         raise NotACode(f"digit string is not a well-formed spelling: {exc}") \
             from None

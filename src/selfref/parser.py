@@ -133,8 +133,10 @@ def _variable(toks: list[tuple[str, int]], i: int) -> tuple[Var, int]:
     return Var(j - i), j
 
 
-def _parse(text: str, top):
-    """Parse all of text as a ``top``: Term, Formula, or None for either.
+def _parse(toks: list[tuple[str, int]], end: int, top):
+    """Parse all of a token list as a ``top``: Term, Formula, or None for
+    either.  Each token comes with its position in the text, and ``end``
+    is the position just past the last.
 
     One left-to-right pass over the tokens.  ``done`` is the term or
     formula just completed, and ``stack`` holds the constructs still
@@ -146,8 +148,7 @@ def _parse(text: str, top):
     the oracle's name, ``parts`` the arguments so far), and ``"="`` a
     comparison's right term, which ends where the term does.
     """
-    toks = _tokenize(text)
-    toks.append((None, len(text)))
+    toks.append((None, end))
     stack: list[tuple] = []
     # value: done's value while done is a chain 1+(1+(...)) of known
     # length, so chains longer than NUMERAL_EXPLICIT_MAX fold into a Num
@@ -237,13 +238,13 @@ def _parse(text: str, top):
 
 
 def parse_formula(text: str) -> Formula:
-    return _parse(text, Formula)
+    return _parse(_tokenize(text), len(text), Formula)
 
 
 def parse_term(text: str) -> Term:
-    return _parse(text, Term)
+    return _parse(_tokenize(text), len(text), Term)
 
 
 def parse(text: str):
     """Parse a formula or a term, whichever the text spells."""
-    return _parse(text, None)
+    return _parse(_tokenize(text), len(text), None)

@@ -249,7 +249,7 @@ class _Meta(str):
     """A metavariable of a scheme pattern, named after a builder parameter.
 
     It carries the facts the node constructors read from a child, so the
-    builders accept it in any position; a pattern stays unhashed.
+    builders accept it in any position; ``None`` stands in for its hash.
     """
 
     fv = frozenset()

@@ -21,15 +21,13 @@ the node behaves exactly like the chain it abbreviates.
 Nodes are immutable and carry facts that never change: the free-variable
 set, the token length, the height and the structural hash are computed
 once, at construction, from the children's.  The token length is a
-``BigNat`` at and above a ``Num`` over a ``BigNat``.  The one exception is
-the hash of such a ``Num`` and of every node above it, which is computed
-on the first ``hash()``.  The leaves 0, 1 and each variable are
-one shared node apiece.  Long nodes also keep their code and compact
-spelling once asked for, joined from their children's (``cached_fact``).
-Hashing, equality, substitution, ``repr`` and those joins use explicit
-stacks, so nesting depth is limited by memory, not by the interpreter's
-recursion limit.  ``preorder`` is the one walk that hashing, ``repr``,
-those joins and the other modules' subtree walks share.
+``BigNat`` at and above a ``Num`` over a ``BigNat``.  The leaves 0, 1 and
+each variable are one shared node apiece.  Long nodes also keep their
+code and compact spelling once asked for, joined from their children's
+(``cached_fact``).  Equality, substitution, ``repr`` and those joins use
+explicit stacks, so nesting depth is limited by memory, not by the
+interpreter's recursion limit.  ``preorder`` is the one walk that
+``repr``, those joins and the other modules' subtree walks share.
 """
 
 from __future__ import annotations
@@ -90,9 +88,7 @@ class _Node:
     longest root-to-leaf path (a quantifier's variable is not counted);
     all are set at construction.
     ``_hash`` is ``hash((_TAG, *parts))`` with each child node standing in
-    by its own ``_hash``, also set at construction.  Hashing a run-form
-    ``BigNat`` walks its runs, so a ``Num`` over a ``BigNat`` and every
-    node above it hold ``None`` there until their first ``hash()``.
+    by its own ``_hash``, also set at construction.
     ``_facts`` is left unset until a node that holds facts (see
     ``_holds_facts``) is first encoded or compactly rendered; it then
     holds ``[code, compact spelling]``, each ``None`` until asked for.
@@ -116,8 +112,7 @@ class _Node:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __hash__(self) -> int:
-        h = self._hash
-        return _hash_tree(self) if h is None else h
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -158,44 +153,22 @@ _set_hash = _Node._hash.__set__
 _set_facts = _Node._facts.__set__
 
 
-def _set_leaf(node: _Node, fv: frozenset[int], n: Nat,
-              h: int | None) -> None:
+def _set_leaf(node: _Node, fv: frozenset[int], n: Nat, h: int) -> None:
     _set_fv(node, fv)
     _set_length(node, n)
     _set_height(node, 1)
     _set_hash(node, h)
 
 
-def _hash_tree(root: _Node) -> int:
-    """Hash every not yet hashed node under root, children first."""
-    for item in preorder(root, _unhashed_below):
-        if type(item) is tuple:
-            node = item[0]
-            _set_hash(node, hash((node._TAG, *[
-                p._hash if isinstance(p, _Node) else p
-                for p in node._parts()])))
-    return root._hash
-
-
-def _unhashed_below(item) -> list:
-    # a node's 1-tuple is listed before its unhashed children, so it comes
-    # out after them; a shared subtree hashed meanwhile is not entered again
-    if type(item) is tuple or item._hash is not None:
-        return []
-    return [(item,), *[c for c in _children(item) if c._hash is None]]
-
-
 def _same_tree(a: _Node, b: _Node) -> bool:
-    """Structural equality: type, token length and any cached hashes first."""
+    """Structural equality: type, hash and token length first."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
         if a is b:
             continue
-        if type(a) is not type(b) or a.length != b.length:
-            return False
-        ha, hb = a._hash, b._hash
-        if ha is not None and hb is not None and ha != hb:
+        if type(a) is not type(b) or a._hash != b._hash \
+                or a.length != b.length:
             return False
         for p, q in zip(a._parts(), b._parts()):
             if isinstance(p, _Node):
@@ -268,12 +241,9 @@ class Num(Term):
             raise SyntaxError_(
                 f"Num value must be int or BigNat, got {value!r}")
         _set_value(self, value)
-        # value - 1 times 1+( and ), around one 1; a BigNat is hashed on
-        # the first hash(), not here
-        if isinstance(value, int):
-            _set_leaf(self, _NO_VARS, 4 * value - 3, hash((self._TAG, value)))
-        else:
-            _set_leaf(self, _NO_VARS, (value * 4).sub(3), None)
+        # value - 1 times 1+( and ), around one 1
+        _set_leaf(self, _NO_VARS, 4 * value - 3 if isinstance(value, int)
+                  else (value * 4).sub(3), hash((self._TAG, value)))
 
     def _parts(self) -> tuple:
         return (self.value,)
@@ -296,9 +266,7 @@ class _Binary(_Node):
         _set_length(self, self._TOKENS + left.length + right.length)
         lh, rh = left.height, right.height
         _set_height(self, 1 + (lh if lh > rh else rh))
-        lh, rh = left._hash, right._hash
-        _set_hash(self, None if lh is None or rh is None
-                  else hash((self._TAG, lh, rh)))
+        _set_hash(self, hash((self._TAG, left._hash, right._hash)))
 
     def _parts(self) -> tuple:
         return (self.left, self.right)
@@ -332,9 +300,7 @@ class _Oracle(_Node):
         # the name, the parentheses and a comma between arguments
         _set_length(self, sum((a.length for a in args), len(args) + 2))
         _set_height(self, 1 + max(a.height for a in args))
-        hashes = [a._hash for a in args]
-        _set_hash(self, None if None in hashes
-                  else hash((self._TAG, name, *hashes)))
+        _set_hash(self, hash((self._TAG, name, *[a._hash for a in args])))
 
     def _parts(self) -> tuple:
         return (self.name, *self.args)
@@ -389,8 +355,7 @@ class Not(Formula):
         _set_fv(self, body.fv)
         _set_length(self, 3 + body.length)  # ¬( … )
         _set_height(self, 1 + body.height)
-        h = body._hash
-        _set_hash(self, None if h is None else hash((self._TAG, h)))
+        _set_hash(self, hash((self._TAG, body._hash)))
 
     def _parts(self) -> tuple:
         return (self.body,)
@@ -427,9 +392,7 @@ class _Quantifier(Formula):
         _set_fv(self, fv)
         _set_length(self, 3 + var.length + body.length)  # ∀x( … )
         _set_height(self, 1 + body.height)
-        h = body._hash
-        _set_hash(self, None if h is None
-                  else hash((self._TAG, var.index, h)))
+        _set_hash(self, hash((self._TAG, var.index, body._hash)))
 
     def _parts(self) -> tuple:
         return (self.var.index, self.body)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from selfref import bignat
 from selfref.bignat import (BASE, BigNat, BigNatError, _digit_count,
                             _digits_to_int, _int_to_digits)
+from selfref.diagonal import diagonal_sentence
+from selfref.parser import parse_formula
 
 
 def _random_runform(rng: random.Random) -> tuple[BigNat, int]:
@@ -126,6 +129,15 @@ def test_equal_values_hash_alike_in_either_form():
     for equal in (BigNat(value), value):
         assert runs == equal and hash(runs) == hash(equal)
     assert len({runs, BigNat(value), value}) == 1
+    # values too long to materialize hash as the residue an int of their
+    # value would, with run counts past the modulus and θ's code among them
+    modulus = sys.hash_info.modulus
+    giants = [BigNat.from_runs([((2, 3, 14), c), ((2,), 1), ((15,), c)])
+              for c in (2**61, 2**70 + 3, modulus - 1, modulus)]
+    giants.append(diagonal_sentence(parse_formula("x=x")).theta_code)
+    for v in giants:
+        assert not v.is_materializable()
+        assert hash(v) == hash(v.mod_int(modulus))
 
 
 def test_huge_structured_identities():

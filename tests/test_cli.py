@@ -51,6 +51,15 @@ def test_berry_without_nodes_reports_the_budget_insufficient(capsys):
     assert "budget_insufficient" in report["verdict_failure"]
 
 
+def test_tarski_without_nodes_reports_the_budget_insufficient(capsys):
+    # no truth biconditional is settled, so none licenses the ladder and
+    # no 0 = 1 clash may be claimed
+    code, report = _run(capsys, ["tarski-experiment", "--micro-maxlen", "8",
+                                 "--node-budget", "0"])
+    assert code == 1
+    assert "budget_insufficient" in report["verdict_failure"]
+
+
 def test_parse_rejects_garbage_with_usage_exit(capsys):
     assert main(["parse", "x=+"]) == 2
     assert capsys.readouterr().out == ""  # no report on usage errors

@@ -98,6 +98,27 @@ def test_decode_rejects_non_codes():
         decode(99004635193)  # len(0,0)=0
 
 
+@pytest.mark.parametrize("code, message", [
+    (99004635193,  # len(0,0)=0
+     "len expects 1 arguments, got 2 (at position 7)"),
+    (163920807,  # Formula(0,x)
+     "Formula expects 1 arguments, got 2 (at position 11)"),
+    (29846559028501640,  # prf(x′,neg(0))∧∧
+     "expected '(', got '∧' (at position 15)"),
+    (4316296109,  # D(0,0)=, which ends early
+     "expected a term (at position 7)"),
+    (81456851899,  # x′=len(x)prf
+     "trailing input 'prf' (at position 9)"),
+])
+def test_decode_faults_name_their_text_position(code, message):
+    # positions count characters of the spelling, so a name token moves
+    # everything after it by its length
+    with pytest.raises(NotACode) as err:
+        decode(code)
+    assert str(err.value) == \
+        f"digit string is not a well-formed spelling: {message}"
+
+
 def test_concatenation_law():
     rng = random.Random(53)
     for _ in range(100):

@@ -294,11 +294,6 @@ def _fresh_hash(node) -> int:
                               for p in node._parts()]))
 
 
-def _over_bignat(node) -> bool:
-    return any(isinstance(n, Num) and isinstance(n.value, BigNat)
-               for n in _subtrees(node))
-
-
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4),
        st.sampled_from([None, 300, 10**40, _RUN_FORM]))
@@ -308,11 +303,10 @@ def test_hashes_are_the_structural_formula(seed, depth, big):
         term = Add(One(), numeral(big))
         phi = substitute(phi, min(phi.fv), term) if phi.fv \
             else And(phi, Lt(term, x))
-    # only a Num over a BigNat and the nodes above it wait for hash()
+    # every node, a Num over a BigNat and those above it too, holds its
+    # hash from construction on
     for node in _subtrees(phi):
-        assert (node._hash is None) == _over_bignat(node)
-    for node in _subtrees(phi):
-        assert hash(node) == _fresh_hash(node)
+        assert node._hash == hash(node) == _fresh_hash(node)
 
 
 def test_lengths_at_and_above_a_run_form_numeral():
@@ -344,8 +338,9 @@ def test_deep_tower_over_a_run_form_numeral_hashes_without_recursion():
 
 
 def test_shared_subtrees_over_a_run_form_numeral_hash_once(monkeypatch):
-    # And(phi, phi) 20 times unfolds to 2**20 leaves, but the hash walk
-    # stays linear in the 22 distinct unhashed nodes (the Num among them)
+    # And(phi, phi) 20 times unfolds to 2**20 leaves, but each of the 22
+    # distinct nodes (the Num among them) was hashed once, when built, so
+    # hash() walks no children
     phi = shared = Eq(Num(_RUN_FORM), x)
     for _ in range(20):
         phi = And(phi, phi)
@@ -357,7 +352,7 @@ def test_shared_subtrees_over_a_run_form_numeral_hash_once(monkeypatch):
         expected = hash((And._TAG, expected, expected))
     assert hash(phi) == expected
     walked = len(entered)  # keeps the 2**20-leaf tree out of the report
-    assert walked < 100
+    assert walked == 0
 
 
 # -- token counts and substitution on random trees -----------------------------
