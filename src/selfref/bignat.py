@@ -44,6 +44,10 @@ _SMALL_FACTOR_CAP = 1 << 22
 
 _LEAF = 512
 _CHUNK = BASE**_LEAF
+# A leaf splits into 12-digit pieces (24**12 < 2**56), and a piece into
+# 2-digit pairs read from a table of their digits.
+_PIECE = BASE**12
+_PAIRS = [bytes(divmod(v, BASE)) for v in range(BASE * BASE)]
 # byte d -> the character of digit d in int(..., 24)
 _DIGIT_CHARS = bytes.maketrans(bytes(range(BASE)), b"0123456789abcdefghijklmn")
 
@@ -73,22 +77,27 @@ def _int_to_digits(n: int) -> tuple[int, ...]:
     powers = [_CHUNK]
     while 2 * powers[-1].bit_length() - 1 <= n.bit_length():
         powers.append(powers[-1] * powers[-1])
-    out: list[int] = []
+    out = bytearray()
     _put_digits(n, powers, len(powers) - 1, 0, out)
     return tuple(out) or (0,)
 
 
 def _put_digits(n: int, powers: list[int], k: int, width: int,
-                out: list[int]) -> None:
+                out: bytearray) -> None:
     """Append the digits of n < powers[k]**2, zero-padded to width digits;
     width 0 pads nothing, so a short value peels no full leaf."""
     if k < 0:
-        digits = []
+        pieces, digits = [], bytearray()
         while n:
-            n, d = divmod(n, BASE)
-            digits.append(d)
-        out.extend([0] * (width - len(digits)))
-        out.extend(reversed(digits))
+            n, p = divmod(n, _PIECE)
+            pieces.append(p)
+        for p in reversed(pieces):
+            h, p = divmod(p, 576**3)
+            a, h = divmod(h, 576**2)
+            b, p = divmod(p, 576**2)
+            digits += _PAIRS[a] + _PAIRS[h // 576] + _PAIRS[h % 576] + \
+                _PAIRS[b] + _PAIRS[p // 576] + _PAIRS[p % 576]
+        out += digits.lstrip(b"\0").rjust(width, b"\0")
         return
     if not width and n < powers[k]:
         _put_digits(n, powers, k - 1, 0, out)

@@ -197,7 +197,12 @@ def catalogue_env(size: int, judge: Callable[[int, int], Truth],
         return got is Truth.TRUE
 
     def reading(fn):
-        return lambda *args: fn(*map(index, args))
+        def read(*args):
+            for a in args:
+                if type(a) is not int:
+                    return fn(*map(index, args))
+            return fn(*args)
+        return read
 
     return OracleEnv(atoms={"Formula": formula_fn, "Tr": tr_fn},
                      funs={name: reading(fn) for name, fn in funs.items()},
@@ -321,6 +326,12 @@ def _compile_term(t: Term, env: OracleEnv) -> Callable[[dict], Nat]:
         return lambda asg: eval_term(t, asg, env)
     # map and a loop, not comprehensions: one frame per term level
     args = list(map(_compile_term, t.args, repeat(env)))
+    if len(args) == 1:
+        (a,) = args
+        return lambda asg: fn(a(asg))
+    if len(args) == 2:
+        a, b = args
+        return lambda asg: fn(a(asg), b(asg))
 
     def call(asg):
         values = []
@@ -441,6 +452,10 @@ class Evaluator:
     bounded rest is compiled only when the bounded device fires.  Every
     node visit counts against the node budget before the depth check,
     as a tree walk would count it.
+
+    Compiling settles what stays fixed between visits: an oracle atom's
+    support and interpretation, an oracle function's arity, and the left
+    value after which ∧, ∨ or → takes its right side's value.
     """
 
     __slots__ = ("env", "budget", "witnesses", "nodes")
@@ -509,12 +524,15 @@ class Evaluator:
                 raise BudgetExceeded
             if body is None:
                 body = ev._compile(phi.body, path + (0,), depth + 1)
-            return ~body(asg)
+            got = body(asg)
+            return _F if got is _T else _T if got is _F else _U
         return run
 
     def _connective(self, phi, path: Path, depth: int):
         ev, limit = self, self.budget.node_budget
         stop, settled, table = _CONNECTIVES[type(phi)]
+        # the left value after which the verdict is the right one (∧, ∨, →)
+        neutral = None if stop is None else ~stop
         left = right = None
 
         def run(asg):
@@ -529,6 +547,8 @@ class Evaluator:
                 return settled
             if right is None:
                 right = ev._compile(phi.right, path + (1,), depth + 1)
+            if a is neutral:
+                return right(asg)
             return table(a, right(asg))
         return run
 
@@ -536,53 +556,64 @@ class Evaluator:
         ev, limit = self, self.budget.node_budget
         if type(phi) is OracleAtom:
             args = [_compile_term(a, self.env) for a in phi.args]
-            name = phi.name
+            read = self._oracle_reader(phi.name)
+            one = args[0] if len(args) == 1 else None
 
-            def run(asg):
+            def oracle(asg):
                 ev.nodes += 1
                 if ev.nodes > limit:
                     raise BudgetExceeded
                 try:
-                    values = [a(asg) for a in args]
+                    values = [one(asg)] if one else [a(asg) for a in args]
                 except _OFF_FRAGMENT:
                     return _U
-                return ev._oracle_truth(name, values)
-            return run
+                return read(values)
+            return oracle
         left = _compile_term(phi.left, self.env)
         right = _compile_term(phi.right, self.env)
-        is_eq = type(phi) is Eq
 
-        def run(asg):
+        def eq(asg):
             ev.nodes += 1
             if ev.nodes > limit:
                 raise BudgetExceeded
             try:
-                a = left(asg)
-                b = right(asg)
-                if is_eq:
-                    return _T if a == b else _F
-                return _T if a < b else _F
+                return _T if left(asg) == right(asg) else _F
             except _OFF_FRAGMENT:
                 return _U
-        return run
 
-    def _oracle_truth(self, name: str, args: list) -> Truth:
-        support = self.env.atom_supports.get(name)
-        if support is not None:
-            if support <= 0:
-                return _F
+        def lt(asg):
+            ev.nodes += 1
+            if ev.nodes > limit:
+                raise BudgetExceeded
             try:
-                if any(support - 1 < a for a in args):
-                    return _F
-            except BigNatError:
-                pass
+                return _T if left(asg) < right(asg) else _F
+            except _OFF_FRAGMENT:
+                return _U
+        return eq if type(phi) is Eq else lt
+
+    def _oracle_reader(self, name: str) -> Callable[[list], Truth]:
+        """Code giving the truth of oracle atom name at argument values."""
+        support = self.env.atom_supports.get(name)
         fn = self.env.atoms.get(name)
-        if fn is None:
-            return _U
-        try:
-            return from_bool(fn(*args))
-        except _OFF_FRAGMENT:
-            return _U
+        if support is not None and support <= 0:
+            return lambda values: _F
+        last = -1 if support is None else support - 1
+
+        def read(values):
+            if last >= 0:
+                try:
+                    for a in values:
+                        if last < a:
+                            return _F
+                except BigNatError:
+                    pass
+            if fn is None:
+                return _U
+            try:
+                return _T if fn(*values) else _F
+            except _OFF_FRAGMENT:
+                return _U
+        return read
 
     def _quantifier(self, phi, path: Path, depth: int):
         """The devices in order: a witness (existentials only), a bounded
@@ -732,7 +763,7 @@ class Evaluator:
                     args = [eval_term(a, asg, self.env) for a in phi.args]
                 except _OFF_FRAGMENT:
                     return None
-                got = self._oracle_truth(phi.name, args)
+                got = self._oracle_reader(phi.name)(args)
                 return None if got is Truth.UNKNOWN else (0, got)
             if support is None:
                 return None
@@ -925,10 +956,10 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
         return DefinesReport(False, [], "extra free variables")
     limit = budget.witness_bound + 1
     swept = sweep(phi, 0, {}, env, budget)
-    solutions = [w for w, got in enumerate(swept) if got is Truth.TRUE]
-    if Truth.UNKNOWN in swept:
+    solutions = [w for w, got in enumerate(swept) if got is _T]
+    if _U in swept:
         return DefinesReport(False, solutions, "a swept value is unknown",
-                             swept.index(Truth.UNKNOWN))
+                             swept.index(_U))
     ev = Evaluator(env, budget)
     tail = ev._eventual(phi, 0, {}) if phi.height <= DEPTH_CAP else None
     if tail is not None and tail[0] <= limit:

@@ -10,6 +10,7 @@ the inner comparison formula costs 2L + 16k + 80 tokens and the outer
 sentence 32 + 5*ell.
 """
 
+import hashlib
 import random
 from collections import Counter
 
@@ -32,7 +33,8 @@ from selfref.berry import (
 )
 from selfref.parser import parse_formula
 from selfref.semantics import (
-    Budget, Truth, evaluate, statement_code, t_or, truth_at,
+    Budget, OracleEnv, Truth, evaluate, evaluate_full, statement_code, t_or,
+    truth_at,
 )
 from selfref.syntax import (
     Add, Eq, Exists, Lt, Mul, Not, OracleAtom, Var, Zero, free_vars, length,
@@ -242,6 +244,45 @@ def test_b_instances_with_nothing_true_property():
     ]
     assert verdicts[0] is Truth.TRUE
     assert verdicts[1:] == [Truth.FALSE] * 3
+
+
+def _counting(env: OracleEnv, calls: Counter) -> OracleEnv:
+    """env with every oracle symbol counting its calls into calls."""
+    def count(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+    return OracleEnv(atoms={n: count(n, f) for n, f in env.atoms.items()},
+                     funs={n: count(n, f) for n, f in env.funs.items()},
+                     atom_supports=dict(env.atom_supports))
+
+
+def test_catalogue_env_accounting_is_pinned():
+    # (truth, nodes_used, budget_hit) and the oracle calls per symbol of
+    # every evaluation of the Berry formulas under the catalogue reading;
+    # the digest was taken from the evaluator before its closures were
+    # specialised at compile time
+    u = micro_universe(8)
+    wide = len(u.formulas) + 2
+    h = hashlib.sha256()
+    for upsilon in (truth_oracle_property(), NOTHING_TRUE):
+        bundle = build_bundle(upsilon)
+        instances = [substitute(substitute(bundle.berry_formula, 0,
+                                           numeral(n)), 1, numeral(bound))
+                     for bound in (4, 8, 6 * bundle.ell) for n in range(5)]
+        instances += [substitute(bundle.b_formula, 0, numeral(n))
+                      for n in range(5)]
+        for env in (micro_env(u), micro_env(u, bundle)):
+            for budget in (Budget(witness_bound=wide),
+                           Budget(witness_bound=wide, node_budget=2000)):
+                for phi in instances:
+                    calls = Counter()
+                    r = evaluate_full(phi, _counting(env, calls), budget)
+                    h.update(f"{r.truth.name} {r.nodes_used} {r.budget_hit} "
+                             f"{sorted(calls.items())}\n".encode())
+    assert h.hexdigest() == \
+        "c52956c7b1423614572cc8efbe809314c39514c469847821d1d8d1584b720baf"
 
 
 # -- the contradiction report -------------------------------------------------

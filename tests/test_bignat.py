@@ -306,6 +306,27 @@ def test_radix_conversion_round_trips(n, zeros):
     assert BigNat.from_int(n).digits24 == len(digits)
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.one_of(
+    st.integers(0, 1200).flatmap(
+        lambda k: st.sampled_from([0, BASE**k - 1, BASE**k])),
+    st.integers(0, 30_000).flatmap(lambda bits: st.integers(0, 2**bits)),
+    st.tuples(st.integers(1, BASE**40), st.integers(0, 3000),
+              st.integers(0, BASE**30)).map(
+        lambda t: t[0] * BASE**t[1] + t[2])))
+def test_radix_leaves_agree_with_one_digit_at_a_time(n):
+    # the leaf reads 12 digits per divmod and 2 per table entry; values
+    # with long zero stretches make many padded leaves
+    digits = _int_to_digits(n)
+    assert digits == _peel_digits(n)
+    if n < BASE**bignat._LEAF:
+        for width in {len(digits), len(digits) + 1, len(digits) + 13,
+                      bignat._LEAF}:
+            out = bytearray()
+            bignat._put_digits(n, [], -1, width, out)
+            assert tuple(out) == (0,) * (width - len(digits)) + digits
+
+
 _RUNS = st.lists(
     st.tuples(st.lists(st.integers(0, BASE - 1), min_size=1, max_size=5)
               .map(tuple), st.integers(1, 600)),

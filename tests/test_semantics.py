@@ -36,6 +36,26 @@ def test_kleene_tables():
     assert t_iff(T, U) is U and (~U) is U and (~T) is F
 
 
+def test_compiled_connectives_follow_the_kleene_tables():
+    # 0=0, 0=1 and prf(0,0) (no interpretation) are T, F and U in one
+    # node each; a binary node visits its right side unless the left
+    # value settles the verdict
+    atoms = {T: Eq(Zero(), Zero()), F: Eq(Zero(), One()),
+             U: OracleAtom("prf", (Zero(), Zero()))}
+    settles = {And: F, Or: T, Implies: F, Iff: None}
+    tables = {And: t_and, Or: t_or, Implies: t_implies, Iff: t_iff}
+    for kind, table in tables.items():
+        for a, left in atoms.items():
+            for b, right in atoms.items():
+                report = evaluate_full(kind(left, right), OracleEnv())
+                assert report.truth is table(a, b), (kind, a, b)
+                assert report.nodes_used == \
+                    (2 if a is settles[kind] else 3), (kind, a, b)
+    for a, body in atoms.items():
+        report = evaluate_full(Not(body), OracleEnv())
+        assert (report.truth, report.nodes_used) == (~a, 2)
+
+
 def test_closed_atoms():
     assert evaluate(parse_formula("1+(1)=1+(1)")) is T
     assert evaluate(parse_formula("0<1")) is T
