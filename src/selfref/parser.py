@@ -10,8 +10,10 @@ identity on canonically built trees.
 Parsing is one left-to-right pass over the tokens that keeps the open
 constructs on an explicit stack, so it has no depth limit: any nesting
 that fits in memory parses, and ``coding.decode`` inverts
-``coding.encode`` however deep the tree.  An oracle applied to the
-wrong number of arguments is a parse error.
+``coding.encode`` however deep the tree.  An operand ``1`` reads the
+numeral chain ``1+(1+(…(1)…))`` it starts in one step: a shared
+``syntax.numeral`` node, and a frame per level the text leaves open.  An
+oracle applied to the wrong number of arguments is a parse error.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ _SINGLE = {
 }
 
 _ZERO, _ONE = syntax.Zero(), syntax.One()
+_ONE_PLUS = (")", Term, Add, (_ONE,))  # the open right side of 1+( … )
 _CONNECTIVES = {"∧": And, "∨": Or, "→": Implies, "↔": Iff}
 _TERM_OPS = {"+": Add, "·": Mul}
 _QUANTIFIERS = {"∀": Forall, "∃": Exists}
@@ -150,8 +153,7 @@ def _parse(toks: list[tuple[str, int]], end: int, top):
     """
     toks.append((None, end))
     stack: list[tuple] = []
-    # value: done's value while done is a chain 1+(1+(...)) of known
-    # length, so chains longer than NUMERAL_EXPLICIT_MAX fold into a Num
+    # value: done's value while done is a numeral, which a 1+( … ) folds
     done = value = None
     i = 0
     while True:
@@ -161,8 +163,17 @@ def _parse(toks: list[tuple[str, int]], end: int, top):
             i += 1
             if tok == "0":
                 done = _ZERO
-            elif tok == "1":
-                done, value = _ONE, 1
+            elif tok == "1":  # a chain 1+(…(1)…) folds in one step
+                j = i
+                while toks[j][0] == "+" and toks[j + 1][0] == "(" \
+                        and toks[j + 2][0] == "1":
+                    j += 3
+                k, m = (j - i) // 3, 0  # k openers, m closers after them
+                while m < k and toks[j + m][0] == ")":
+                    m += 1
+                stack += [_ONE_PLUS] * (k - m)  # the levels still open
+                value, i = m + 1, j + m
+                done = numeral(value)
             elif tok == "x":
                 done, i = _variable(toks, i)
             elif tok is not None and tok[0] == "#":
@@ -229,12 +240,9 @@ def _parse(toks: list[tuple[str, int]], end: int, top):
             i += 1
             if build is Add and parts[0] is _ONE and value is not None:
                 value += 1
-                if value > syntax.NUMERAL_EXPLICIT_MAX:
-                    done = numeral(value)
-                    continue
+                done = numeral(value)
             else:
-                value = None
-            done = build(*parts, done)
+                done, value = build(*parts, done), None
 
 
 def parse_formula(text: str) -> Formula:

@@ -182,10 +182,10 @@ def catalogue_env(size: int, judge: Callable[[int, int], Truth],
         return out
 
     def formula_fn(a: Nat) -> bool:
-        return index(a) < size
+        return (a if type(a) is int else index(a)) < size
 
     def tr_fn(code: Nat) -> bool:
-        code = index(code)
+        code = code if type(code) is int else index(code)
         if code <= 0:
             return False
         a, rest = unpair(code - 1)

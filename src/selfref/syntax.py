@@ -21,8 +21,8 @@ the node behaves exactly like the chain it abbreviates.
 Nodes are immutable and carry facts that never change: the free-variable
 set, the token length, the height and the structural hash are computed
 once, at construction, from the children's.  The token length is a
-``BigNat`` at and above a ``Num`` over a ``BigNat``.  The leaves 0, 1 and
-each variable are one shared node apiece.  Long nodes also keep their
+``BigNat`` at and above a ``Num`` over a ``BigNat``.  Each variable and
+explicit numeral is one shared node.  Long nodes also keep their
 code and compact spelling once asked for, joined from their children's
 (``cached_fact``).  Equality, substitution, ``repr`` and those joins use
 explicit stacks, so nesting depth is limited by memory, not by the
@@ -430,7 +430,9 @@ _QUANTIFIER_TOKEN = {Forall: "∀", Exists: "∃"}
 
 
 def numeral(n: Nat) -> Term:
-    """The canonical term with value n: 0, 1, or 1+(1+(...))."""
+    """The canonical term with value n: 0, 1, or 1+(1+(...)).  Up to
+    NUMERAL_EXPLICIT_MAX it is the one shared node of a table built at
+    import, whose entry n is Add(One(), entry n-1); above, a Num."""
     if isinstance(n, BigNat):
         if n.digits24 <= 8:
             n = n.to_int()
@@ -438,14 +440,14 @@ def numeral(n: Nat) -> Term:
             return Num(n)
     if n < 0:
         raise SyntaxError_("no numerals for negative values")
-    if n == 0:
-        return Zero()
     if n > NUMERAL_EXPLICIT_MAX:
         return Num(n)
-    t: Term = One()
-    for _ in range(n - 1):
-        t = Add(One(), t)
-    return t
+    return _NUMERALS[n]
+
+
+_NUMERALS: list[Term] = [Zero(), One()]
+for _ in range(NUMERAL_EXPLICIT_MAX - 1):
+    _NUMERALS.append(Add(One(), _NUMERALS[-1]))
 
 
 def conj(*parts: Formula) -> Formula:

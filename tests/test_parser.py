@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from selfref.coding import decode, encode
+from selfref.diagonal import build_delta
 from selfref.parser import (ParseError, _tokenize, parse, parse_formula,
                             parse_term)
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Lt, Mul, Not, Num, One, OracleFun, Or, Var,
-    Zero, numeral, render, NUMERAL_EXPLICIT_MAX,
+    Zero, numeral, preorder, render, NUMERAL_EXPLICIT_MAX,
 )
 from .test_syntax import _random_formula, _random_term
 
@@ -68,6 +70,40 @@ def test_very_long_numeral_string():
     m = 5000
     text = "1+(" * (m - 1) + "1" + ")" * (m - 1)
     assert parse_term(text) == numeral(m)
+
+
+def test_chain_fold_round_trips():
+    for n in range(1, 301):
+        chain = numeral(n)
+        text = render(chain)
+        assert text == "1+(" * (n - 1) + "1" + ")" * (n - 1)
+        assert parse_term(text) == chain and decode(encode(chain)) == chain
+        if n <= NUMERAL_EXPLICIT_MAX:  # read back as the shared node
+            assert parse_term(text) is chain
+            assert decode(encode(chain)) is chain
+        phi = Eq(chain, Var(0))
+        assert parse_formula(render(phi)) == phi
+        assert decode(encode(phi)) == phi
+    # chains that end in something other than a closed 1
+    for text, tree in [
+            ("1+(1+(x))=1", Eq(Add(One(), Add(One(), Var(0))), One())),
+            ("1+(1+(1)·(x))=1",
+             Eq(Add(One(), Mul(numeral(2), Var(0))), One())),
+            ("1+(1)+(x)=1", Eq(Add(numeral(2), Var(0)), One()))]:
+        assert parse_formula(text) == tree and render(tree) == text
+        assert decode(encode(tree)) == tree
+    assert parse_formula("1+(#300)=1") == parse_formula("#301=1") == \
+        Eq(Num(301), One())
+
+
+def test_diagonal_numerals_are_read_back_shared():
+    # the digit constants of δ's Diag formula: each explicit numeral value
+    # is one node object, however often δ spells it
+    delta = build_delta(parse_formula("x=x"))
+    for tree in (parse_formula(render(delta, compact=True)),
+                 decode(encode(delta))):
+        assert tree == delta
+        assert len({id(node) for node in preorder(tree)}) == 489
 
 
 def test_non_numeral_chains_keep_their_shape():
@@ -176,6 +212,12 @@ def test_deep_nesting_round_trips(shape, depth):
     ("len(x+(0,1))", 8, "expected ')' to close a term, got ','"),
     ("len(0,0)=0", 7, "len expects 1 arguments, got 2"),
     ("x=x=x", 3, "trailing input '='"),
+    # numeral chains that break off, read in one step up to the break
+    ("1+(1+(1)", 8, "expected ')' to close a term, got None"),
+    ("1+(1+(", 6, "expected a term"),
+    ("1+(1+(1)))", 9, "expected '=' or '<', got ')'"),
+    ("1+(1+1)", 5, "expected '(', got '1'"),
+    ("1+(1", 4, "expected ')' to close a term, got None"),
 ])
 def test_grammar_error_messages(text, pos, message):
     with pytest.raises(ParseError) as err:

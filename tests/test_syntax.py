@@ -38,6 +38,22 @@ def test_numeral_spellings():
     assert render(numeral(3)) == "1+(1+(1))"
 
 
+def test_explicit_numerals_are_one_shared_node_per_value():
+    chain = One()  # built by explicit nesting, one fresh node per level
+    chains = [Zero(), chain]
+    for _ in range(NUMERAL_EXPLICIT_MAX - 1):
+        chain = Add(One(), chain)
+        chains.append(chain)
+    for n, chain in enumerate(chains):
+        assert numeral(n) is numeral(n)
+        assert numeral(n) == chain and hash(numeral(n)) == hash(chain)
+        assert numeral(BigNat.from_int(n)) is numeral(n)
+    assert numeral(2) is not chains[2]  # so == above compared structure
+    for n in (NUMERAL_EXPLICIT_MAX + 1, NUMERAL_EXPLICIT_MAX + 2, 10**6):
+        assert type(numeral(n)) is Num and numeral(n).value == n
+        assert numeral(n) is not numeral(n)
+
+
 def test_numeral_length_law_against_streamed_tokens():
     for m in range(1, 520):
         toks = list(tokens(numeral(m)))
