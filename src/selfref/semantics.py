@@ -17,9 +17,11 @@ brute-force sweeping:
 * tail analysis -- bodies built from polynomial comparisons (and
   oracle atoms with a declared finite support) are eventually constant
   along v, and the crossover point is computable, so a sweep up to it
-  plus the tail verdict is exact;
+  plus the tail verdict is exact; values from the crossover on are
+  neither run nor charged;
 * vacuous sweeps -- a body without the quantified variable runs once,
-  and the other swept values are charged the nodes of that run;
+  and the other values the sweep would run (those below a tail
+  threshold, when there is one) are charged the nodes of that run;
 * witnesses -- an evaluation may carry a map from tree paths of
   existential nodes to claimed witness values; a witnessed node is
   checked only at its witness, which can certify TRUE outright or
@@ -618,20 +620,22 @@ class Evaluator:
     def _quantifier(self, phi, path: Path, depth: int):
         """The devices in order: a witness (existentials only), a bounded
         range, linear solving (existentials only), tail analysis, and a
-        sweep to the witness bound, which the tail can make exact."""
+        sweep to the witness bound.  A tail that settles every value from
+        a threshold within the bound makes the sweep exact and cuts it
+        short: it stops at the threshold."""
         ev, budget = self, self.budget
         limit, iter_cap = budget.node_budget, budget.iter_cap
-        sweep = range(budget.witness_bound + 1)
+        horizon = budget.witness_bound + 1  # values a full sweep runs
         v = phi.var.index
         exists = type(phi) is Exists
         # a TRUE instance settles an existential, a FALSE one a universal
         stop, start, join = (_T, _F, t_or) if exists else (_F, _T, t_and)
         # Compiled code and oracles are functions of the assignment, so a
         # body without v gives one verdict, after the same number of
-        # nodes, at every swept value: it runs once, and the skipped
-        # values are charged the nodes that run used.
-        swept = sweep[:1] if v not in phi.body.fv else sweep
-        skipped = len(sweep) - len(swept)
+        # nodes, at every swept value: it runs once, and the other values
+        # below the sweep's end are charged the nodes that run used.
+        # Values from a tail threshold on are neither run nor charged.
+        vacuous = v not in phi.body.fv
         witness = self.witnesses.get(path) if exists else None
         walks = depth + phi.height <= DEPTH_CAP
         guard = body = rest = None
@@ -678,6 +682,10 @@ class Evaluator:
                 tail = ev._eventual(phi.body, v, asg)
                 if tail is not None and tail[1] is stop:
                     return stop
+            # a tail left here gives start from its threshold on
+            settled = tail is not None and tail[0] <= horizon
+            top = tail[0] if settled else horizon
+            swept = range(min(top, 1) if vacuous else top)
             undecided, before = False, ev.nodes
             for w in swept:
                 inner[v] = w
@@ -686,16 +694,13 @@ class Evaluator:
                     return stop
                 if got is not start:
                     undecided = True
-            if skipped:
+            if top > len(swept):
                 # the sweep would have run out of nodes at limit + 1
-                ev.nodes += (ev.nodes - before) * skipped
+                ev.nodes += (ev.nodes - before) * (top - len(swept))
                 if ev.nodes > limit:
                     ev.nodes = limit + 1
                     raise BudgetExceeded
-            if not undecided and tail is not None \
-                    and tail[1] is start and tail[0] <= len(sweep):
-                return start
-            return _U
+            return start if settled and not undecided else _U
         return run
 
     def _solve_linear(self, body: Formula, v: int,

@@ -261,8 +261,9 @@ def _counting(env: OracleEnv, calls: Counter) -> OracleEnv:
 def test_catalogue_env_accounting_is_pinned():
     # (truth, nodes_used, budget_hit) and the oracle calls per symbol of
     # every evaluation of the Berry formulas under the catalogue reading;
-    # the digest was taken from the evaluator before its closures were
-    # specialised at compile time
+    # retaken when values a tail settles stopped being swept or charged,
+    # which kept every verdict and the oracle calls of every evaluation
+    # that stays inside its node budget
     u = micro_universe(8)
     wide = len(u.formulas) + 2
     h = hashlib.sha256()
@@ -282,7 +283,7 @@ def test_catalogue_env_accounting_is_pinned():
                     h.update(f"{r.truth.name} {r.nodes_used} {r.budget_hit} "
                              f"{sorted(calls.items())}\n".encode())
     assert h.hexdigest() == \
-        "c52956c7b1423614572cc8efbe809314c39514c469847821d1d8d1584b720baf"
+        "8463dce182d89bd329a9f025fac67cfeb8ef1af8aa402bbc51d1370d542ed23a"
 
 
 # -- the contradiction report -------------------------------------------------

@@ -60,6 +60,15 @@ def test_tarski_without_nodes_reports_the_budget_insufficient(capsys):
     assert "budget_insufficient" in report["verdict_failure"]
 
 
+@pytest.mark.parametrize("command", ["berry", "tarski-experiment"])
+def test_a_tight_budget_finds_the_least_undefinable_value(capsys, command):
+    # values a quantifier's tail settles are not charged, so 234 nodes
+    # decide every describability fact up to 4, the default's value
+    code, report = _run(capsys, [command, "--node-budget", "234"])
+    assert code == 0
+    assert report["outputs"]["least_undefinable"] == 4
+
+
 def test_parse_rejects_garbage_with_usage_exit(capsys):
     assert main(["parse", "x=+"]) == 2
     assert capsys.readouterr().out == ""  # no report on usage errors
