@@ -7,7 +7,8 @@ lists, for its ``run_seconds`` and at the fixed seed ``SEED`` (so that
 snapshots compare run for run), and keeps the final JSON line of each
 run.  It also records the per-criterion times of
 ``acceptance.run_all()``, the wall time and outcome of the tier-1 suite
-(``python -m pytest -q`` with ``src`` on the path), the number of usable
+(``python -m pytest -q`` with ``src`` on the path), the lines of each
+module under ``src/selfref`` and their total, the number of usable
 CPUs, the Python version and the git revision, and writes all of it to
 ``BENCH_<N>.json`` at the root of the checkout.  Nothing in
 ``perfbench/`` is changed or configured.
@@ -61,6 +62,12 @@ def _git_revision() -> str:
     return proc.stdout.strip() or "unknown"
 
 
+def _src_lines() -> dict:
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in sorted((ROOT / "src" / "selfref").glob("*.py"))}
+    return dict(lines, total=sum(lines.values()))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="the number in BENCH_<n>.json")
@@ -91,6 +98,7 @@ def main() -> int:
         "acceptance": {"wall_s": round(criteria_s, 3), "criteria": criteria},
         "tier1": {"wall_s": round(tier1_s, 3), "exit": proc.returncode,
                   "summary": summary[0]},
+        "src_lines": _src_lines(),
     }
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n",

@@ -31,6 +31,8 @@ Tree paths are tuples of child indices: 0 for the body of a negation
 or quantifier, 0/1 for left/right of binary nodes, argument position
 for oracle symbols.
 
+One interpreter, eval_term, reads a term as its value or, for tail
+analysis and linear solving, as a polynomial in the swept variable.
 Formulas are compiled into closures (Feeley & Lapalme, "Using closures
 for code generation", 1987) lazily, one node at its first visit, so a
 sweep reruns compiled code while a formula that is decided after a few
@@ -53,8 +55,7 @@ from typing import Callable, Optional
 from .bignat import BigNat, BigNatError, as_int
 from .syntax import (
     Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Mul, Nat,
-    Not, Num, One, OracleAtom, OracleFun, Or, Term, Var, Zero, free_vars,
-    preorder,
+    Not, Num, One, OracleAtom, OracleFun, Or, Term, Var, Zero, preorder,
 )
 
 Path = tuple[int, ...]
@@ -231,22 +232,31 @@ def _as_int_if_small(v: Nat) -> Nat:
     return v
 
 
-def eval_term(t: Term, assignment: dict[int, Nat],
-              env: OracleEnv) -> Nat:
+def eval_term(t: Term, assignment: dict[int, Nat], env: OracleEnv,
+              v: Optional[int] = None):
     """Exact value of a term; raises when off the exact fragment, and
-    on a term nested deeper than DEPTH_CAP, which it does not walk."""
+    on a term nested deeper than DEPTH_CAP, which it does not walk.
+
+    Given v, a subterm in which v is free is read as a polynomial in v
+    instead: the value is its coefficient list, lowest degree first
+    ([0, 1] at v itself), and an oracle function of v raises before it
+    evaluates its arguments."""
     kind = type(t)
     if kind is Add or kind is Mul:
         if t.height > DEPTH_CAP:
             raise OracleUndecided("term nested too deep")
-        a = eval_term(t.left, assignment, env)
-        b = eval_term(t.right, assignment, env)
+        a = eval_term(t.left, assignment, env, v)
+        b = eval_term(t.right, assignment, env, v)
         if type(a) is int and type(b) is int:
             return a + b if kind is Add else a * b
+        if type(a) is list or type(b) is list:
+            return _poly_op(kind, a, b)
         return _as_int_if_small(a + b if kind is Add else a * b)
     if kind is One:
         return 1
     if kind is Var:
+        if t.index == v:
+            return [0, 1]
         try:
             return assignment[t.index]
         except KeyError:
@@ -257,6 +267,8 @@ def eval_term(t: Term, assignment: dict[int, Nat],
     if kind is Num:
         return t.value
     if kind is OracleFun:
+        if v in t.fv:
+            raise OracleUndecided(f"{t.name} of the swept variable")
         fn = env.funs.get(t.name)
         if fn is None:
             raise OracleUndecided(f"no interpretation for {t.name}")
@@ -264,7 +276,7 @@ def eval_term(t: Term, assignment: dict[int, Nat],
             raise OracleUndecided("term nested too deep")
         values = []  # a loop, not a comprehension: one frame per level
         for a in t.args:
-            values.append(eval_term(a, assignment, env))
+            values.append(eval_term(a, assignment, env, v))
         return fn(*values)
     raise OracleUndecided(f"cannot evaluate {t!r}")
 
@@ -358,61 +370,44 @@ def _small(guard, asg, cap: int) -> Optional[int]:
 # -- polynomial views of terms ------------------------------------------
 
 
-def _poly(t: Term, v: int, assignment: dict[int, Nat],
-          env: OracleEnv) -> Optional[list[Nat]]:
-    """Coefficients of t as a polynomial in variable v, or None.
-
-    Coefficient arithmetic is exact; anything that leaves the
-    supported fragment (huge products, oracle terms over v) bails out.
-    """
-    try:
-        if isinstance(t, Var) and t.index == v:
-            return [0, 1]
-        if v not in free_vars(t):
-            return [eval_term(t, assignment, env)]
-        if isinstance(t, Add):
-            pa = _poly(t.left, v, assignment, env)
-            pb = _poly(t.right, v, assignment, env)
-            if pa is None or pb is None:
-                return None
-            out = [0] * max(len(pa), len(pb))
-            for i, c in enumerate(pa):
-                out[i] = out[i] + c
-            for i, c in enumerate(pb):
-                out[i] = out[i] + c
-            return out
-        if isinstance(t, Mul):
-            pa = _poly(t.left, v, assignment, env)
-            pb = _poly(t.right, v, assignment, env)
-            if pa is None or pb is None:
-                return None
-            out: list[Nat] = [0] * (len(pa) + len(pb) - 1)
-            for i, c in enumerate(pa):
-                for j, d in enumerate(pb):
-                    if c == 0 or d == 0:
-                        continue
-                    out[i + j] = out[i + j] + c * d
-            return out
-    except (BigNatError, OracleUndecided):
-        return None
-    return None
+def _coefficients(p) -> list[Nat]:
+    """eval_term's value with v given, as a coefficient list."""
+    return p if type(p) is list else [p]
 
 
-def _poly_sub(pa: list[Nat], pb: list[Nat]) -> Optional[list[tuple[int, Nat]]]:
-    """pa - pb as signed coefficients [(sign, magnitude)]."""
+def _poly_op(kind, a, b) -> list[Nat]:
+    """a + b (kind Add) or a · b (kind Mul), one of them a coefficient
+    list, in exact coefficient arithmetic."""
+    pa, pb = _coefficients(a), _coefficients(b)
+    if kind is Add:
+        out = [0] * max(len(pa), len(pb))
+        for i, c in enumerate(pa):
+            out[i] = out[i] + c
+        for i, c in enumerate(pb):
+            out[i] = out[i] + c
+        return out
+    out = [0] * (len(pa) + len(pb) - 1)
+    for i, c in enumerate(pa):
+        for j, d in enumerate(pb):
+            if c != 0 and d != 0:
+                out[i + j] = out[i + j] + c * d
+    return out
+
+
+def _poly_sub(a, b) -> list[tuple[int, Nat]]:
+    """a - b as signed coefficients [(sign, magnitude)], each side a
+    value or a coefficient list."""
+    pa, pb = _coefficients(a), _coefficients(b)
     out: list[tuple[int, Nat]] = []
-    try:
-        for i in range(max(len(pa), len(pb))):
-            a = pa[i] if i < len(pa) else 0
-            b = pb[i] if i < len(pb) else 0
-            if a == b:
-                out.append((0, 0))
-            elif b < a:
-                out.append((1, _nat_sub(a, b)))
-            else:
-                out.append((-1, _nat_sub(b, a)))
-    except BigNatError:
-        return None
+    for i in range(max(len(pa), len(pb))):
+        a = pa[i] if i < len(pa) else 0
+        b = pb[i] if i < len(pb) else 0
+        if a == b:
+            out.append((0, 0))
+        elif b < a:
+            out.append((1, _nat_sub(a, b)))
+        else:
+            out.append((-1, _nat_sub(b, a)))
     while out and out[-1][0] == 0:
         out.pop()
     return out
@@ -558,7 +553,7 @@ class Evaluator:
         ev, limit = self, self.budget.node_budget
         if type(phi) is OracleAtom:
             args = [_compile_term(a, self.env) for a in phi.args]
-            read = self._oracle_reader(phi.name)
+            read = _oracle_reader(phi.name, self.env)
             one = args[0] if len(args) == 1 else None
 
             def oracle(asg):
@@ -593,37 +588,13 @@ class Evaluator:
                 return _U
         return eq if type(phi) is Eq else lt
 
-    def _oracle_reader(self, name: str) -> Callable[[list], Truth]:
-        """Code giving the truth of oracle atom name at argument values."""
-        support = self.env.atom_supports.get(name)
-        fn = self.env.atoms.get(name)
-        if support is not None and support <= 0:
-            return lambda values: _F
-        last = -1 if support is None else support - 1
-
-        def read(values):
-            if last >= 0:
-                try:
-                    for a in values:
-                        if last < a:
-                            return _F
-                except BigNatError:
-                    pass
-            if fn is None:
-                return _U
-            try:
-                return _T if fn(*values) else _F
-            except _OFF_FRAGMENT:
-                return _U
-        return read
-
     def _quantifier(self, phi, path: Path, depth: int):
         """The devices in order: a witness (existentials only), a bounded
         range, linear solving (existentials only), tail analysis, and a
         sweep to the witness bound.  A tail that settles every value from
         a threshold within the bound makes the sweep exact and cuts it
         short: it stops at the threshold."""
-        ev, budget = self, self.budget
+        ev, env, budget = self, self.env, self.budget
         limit, iter_cap = budget.node_budget, budget.iter_cap
         horizon = budget.witness_bound + 1  # values a full sweep runs
         v = phi.var.index
@@ -644,7 +615,7 @@ class Evaluator:
             var, bound = phi.body.left.left, phi.body.left.right
             if type(var) is Var and var.index == v and v not in bound.fv \
                     and depth + 2 + bound.height <= DEPTH_CAP:
-                guard = _compile_term(bound, self.env)
+                guard = _compile_term(bound, env)
 
         def run(asg):
             nonlocal body, rest
@@ -673,13 +644,13 @@ class Evaluator:
             tail = None
             if walks:
                 if exists:
-                    solved = ev._solve_linear(phi.body, v, asg)
+                    solved = _solve_linear(phi.body, asg, env, v)
                     if solved is not None:
                         if not solved[0]:
                             return _F
                         inner[v] = solved[1]
                         return body(inner)
-                tail = ev._eventual(phi.body, v, asg)
+                tail = _eventual(phi.body, asg, env, v)
                 if tail is not None and tail[1] is stop:
                     return stop
             # a tail left here gives start from its threshold on
@@ -703,106 +674,124 @@ class Evaluator:
             return start if settled and not undecided else _U
         return run
 
-    def _solve_linear(self, body: Formula, v: int,
-                      asg) -> Optional[tuple[bool, Nat]]:
-        """If a mandatory conjunct pins v linearly, solve for it.
 
-        Returns None when no conjunct pins v, (False, 0) when the
-        pinning equation has no solution in N (so the existential is
-        exactly false), and (True, value) otherwise.
-        """
-        for conjunct in preorder(body, _conjuncts):
-            if not isinstance(conjunct, Eq):
-                continue
-            pl = _poly(conjunct.left, v, asg, self.env)
-            pr = _poly(conjunct.right, v, asg, self.env)
-            if pl is None or pr is None or max(len(pl), len(pr)) > 2:
+def _oracle_reader(name: str, env: OracleEnv) -> Callable[[list], Truth]:
+    """Code giving the truth of oracle atom name at argument values."""
+    support = env.atom_supports.get(name)
+    fn = env.atoms.get(name)
+    if support is not None and support <= 0:
+        return lambda values: _F
+    last = -1 if support is None else support - 1
+
+    def read(values):
+        if last >= 0:
+            try:
+                for a in values:
+                    if last < a:
+                        return _F
+            except BigNatError:
+                pass
+        if fn is None:
+            return _U
+        try:
+            return _T if fn(*values) else _F
+        except _OFF_FRAGMENT:
+            return _U
+    return read
+
+
+def _solve_linear(body: Formula, asg, env: OracleEnv,
+                  v: int) -> Optional[tuple[bool, Nat]]:
+    """If a mandatory conjunct pins v linearly, solve for it.
+
+    Returns None when no conjunct pins v, (False, 0) when the
+    pinning equation has no solution in N (so the existential is
+    exactly false), and (True, value) otherwise.  A side of degree
+    above 1 leaves its conjunct alone, even where the difference of
+    the sides is linear.
+    """
+    for conjunct in preorder(body, _conjuncts):
+        if not isinstance(conjunct, Eq):
+            continue
+        try:
+            pl = _coefficients(eval_term(conjunct.left, asg, env, v))
+            pr = _coefficients(eval_term(conjunct.right, asg, env, v))
+            if max(len(pl), len(pr)) > 2:
                 continue
             diff = _poly_sub(pl, pr)
-            if diff is None or len(diff) != 2:
+            if len(diff) != 2:
                 continue
-            sign1, slope = diff[1]
-            sign0, const = diff[0] if diff else (0, 0)
-            if sign1 == 0:
-                continue
+            (sign0, const), (sign1, slope) = diff
             # slope*v + const = 0 with opposite signs required
             if sign0 == 0:
                 return True, 0
             if sign0 == sign1:
                 return False, 0
-            try:
-                value = _nat_divide_exact(const, slope)
-            except BigNatError:
-                continue
-            if value is None:
-                return False, 0
-            return True, value
-        return None
+            value = _nat_divide_exact(const, slope)
+        except _OFF_FRAGMENT:
+            continue
+        return (False, 0) if value is None else (True, value)
+    return None
 
-    def _eventual(self, phi: Formula, v: int,
-                  asg) -> Optional[tuple[int, Truth]]:
-        """A (threshold, verdict) with verdict holding for all values
-        of v at or beyond the threshold, or None."""
-        if isinstance(phi, (Eq, Lt)):
-            pl = _poly(phi.left, v, asg, self.env)
-            pr = _poly(phi.right, v, asg, self.env)
-            if pl is None or pr is None:
-                return None
-            diff = _poly_sub(pl, pr)
-            if diff is None:
-                return None
-            if not diff:
-                # identical polynomials
-                return (0, Truth.TRUE if isinstance(phi, Eq) else Truth.FALSE)
-            th = _poly_threshold(diff)
-            if th is None:
-                return None
-            if isinstance(phi, Eq):
-                return (th, Truth.FALSE)
-            lead = diff[-1][0]
-            return (th, Truth.TRUE if lead < 0 else Truth.FALSE)
-        if isinstance(phi, OracleAtom):
-            support = self.env.atom_supports.get(phi.name)
-            if v not in free_vars(phi):
-                try:
-                    args = [eval_term(a, asg, self.env) for a in phi.args]
-                except _OFF_FRAGMENT:
-                    return None
-                got = self._oracle_reader(phi.name)(args)
-                return None if got is Truth.UNKNOWN else (0, got)
-            if support is None:
-                return None
-            # natural coefficients: with one of positive degree nonzero,
-            # the argument is at least v, so from the support on it is out
-            for arg in phi.args:
-                p = _poly(arg, v, asg, self.env)
-                if p is not None and any(c != 0 for c in p[1:]):
-                    return (max(support, 1), Truth.FALSE)
+
+def _eventual(phi: Formula, asg, env: OracleEnv,
+              v: int) -> Optional[tuple[int, Truth]]:
+    """A (threshold, verdict) with verdict holding for all values
+    of v at or beyond the threshold, or None."""
+    if isinstance(phi, (Eq, Lt)):
+        try:
+            diff = _poly_sub(eval_term(phi.left, asg, env, v),
+                             eval_term(phi.right, asg, env, v))
+        except _OFF_FRAGMENT:
             return None
-        if isinstance(phi, Not):
-            sub = self._eventual(phi.body, v, asg)
-            if sub is None:
+        if not diff:
+            # identical polynomials
+            return (0, Truth.TRUE if isinstance(phi, Eq) else Truth.FALSE)
+        th = _poly_threshold(diff)
+        # from th on the difference has its leading coefficient's sign
+        holds = isinstance(phi, Lt) and diff[-1][0] < 0
+        return None if th is None else (th, _T if holds else _F)
+    if isinstance(phi, OracleAtom):
+        support = env.atom_supports.get(phi.name)
+        if v not in phi.fv:
+            try:
+                args = [eval_term(a, asg, env) for a in phi.args]
+            except _OFF_FRAGMENT:
                 return None
-            return (sub[0], ~sub[1])
-        if type(phi) in _CONNECTIVES:
-            stop, settled, table = _CONNECTIVES[type(phi)]
-            lt = self._eventual(phi.left, v, asg)
-            rt = self._eventual(phi.right, v, asg)
-            # an absorbing child decides the verdict at its own threshold
-            absorbing = [side[0] for side, value in ((lt, stop), (rt, settled))
-                         if side and side[1] is value]
-            if absorbing:
-                return (min(absorbing), settled)
-            if lt is None or rt is None:
-                return None
-            out = table(lt[1], rt[1])
-            return None if out is _U else (max(lt[0], rt[0]), out)
-        if isinstance(phi, (Forall, Exists)):
-            # over a nonempty domain a vacuous quantifier is transparent
-            if phi.var.index not in free_vars(phi.body):
-                return self._eventual(phi.body, v, asg)
+            got = _oracle_reader(phi.name, env)(args)
+            return None if got is Truth.UNKNOWN else (0, got)
+        if support is None:
             return None
+        # natural coefficients: with one of positive degree nonzero,
+        # the argument is at least v, so from the support on it is out
+        for arg in phi.args:
+            try:
+                p = _coefficients(eval_term(arg, asg, env, v))
+            except _OFF_FRAGMENT:
+                continue
+            if any(c != 0 for c in p[1:]):
+                return (max(support, 1), Truth.FALSE)
         return None
+    if isinstance(phi, Not):
+        sub = _eventual(phi.body, asg, env, v)
+        return sub and (sub[0], ~sub[1])
+    if type(phi) in _CONNECTIVES:
+        stop, settled, table = _CONNECTIVES[type(phi)]
+        lt = _eventual(phi.left, asg, env, v)
+        rt = _eventual(phi.right, asg, env, v)
+        # an absorbing child decides the verdict at its own threshold
+        absorbing = [side[0] for side, value in ((lt, stop), (rt, settled))
+                     if side and side[1] is value]
+        if absorbing:
+            return (min(absorbing), settled)
+        if lt is None or rt is None:
+            return None
+        out = table(lt[1], rt[1])
+        return None if out is _U else (max(lt[0], rt[0]), out)
+    if isinstance(phi, (Forall, Exists)) and phi.var.index not in phi.body.fv:
+        # over a nonempty domain a vacuous quantifier is transparent
+        return _eventual(phi.body, asg, env, v)
+    return None
 
 
 def _conjuncts(node) -> tuple:
@@ -965,8 +954,7 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
     if _U in swept:
         return DefinesReport(False, solutions, "a swept value is unknown",
                              swept.index(_U))
-    ev = Evaluator(env, budget)
-    tail = ev._eventual(phi, 0, {}) if phi.height <= DEPTH_CAP else None
+    tail = _eventual(phi, {}, env, 0) if phi.height <= DEPTH_CAP else None
     if tail is not None and tail[0] <= limit:
         if tail[1] is Truth.FALSE:
             return DefinesReport(True, solutions, "tail is false")
@@ -1021,7 +1009,7 @@ def standard_oracle_env(prf: Optional[Callable[[Nat, Nat], bool]] = None
         phi = decode(a)
         if not isinstance(phi, Formula):
             return 0
-        fv = free_vars(phi)
+        fv = phi.fv
         if len(fv) != 1:
             return 0
         (index,) = fv

@@ -19,8 +19,7 @@ ALLOWED = {
     # the evaluator refuses terms and formulas deeper than DEPTH_CAP
     "semantics.eval_term": "DEPTH_CAP",
     "semantics._compile_term": "DEPTH_CAP",
-    "semantics._poly": "DEPTH_CAP",
-    "semantics.Evaluator._eventual": "DEPTH_CAP",
+    "semantics._eventual": "DEPTH_CAP",
     "semantics._batch": "DEPTH_CAP",
     "semantics._batch_term": "DEPTH_CAP",
     "proofs._match": "the depth of a scheme pattern",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from selfref.acceptance import _random_formula
-from selfref.bignat import BigNat
+from selfref.bignat import BigNat, BigNatError
 from selfref.enumeration import unary_formulas
 from selfref.parser import parse_formula
 from selfref.semantics import (
@@ -21,7 +21,8 @@ from selfref.semantics import (
 )
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
-    OracleAtom, OracleFun, Or, Var, Zero, free_vars, numeral, substitute,
+    OracleAtom, OracleFun, Or, Var, Zero, free_vars, numeral, preorder,
+    substitute,
 )
 from selfref import coding
 
@@ -475,6 +476,43 @@ def test_compiled_terms_agree_with_eval_term(t, asg):
     expected = _outcome(lambda: eval_term(t, asg, env))
     assert _outcome(lambda: code(asg)) == expected
     assert _outcome(lambda: code(asg)) == expected  # closed parts cached
+
+
+def _raises(thunk) -> bool:
+    try:
+        thunk()
+    except (BigNatError, OracleUndecided):
+        return True
+    return False
+
+
+# a term with v among its free variables where it has any
+_TERMS_IN_V = _TERMS.flatmap(lambda t: st.tuples(
+    st.just(t), st.sampled_from(sorted(t.fv) or [0, 1, 2])))
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(_TERMS_IN_V,
+       st.fixed_dictionaries({0: _VALUES, 1: _VALUES}, optional={2: _VALUES}))
+# 24**(10**7) + 5 stays in run form, as giant codes' coefficients do
+@example((Add(Mul(x, Num(BigNat.power24(10**7) + 5)), y), 0), {1: 3})
+def test_eval_term_reads_a_polynomial_in_v(term_in_v, asg):
+    # the coefficients at w are the term's value at v = w; where the
+    # reading raises, an oracle function reads v or the values raise too
+    (t, v), env = term_in_v, standard_oracle_env()
+    points = range(7)
+    try:
+        poly = eval_term(t, asg, env, v)
+    except (BigNatError, OracleUndecided):
+        assert any(type(s) is OracleFun and v in s.fv for s in preorder(t)) \
+            or any(_raises(lambda: eval_term(t, {**asg, v: w}, env))
+                   for w in points)
+        return
+    for w in points:
+        at_w = 0
+        for c in reversed(poly if type(poly) is list else [poly]):
+            at_w = at_w * w + c
+        assert at_w == eval_term(t, {**asg, v: w}, env)
 
 
 _SMALL_TERMS = st.recursive(
