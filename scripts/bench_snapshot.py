@@ -5,12 +5,14 @@
 Runs ``perfbench/run.py`` once on each workload that ``BENCHMARK.json``
 lists, for its ``run_seconds`` and at the fixed seed ``SEED`` (so that
 snapshots compare run for run), and keeps the final JSON line of each
-run.  It also records the per-criterion times of
-``acceptance.run_all()``, the wall time and outcome of the tier-1 suite
-(``python -m pytest -q`` with ``src`` on the path), the lines of each
-module under ``src/selfref`` and their total, the number of usable
-CPUs, the Python version and the git revision, and writes all of it to
-``BENCH_<N>.json`` at the root of the checkout.  Nothing in
+run.  A second, traced run per workload (``--trace 1 --seconds 1``)
+gives its deterministic work counters, the metrics in count and ratio
+units, which go under ``counters``.  It also records the per-criterion
+times of ``acceptance.run_all()``, the wall time and outcome of the
+tier-1 suite (``python -m pytest -q`` with ``src`` on the path), the
+lines of each module under ``src/selfref`` and their total, the number
+of usable CPUs, the Python version and the git revision, and writes all
+of it to ``BENCH_<N>.json`` at the root of the checkout.  Nothing in
 ``perfbench/`` is changed or configured.
 """
 
@@ -27,6 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+# units of the traced metrics that count work; trace.overhead_ratio is
+# a ratio of times and is left out
+COUNTER_UNITS = ("count", "ratio")
 CRITERIA = """
 import json
 from selfref.acceptance import run_all
@@ -56,6 +61,15 @@ def _last_json(proc: subprocess.CompletedProcess):
     return json.loads(lines[-1])
 
 
+def _counters(result: dict) -> dict:
+    if "metrics" not in result:
+        return result
+    return {name: metric["value"]
+            for name, metric in result["metrics"].items()
+            if metric["unit"] in COUNTER_UNITS
+            and name != "trace.overhead_ratio"}
+
+
 def _git_revision() -> str:
     proc = subprocess.run(["git", "describe", "--always", "--dirty"],
                           cwd=ROOT, capture_output=True, text=True)
@@ -75,12 +89,14 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
 
-    benchmark = {}
+    benchmark, counters = {}, {}
     for name in (w["name"] for w in spec["workloads"]):
-        proc, _ = _run([sys.executable, "perfbench/run.py", "--workload",
-                        name, "--seed", str(SEED), "--seconds",
-                        str(seconds), "--trace", "0"])
+        run = [sys.executable, "perfbench/run.py", "--workload", name,
+               "--seed", str(SEED)]
+        proc, _ = _run(run + ["--seconds", str(seconds), "--trace", "0"])
         benchmark[name] = _last_json(proc)
+        proc, _ = _run(run + ["--seconds", "1", "--trace", "1"])
+        counters[name] = _counters(_last_json(proc))
         print(f"{name}: done", file=sys.stderr)
     proc, criteria_s = _run([sys.executable, "-c", CRITERIA])
     criteria = _last_json(proc)
@@ -95,6 +111,7 @@ def main() -> int:
         "seed": SEED,
         "seconds": seconds,
         "benchmark": benchmark,
+        "counters": counters,
         "acceptance": {"wall_s": round(criteria_s, 3), "criteria": criteria},
         "tier1": {"wall_s": round(tier1_s, 3), "exit": proc.returncode,
                   "summary": summary[0]},

@@ -378,21 +378,19 @@ class _DefTable:
 _TB_SAMPLE = 40
 
 
-def _tb_check(bundle: BerryBundle, universe: MicroUniverse, env: OracleEnv,
-              budget: Budget):
+def _tb_check(table: _DefTable):
     """Sample the biconditionals "property holds at the statement's
-    code iff the statement holds" over certified description facts."""
-    judge = _upsilon_judge(bundle, universe, env, budget)
-    horizon = universe.value_horizon
+    code iff the statement holds" over certified description facts,
+    with the table's judge of the property."""
     sample: list[tuple[int, int, Truth]] = []
     true_seen = false_seen = 0
-    for fact in universe.facts:
+    for fact in table.facts:
         if true_seen < _TB_SAMPLE and fact.defines is not None:
             sample.append((fact.index, fact.defines, Truth.TRUE))
             true_seen += 1
         if false_seen < _TB_SAMPLE:
             other = 0 if fact.defines == 0 else (fact.defines or 0) + 1
-            got = _describe_status(fact, other, horizon)
+            got = _describe_status(fact, other, table.horizon)
             if got is Truth.FALSE:
                 sample.append((fact.index, other, Truth.FALSE))
                 false_seen += 1
@@ -403,7 +401,7 @@ def _tb_check(bundle: BerryBundle, universe: MicroUniverse, env: OracleEnv,
             "no truth biconditional settled within the budget")
     counterexample = None
     for a, y, right in sample:
-        left = judge(a, y)
+        left = table.judge(a, y)
         if left is not right:
             counterexample = (a, y, left, right)
             break
@@ -494,8 +492,7 @@ def berry_contradiction_report(bundle: BerryBundle,
         formula_spot_checks=tuple(spots),
     )
 
-    tb_licensed, tb_counterexample = _tb_check(bundle, universe, env_pure,
-                                               budget)
+    tb_licensed, tb_counterexample = _tb_check(table)
     b_genuine = evaluate(_b_instance(bundle, bval), env_pure, sweep)
     def_closed = evaluate(
         substitute(substitute(bundle.def_formula, 0, numeral(bval)),
@@ -588,13 +585,12 @@ def syntactic_tarski_experiment(universe: MicroUniverse,
     """
     budget = budget or universe.budget
     env = micro_env(universe, bundle)
-    tb_licensed, tb_counterexample = _tb_check(bundle, universe,
-                                               micro_env(universe), budget)
+    table = _DefTable(bundle, universe, micro_env(universe), budget)
+    tb_licensed, tb_counterexample = _tb_check(table)
     n_pure = len(universe.formulas)
     bundle_code = n_pure
     p_bound = n_pure + 1
     six_ell = 6 * bundle.ell
-    table = _DefTable(bundle, universe, micro_env(universe), budget)
 
     horizon = universe.value_horizon
     steps: list[LadderStep] = []

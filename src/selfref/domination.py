@@ -96,15 +96,15 @@ def micro_scheme() -> MicroScheme:
 
 
 @lru_cache(maxsize=4096)
-def _witness_scan(phi: Formula, x: int, witness_bound: int
+def _witness_scan(phi: Formula, x: int, budget: Budget
                   ) -> tuple[Optional[int], bool, bool]:
     """(least witness, saw a second one, emptiness certified).
 
-    Sweeps outputs 0..witness_bound at input x.  When nothing turns up,
-    an existential evaluation decides whether the output set is
-    certifiably empty or merely out of reach.
+    Sweeps outputs 0..witness_bound at input x under the caller's
+    whole budget.  When nothing turns up, an existential evaluation
+    decides whether the output set is certifiably empty or merely out
+    of reach.
     """
-    budget = Budget(witness_bound=witness_bound)
     swept = sweep(phi, 1, {0: x}, OracleEnv(), budget)
     if Truth.UNKNOWN in swept:
         return (None, False, False)
@@ -123,8 +123,7 @@ def _bound(x: int, inputs, budget: Optional[Budget],
     best = 0
     for code in range(min(x, len(scheme.formulas) - 1) + 1):
         for u in inputs:
-            least, _, empty = _witness_scan(scheme.formulas[code], u,
-                                            budget.witness_bound)
+            least, _, empty = _witness_scan(scheme.formulas[code], u, budget)
             if least is not None:
                 best = max(best, least + 1)
             elif not empty:
@@ -171,7 +170,7 @@ def defined_function(scheme: MicroScheme, micro_code: int, up_to: int,
     phi = scheme.formula(micro_code)
     samples = []
     for m in range(up_to + 1):
-        least, second, empty = _witness_scan(phi, m, budget.witness_bound)
+        least, second, empty = _witness_scan(phi, m, budget)
         if second:
             raise ValueError(f"two outputs witnessed at input {m}: "
                              f"not a function graph")

@@ -18,10 +18,10 @@ brute-force sweeping:
   oracle atoms with a declared finite support) are eventually constant
   along v, and the crossover point is computable, so a sweep up to it
   plus the tail verdict is exact; values from the crossover on are
-  neither run nor charged;
-* vacuous sweeps -- a body without the quantified variable runs once,
-  and the other values the sweep would run (those below a tail
-  threshold, when there is one) are charged the nodes of that run;
+  not run;
+* vacuous quantifiers -- over the nonempty domain N a quantifier whose
+  variable is not free in its body has its body's verdict, so the body
+  runs once;
 * witnesses -- an evaluation may carry a map from tree paths of
   existential nodes to claimed witness values; a witnessed node is
   checked only at its witness, which can certify TRUE outright or
@@ -593,7 +593,8 @@ class Evaluator:
         range, linear solving (existentials only), tail analysis, and a
         sweep to the witness bound.  A tail that settles every value from
         a threshold within the bound makes the sweep exact and cuts it
-        short: it stops at the threshold."""
+        short: it stops at the threshold.  A vacuous quantifier that the
+        tail leaves open runs its body once and has its verdict."""
         ev, env, budget = self, self.env, self.budget
         limit, iter_cap = budget.node_budget, budget.iter_cap
         horizon = budget.witness_bound + 1  # values a full sweep runs
@@ -601,11 +602,7 @@ class Evaluator:
         exists = type(phi) is Exists
         # a TRUE instance settles an existential, a FALSE one a universal
         stop, start, join = (_T, _F, t_or) if exists else (_F, _T, t_and)
-        # Compiled code and oracles are functions of the assignment, so a
-        # body without v gives one verdict, after the same number of
-        # nodes, at every swept value: it runs once, and the other values
-        # below the sweep's end are charged the nodes that run used.
-        # Values from a tail threshold on are neither run nor charged.
+        # over the nonempty domain N, Qv φ with v not free in φ is φ
         vacuous = v not in phi.body.fv
         witness = self.witnesses.get(path) if exists else None
         walks = depth + phi.height <= DEPTH_CAP
@@ -655,22 +652,16 @@ class Evaluator:
                     return stop
             # a tail left here gives start from its threshold on
             settled = tail is not None and tail[0] <= horizon
-            top = tail[0] if settled else horizon
-            swept = range(min(top, 1) if vacuous else top)
-            undecided, before = False, ev.nodes
-            for w in swept:
+            if vacuous and not settled:
+                return body(inner)
+            undecided = False
+            for w in range(tail[0] if settled else horizon):
                 inner[v] = w
                 got = body(inner)
                 if got is stop:
                     return stop
                 if got is not start:
                     undecided = True
-            if top > len(swept):
-                # the sweep would have run out of nodes at limit + 1
-                ev.nodes += (ev.nodes - before) * (top - len(swept))
-                if ev.nodes > limit:
-                    ev.nodes = limit + 1
-                    raise BudgetExceeded
             return start if settled and not undecided else _U
         return run
 

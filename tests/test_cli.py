@@ -173,6 +173,15 @@ def test_dominate_pinned_values(capsys):
     assert len(report["outputs"]["catalogue"]) == 3
 
 
+def test_dominate_honours_the_node_budget(capsys):
+    code, report = _run(capsys, ["dominate", "--x", "4", "--node-budget", "0"])
+    assert code == 0 and report["budgets"]["node_budget"] == 0
+    assert report["outputs"]["value"] is None
+    assert "inconclusive" in report["outputs"]["note"]
+    code, report = _run(capsys, ["dominate", "--x", "4"])
+    assert code == 0 and report["outputs"]["value"] == 17
+
+
 def test_dominate_undecided_then_decided_with_budget(capsys):
     code, report = _run(capsys, ["dominate", "--x", "9", "--kotlarski"])
     assert code == 0

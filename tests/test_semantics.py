@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -233,28 +234,26 @@ def test_the_node_budget_covers_a_whole_sweep():
     assert not report.exact and report.solutions == list(range(10))
 
 
-def test_a_vacuous_sweep_runs_its_body_once():
+def test_a_vacuous_quantifier_runs_its_body_once():
     calls = []
     env = OracleEnv(atoms={"Tr": lambda a: calls.append(a) or True})
     # ∀x′(Tr(x)) at x = 3: the tail reads Tr(x) once and settles every
-    # value from 0 on, so no value is run or charged
+    # value from 0 on, so no value is run
     phi = Forall(y, OracleAtom("Tr", (x,)))
     report = evaluate_full(phi, env, assignment={0: 3})
     assert (report.truth, report.nodes_used, report.budget_hit) == (T, 1, False)
     assert calls == [3]
     # ∀x′(∀x′′(Tr(x)→(x′′=x′′))) at x = 3: the tail does not read a
-    # quantifier that binds its own variable, so the body runs once, for
-    # one node and one oracle call, and the other 64 swept values are
-    # charged that node
-    calls.clear()
-    phi = Forall(y, Forall(w, Implies(OracleAtom("Tr", (x,)), Eq(w, w))))
-    report = evaluate_full(phi, env, assignment={0: 3})
-    assert (report.truth, report.nodes_used, report.budget_hit) == (U, 66, False)
-    assert calls == [3]
-    # the charge runs out of nodes where the loop over every value would
-    report = evaluate_full(phi, env, Budget(node_budget=30),
-                           assignment={0: 3})
-    assert (report.truth, report.nodes_used, report.budget_hit) == (U, 31, True)
+    # quantifier that binds its own variable, so the outer quantifier runs
+    # its body once and has its verdict; there the tail reads Tr(x) once
+    # and settles every value of x′′
+    for budget in (Budget(), Budget(node_budget=30)):
+        calls.clear()
+        phi = Forall(y, Forall(w, Implies(OracleAtom("Tr", (x,)), Eq(w, w))))
+        report = evaluate_full(phi, env, budget, assignment={0: 3})
+        assert (report.truth, report.nodes_used, report.budget_hit) == \
+            (T, 2, False)
+        assert calls == [3]
 
 
 def test_linear_solving_tries_the_right_conjunct_first():
@@ -342,9 +341,9 @@ def _unary_11_reports(budget):
 
 @pytest.mark.parametrize("reports, digest", [
     (lambda: _criterion_14_reports(Budget(node_budget=5_000)),
-     "35d2a8b717615ccb3c7590297018df81a969cee08698a55d004ab9ce382fb7d2"),
+     "b4c8aa85bc3c0e7c3c5ea32d5fa3919780fa57a3434c8acfecfc7f1af7dd9dc6"),
     (lambda: _criterion_14_reports(Budget(node_budget=300, depth_bound=3)),
-     "f055e5c32ac37355da7a54eb75549e67b209088e6d494b1b9e0507bdd8068302"),
+     "2c60987f12f9588fd1c8933c4b2a2545155cdca52fbc2e6ab7cdad7f95e0201d"),
     (lambda: _unary_11_reports(Budget()),
      "bfaf833f09082ffdfccf0835b6a06608ba03d68f56da6961f6d54877ec4c4463"),
     (lambda: _unary_11_reports(Budget(node_budget=40, witness_bound=20)),
@@ -357,8 +356,10 @@ def test_node_accounting_is_pinned(reports, digest):
     # (truth, nodes_used, budget_hit) of every evaluation, as reports
     # print nodes_used.  Each verdict decided here that a sweep charging
     # every value to the witness bound left UNKNOWN was checked against
-    # that sweep at 10**6 nodes.  The two unary-11 sets agree report for
-    # report: past the tail thresholds the witness bound does not count
+    # that sweep at 10**6 nodes, and each one a vacuous quantifier takes
+    # from its body against the formula with its vacuous quantifiers
+    # deleted, at 10**6 nodes.  The two unary-11 sets agree report for report: past the
+    # tail thresholds the witness bound does not count
     assert _accounting_digest(reports()) == digest
 
 
@@ -583,6 +584,24 @@ def test_a_larger_witness_bound_never_flips_a_decided_verdict(phi, asg, nodes,
                                       node_budget=nodes),
                      assignment=asg)
     assert small is U or large is small
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(_RANDOM_FORMULAS, _FORMULAS), st.sampled_from([Forall, Exists]),
+       st.integers(0, 3), _ASSIGNMENTS,
+       st.sampled_from([Budget(), Budget(node_budget=7), Budget(depth_bound=1),
+                        Budget(witness_bound=0)]))
+def test_a_vacuous_quantifier_has_its_bodys_verdict(phi, ctor, k, asg, budget):
+    # over the nonempty domain N, Qv φ with v not free in φ is φ; the
+    # quantifier's own node and level come on top of the body's budget
+    v = [i for i in range(8) if i not in phi.fv][k]
+    env = standard_oracle_env()
+    body = evaluate(phi, env, budget, assignment=asg)
+    wrapped = evaluate(ctor(Var(v), phi), env,
+                       replace(budget, node_budget=budget.node_budget + 1,
+                               depth_bound=budget.depth_bound + 1),
+                       assignment=asg)
+    assert body is U or wrapped is body
 
 
 # -- batched sweeps ----------------------------------------------------------
