@@ -40,16 +40,19 @@ print(json.dumps([{"number": r.number, "ok": r.ok, "elapsed_s": r.elapsed,
 """
 
 
-def _env() -> dict:
+def _env(root: Path = ROOT) -> dict:
+    """The environment every benchmark and test run gets: a fixed hash
+    seed, the checkout at root on the path, and no budget profile."""
     env = dict(os.environ, PYTHONHASHSEED="0")
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env["PYTHONPATH"] = str(root / "src")
     env.pop("SELFREF_BUDGET_PROFILE", None)
     return env
 
 
-def _run(argv: list[str]) -> tuple[subprocess.CompletedProcess, float]:
+def _run(argv: list[str], root: Path = ROOT
+         ) -> tuple[subprocess.CompletedProcess, float]:
     start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True,
+    proc = subprocess.run(argv, cwd=root, env=_env(root), capture_output=True,
                           text=True)
     return proc, time.perf_counter() - start
 

@@ -613,62 +613,46 @@ def syntactic_tarski_experiment(universe: MicroUniverse,
         ))
         antecedent = t_and(antecedent, def_truth)
 
+    codes: list[int] = []
+    duplicate = clash = None
     if not tb_licensed:
         conclusion = (
             "the truth biconditional fails on the catalogue (see the "
             "counterexample), so the ladder is never licensed past its "
             f"first semantic failure at {ladder_break}")
-        return TarskiExperimentReport(
-            tb_licensed=False,
-            tb_counterexample=tb_counterexample,
-            p_bound=p_bound,
-            berry_value=berry_value,
-            ladder=tuple(steps),
-            ladder_break=ladder_break,
-            codes=(),
-            duplicate=None,
-            clash=None,
-            conclusion=conclusion,
-        )
-
-    by_value = {s.value: s for s in steps}
-    codes = []
-    for n in range(p_bound + 1):
-        step = by_value.get(n)
-        if step is not None and step.genuine:
-            codes.append(step.code)
-        else:
-            codes.append(bundle_code)
-    duplicate = pigeonhole_duplicate(codes)
-    clash = None
-    conclusion = "no duplicate description surfaced"
-    if duplicate is not None:
-        i, j = duplicate
-        shared = codes[i]
-        first = Eq(numeral(i), numeral(i))
-        last = Eq(numeral(i), numeral(j))
-        first_truth = evaluate(first, env, budget)
-        last_truth = evaluate(last, env, budget)
-        middle = (
-            f"code {shared} describes {i}, and by the duplicate claim "
-            f"also {j}; exact description turns the first into the second"
-        )
-        clash = ClashChain(
-            duplicate_code=shared,
-            i=i,
-            j=j,
-            steps=(
-                (render(first), first_truth.name),
-                (middle, "forced by the biconditionals"),
-                (render(last), last_truth.name),
-            ),
-        )
-        conclusion = (
-            f"contradiction: one code ({shared}) is charged with "
-            f"describing both {i} and {j}, collapsing to the false "
-            f"equation {i} = {j}")
+    else:
+        # the rungs past the ladder all lean on the bundle's own slot
+        codes = [s.code for s in steps]
+        codes += [bundle_code] * (p_bound + 1 - len(codes))
+        duplicate = pigeonhole_duplicate(codes)
+        conclusion = "no duplicate description surfaced"
+        if duplicate is not None:
+            i, j = duplicate
+            shared = codes[i]
+            first = Eq(numeral(i), numeral(i))
+            last = Eq(numeral(i), numeral(j))
+            first_truth = evaluate(first, env, budget)
+            last_truth = evaluate(last, env, budget)
+            middle = (
+                f"code {shared} describes {i}, and by the duplicate claim "
+                f"also {j}; exact description turns the first into the second"
+            )
+            clash = ClashChain(
+                duplicate_code=shared,
+                i=i,
+                j=j,
+                steps=(
+                    (render(first), first_truth.name),
+                    (middle, "forced by the biconditionals"),
+                    (render(last), last_truth.name),
+                ),
+            )
+            conclusion = (
+                f"contradiction: one code ({shared}) is charged with "
+                f"describing both {i} and {j}, collapsing to the false "
+                f"equation {i} = {j}")
     return TarskiExperimentReport(
-        tb_licensed=True,
+        tb_licensed=tb_licensed,
         tb_counterexample=tb_counterexample,
         p_bound=p_bound,
         berry_value=berry_value,

@@ -46,7 +46,7 @@ from .syntax import (Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt,
                      substitute, _children)
 
 __all__ = [
-    "Axiom", "Axiomatization", "CheckReport", "ConsistentBySoundness",
+    "Axiom", "CheckReport", "ConsistentBySoundness",
     "Generalization", "InconsistencyAlarm", "LogicalAxiom", "ModusPonens",
     "NotFound", "ProofFormatError", "ProofObject", "ProofStep",
     "RefutedByProof", "RemarkReport", "RosserConstruction", "SearchExhausted",
@@ -56,7 +56,7 @@ __all__ = [
     "goedel_sentence", "load_fixture_proof", "make_prf", "neg_neg_proof",
     "not_below_zero_proof", "parse_proof", "pr_formula", "pr_sentence",
     "proof_code", "proofs_env", "remark_demo", "remark_one_proof",
-    "robinson_order_axiomatization", "rosser_pr_formula", "rosser_psi",
+    "rosser_pr_formula", "rosser_psi",
     "rosser_sentence", "search_report", "sentence_stream", "serialize_proof",
     "standard_theory", "successor_bound_proof", "tb_stream",
     "weak_dl_equivalence_demo",
@@ -139,26 +139,42 @@ class CheckReport:
 
 
 @dataclass(frozen=True)
-class Axiomatization:
+class TheoryHandle:
+    """A named theory: its axioms by id, and a soundness claim.
+
+    Axioms added to a theory are addressed as extra0, extra1, ... in
+    proof justifications.  The soundness flag is a declaration, not a
+    computation; the consistency witness below refuses the soundness
+    route without it.
+    """
+
     name: str
     axioms: tuple[tuple[str, Formula], ...]
+    sound_for_standard_model: bool = True
 
-    def formula(self, axiom_id: str) -> Formula:
+    def axiom_formula(self, axiom_id: str) -> Formula:
         for aid, phi in self.axioms:
             if aid == axiom_id:
                 return phi
         raise KeyError(axiom_id)
 
+    def extend(self, name: str, extra: tuple[Formula, ...],
+               sound: bool) -> "TheoryHandle":
+        """This theory plus extra axioms, numbered after its own."""
+        n = sum(aid.startswith("extra") for aid, _ in self.axioms)
+        return TheoryHandle(name, self.axioms + tuple(
+            (f"extra{n + i}", phi) for i, phi in enumerate(extra)), sound)
+
 
 @lru_cache(maxsize=1)
-def robinson_order_axiomatization() -> Axiomatization:
+def standard_theory() -> TheoryHandle:
     """Successor, addition, multiplication, and order over x+1."""
     x, y = Var(0), Var(1)
 
     def s(t: Term) -> Term:
         return Add(t, One())
 
-    axioms = (
+    return TheoryHandle("robinson-order", (
         ("q1", Forall(x, Not(Eq(s(x), Zero())))),
         ("q2", Forall(x, Forall(y, Implies(Eq(s(x), s(y)), Eq(x, y))))),
         ("q3", Forall(x, Implies(Not(Eq(x, Zero())),
@@ -170,40 +186,7 @@ def robinson_order_axiomatization() -> Axiomatization:
         ("o1", Forall(x, Not(Lt(x, Zero())))),
         ("o2", Forall(x, Forall(y, Iff(Lt(x, s(y)),
                                        Or(Lt(x, y), Eq(x, y)))))),
-    )
-    return Axiomatization("robinson-order", axioms)
-
-
-@dataclass(frozen=True)
-class TheoryHandle:
-    """An axiomatization plus named extra axioms and a soundness claim.
-
-    Extras are addressed as extra0, extra1, ... in proof justifications.
-    The soundness flag is a declaration, not a computation; the
-    consistency witness below refuses the soundness route without it.
-    """
-
-    axiomatization: Axiomatization
-    extra: tuple[Formula, ...] = ()
-    name: str = "robinson-order"
-    sound_for_standard_model: bool = True
-
-    def axiom_formula(self, axiom_id: str) -> Formula:
-        if axiom_id.startswith("extra"):
-            try:
-                return self.extra[int(axiom_id[5:])]
-            except (ValueError, IndexError):
-                raise KeyError(axiom_id) from None
-        return self.axiomatization.formula(axiom_id)
-
-    def all_axioms(self) -> tuple[tuple[str, Formula], ...]:
-        extras = tuple((f"extra{i}", phi) for i, phi in enumerate(self.extra))
-        return self.axiomatization.axioms + extras
-
-
-@lru_cache(maxsize=1)
-def standard_theory() -> TheoryHandle:
-    return TheoryHandle(robinson_order_axiomatization())
+    ))
 
 
 # -- logical axiom schemes -------------------------------------------------------------
@@ -616,18 +599,16 @@ def remark_one_proof(theory: Optional[TheoryHandle] = None
     pr_at = pr_sentence(theta)
     fact = OracleAtom("prf", (p_term, code_term))
     biconditional = Iff(Not(pr_at), theta)
-    handle = TheoryHandle(theory.axiomatization,
-                          extra=theory.extra + (biconditional, fact),
-                          name=theory.name + "+remark",
-                          sound_for_standard_model=False)
-    n = len(theory.extra)
+    handle = theory.extend(theory.name + "+remark", (biconditional, fact),
+                           False)
+    (bicond_id, _), (fact_id, _) = handle.axioms[-2:]
     to_neg = Implies(theta, Not(pr_at))
     flipped = Implies(pr_at, Not(theta))
     steps = base.steps + (
-        ProofStep(fact, Axiom(f"extra{n + 1}")),
+        ProofStep(fact, Axiom(fact_id)),
         ProofStep(Implies(fact, pr_at), LogicalAxiom("ex_intro", (p_term,))),
         ProofStep(pr_at, ModusPonens(4, 3)),
-        ProofStep(biconditional, Axiom(f"extra{n}")),
+        ProofStep(biconditional, Axiom(bicond_id)),
         ProofStep(Implies(biconditional, to_neg), LogicalAxiom("iff_right")),
         ProofStep(to_neg, ModusPonens(7, 6)),
         ProofStep(Implies(to_neg, flipped), LogicalAxiom("contrapose2")),
@@ -787,7 +768,7 @@ class _Searcher:
                             self.count)
 
     def _waves(self) -> None:
-        for aid, phi in self.theory.all_axioms():
+        for aid, phi in self.theory.axioms:
             self._add(phi, ("axiom", aid))
             self._drain()
         for t in self.terms:
@@ -883,11 +864,8 @@ def rosser_sentence(theory: TheoryHandle) -> RosserConstruction:
     that adopts its biconditional as an axiom."""
     certificate = diagonal_sentence(rosser_psi())
     biconditional = Iff(certificate.at_code, certificate.theta)
-    extended = TheoryHandle(theory.axiomatization,
-                            extra=theory.extra + (biconditional,),
-                            name=theory.name + "+rosser",
-                            sound_for_standard_model=
-                            theory.sound_for_standard_model)
+    extended = theory.extend(theory.name + "+rosser", (biconditional,),
+                             theory.sound_for_standard_model)
     return RosserConstruction(certificate.theta, biconditional, extended,
                               certificate)
 

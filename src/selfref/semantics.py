@@ -7,7 +7,8 @@ search budget ran out before the verdict was forced.  Connectives
 follow the strong Kleene tables.
 
 Several devices let the evaluator reach exact verdicts far beyond
-brute-force sweeping:
+brute-force sweeping.  Each names the values of the quantified variable
+that decide the quantifier, and one loop runs them:
 
 * bounded patterns -- a quantifier shaped like "all v below t" or
   "some v below t" with a small closed bound is iterated exactly;
@@ -16,9 +17,8 @@ brute-force sweeping:
   works even when the values involved are run-length giants;
 * tail analysis -- bodies built from polynomial comparisons (and
   oracle atoms with a declared finite support) are eventually constant
-  along v, and the crossover point is computable, so a sweep up to it
-  plus the tail verdict is exact; values from the crossover on are
-  not run;
+  along v, and the crossover point is computable, so the values below
+  it plus the tail verdict are exact;
 * vacuous quantifiers -- over the nonempty domain N a quantifier whose
   variable is not free in its body has its body's verdict, so the body
   runs once;
@@ -589,19 +589,22 @@ class Evaluator:
         return eq if type(phi) is Eq else lt
 
     def _quantifier(self, phi, path: Path, depth: int):
-        """The devices in order: a witness (existentials only), a bounded
-        range, linear solving (existentials only), tail analysis, and a
-        sweep to the witness bound.  A tail that settles every value from
-        a threshold within the bound makes the sweep exact and cuts it
-        short: it stops at the threshold.  A vacuous quantifier that the
-        tail leaves open runs its body once and has its verdict."""
+        """The devices in order, each naming the values that decide the
+        quantifier: a bounded range runs its rest below the bound; a
+        witness or a linear solution (existentials only) runs the body at
+        one value, an unsolvable equation at none; a tail either stops
+        the quantifier or, from a threshold within the witness bound on,
+        settles it, and the values below run; a vacuous body runs once.
+        All of these are exact.  Otherwise the sweep to the witness bound
+        is not.  One loop runs the values: a stop value decides, else the
+        verdict is start if the run is exact and no value was UNKNOWN."""
         ev, env, budget = self, self.env, self.budget
         limit, iter_cap = budget.node_budget, budget.iter_cap
         horizon = budget.witness_bound + 1  # values a full sweep runs
         v = phi.var.index
         exists = type(phi) is Exists
         # a TRUE instance settles an existential, a FALSE one a universal
-        stop, start, join = (_T, _F, t_or) if exists else (_F, _T, t_and)
+        stop, start = (_T, _F) if exists else (_F, _T)
         # over the nonempty domain N, Qv φ with v not free in φ is φ
         vacuous = v not in phi.body.fv
         witness = self.witnesses.get(path) if exists else None
@@ -619,50 +622,41 @@ class Evaluator:
             ev.nodes += 1
             if ev.nodes > limit:
                 raise BudgetExceeded
-            inner = dict(asg)
             n = None if guard is None else _small(guard, asg, iter_cap)
+            values, exact = None, True
             if n is not None:
                 if rest is None:
                     rest = ev._compile(phi.body.right, path + (0, 1),
                                        depth + 1)
-                verdict = start
-                for w in range(n):
-                    inner[v] = w
-                    got = rest(inner)
-                    if got is stop:
-                        return stop
-                    verdict = join(verdict, got)
-                return verdict
-            if body is None:
-                body = ev._compile(phi.body, path + (0,), depth + 1)
-            if witness is not None:
-                inner[v] = witness
-                return body(inner)
-            tail = None
-            if walks:
-                if exists:
-                    solved = _solve_linear(phi.body, asg, env, v)
-                    if solved is not None:
-                        if not solved[0]:
-                            return _F
-                        inner[v] = solved[1]
-                        return body(inner)
-                tail = _eventual(phi.body, asg, env, v)
-                if tail is not None and tail[1] is stop:
-                    return stop
-            # a tail left here gives start from its threshold on
-            settled = tail is not None and tail[0] <= horizon
-            if vacuous and not settled:
-                return body(inner)
-            undecided = False
-            for w in range(tail[0] if settled else horizon):
+                code, values = rest, range(n)
+            else:
+                if body is None:
+                    body = ev._compile(phi.body, path + (0,), depth + 1)
+                code = body
+                if witness is not None:
+                    values = (witness,)
+                elif walks:
+                    solved = exists and _solve_linear(phi.body, asg, env, v)
+                    if solved:
+                        values = (solved[1],) if solved[0] else ()
+                    else:
+                        tail = _eventual(phi.body, asg, env, v)
+                        if tail is not None and tail[1] is stop:
+                            return stop
+                        # from its threshold on the tail gives start
+                        if tail is not None and tail[0] <= horizon:
+                            values = range(tail[0])
+                if values is None:  # a vacuous body has its verdict
+                    values, exact = range(1 if vacuous else horizon), vacuous
+            inner = dict(asg)
+            for w in values:
                 inner[v] = w
-                got = body(inner)
+                got = code(inner)
                 if got is stop:
                     return stop
                 if got is not start:
-                    undecided = True
-            return start if settled and not undecided else _U
+                    exact = False
+            return start if exact else _U
         return run
 
 

@@ -61,6 +61,21 @@ def test_tarski_without_nodes_reports_the_budget_insufficient(capsys):
 
 
 @pytest.mark.parametrize("command", ["berry", "tarski-experiment"])
+def test_micro_maxlen_above_the_cap_is_a_usage_error(capsys, monkeypatch,
+                                                     command):
+    # the catalogue grows about 4x per length: 17 is refused before any
+    # universe is built
+    def refuse(*args):
+        raise AssertionError("a universe was built")
+    monkeypatch.setattr(cli, "micro_universe", refuse)
+    maxlen = str(cli._MICRO_MAXLEN_MAX + 1)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--micro-maxlen", maxlen])
+    assert err.value.code == 2
+    assert f"at most {cli._MICRO_MAXLEN_MAX}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["berry", "tarski-experiment"])
 def test_a_tight_budget_finds_the_least_undefinable_value(capsys, command):
     # values a quantifier's tail settles are not charged, so 234 nodes
     # decide every describability fact up to 4, the default's value

@@ -25,12 +25,12 @@ from selfref.parser import parse_formula
 from selfref.proofs import (
     Axiom, CheckReport, ConsistentBySoundness, Generalization,
     InconsistencyAlarm, LogicalAxiom, ModusPonens, NotFound, ProofObject,
-    ProofStep, RefutedByProof, SearchExhausted, TheoryHandle, Unknown,
+    ProofStep, RefutedByProof, SearchExhausted, Unknown,
     bounded_proof_search, check_proof, check_proof_report, consistency_witness,
     decode_proof_code, fixture_path, goedel_sentence, load_fixture_proof,
     make_prf, neg_neg_proof, not_below_zero_proof, parse_proof, pr_formula,
     pr_sentence, proof_code, proofs_env, remark_demo, remark_one_proof,
-    robinson_order_axiomatization, rosser_pr_formula, rosser_psi,
+    rosser_pr_formula, rosser_psi,
     rosser_sentence, search_report, serialize_proof,
     standard_theory, successor_bound_proof, tb_stream,
     _POOL_FORMULA_LEN, _Searcher,
@@ -45,7 +45,7 @@ NOT_DELTA = Not(DELTA)
 # -- the pinned axiomatization ------------------------------------------------
 
 def test_axiom_ids_and_shapes():
-    ax = robinson_order_axiomatization()
+    ax = standard_theory()
     ids = [aid for aid, _ in ax.axioms]
     assert ids == ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "o1", "o2"]
     by_id = dict(ax.axioms)
@@ -68,17 +68,17 @@ def test_axiom_ids_and_shapes():
 
 
 def test_axiom_renders_pinned():
-    by_id = dict(robinson_order_axiomatization().axioms)
+    by_id = dict(standard_theory().axioms)
     assert render(by_id["q1"]) == "∀x(¬(x+(1)=0))"
     assert render(by_id["o1"]) == "∀x(¬(x<0))"
     assert render(by_id["o2"]) == "∀x(∀x′(x<x′+(1)↔(x<x′∨(x=x′))))"
-    for _, phi in robinson_order_axiomatization().axioms:
+    for _, phi in standard_theory().axioms:
         assert parse_formula(render(phi)) == phi
 
 
 def test_axioms_fixture_file_matches():
     lines = fixture_path("axioms.txt").read_text().strip().split("\n")
-    built = robinson_order_axiomatization().axioms
+    built = standard_theory().axioms
     assert len(lines) == len(built)
     for line, (aid, phi) in zip(lines, built):
         fid, text = line.split("\t")
@@ -88,7 +88,7 @@ def test_axioms_fixture_file_matches():
 
 def test_axioms_true_on_a_grid():
     # every axiom body instance over a small grid is certainly true
-    for _, phi in robinson_order_axiomatization().axioms:
+    for _, phi in standard_theory().axioms:
         body, vs = phi, []
         while isinstance(body, Forall):
             vs.append(body.var.index)
@@ -105,12 +105,11 @@ def test_axioms_true_on_a_grid():
 def test_theory_handle_extras():
     base = standard_theory()
     assert base.sound_for_standard_model
-    extended = TheoryHandle(
-        axiomatization=base.axiomatization,
-        extra=(ZERO_EQ_ZERO,),
-        name="padded",
-    )
+    extended = base.extend("padded", (ZERO_EQ_ZERO,), True)
     assert extended.axiom_formula("extra0") == ZERO_EQ_ZERO
+    twice = extended.extend("padded twice", (DELTA,), False)
+    assert twice.axiom_formula("extra1") == DELTA
+    assert not twice.sound_for_standard_model
     assert extended.axiom_formula("q1") == base.axiom_formula("q1")
 
 
@@ -564,11 +563,7 @@ def test_unknown_without_evidence():
 
 def test_inconsistency_alarm_fires():
     base = standard_theory()
-    broken = TheoryHandle(
-        axiomatization=base.axiomatization,
-        extra=(DELTA,),
-        name="broken",
-    )
+    broken = base.extend("broken", (DELTA,), True)
     with pytest.raises(InconsistencyAlarm):
         consistency_witness(NOT_DELTA, broken)
 

@@ -72,22 +72,33 @@ def test_term_eval_with_bignat():
     assert val == n + 1
 
 
+def _verdict(phi, budget=None, witnesses=None):
+    """The truth and the nodes visited, under OracleEnv()."""
+    report = evaluate_full(phi, OracleEnv(), budget, witnesses)
+    return report.truth, report.nodes_used
+
+
 def test_bounded_quantifiers_are_exact():
+    # the rest runs below the bound, up to the first stop value
     phi = parse_formula("∀x(x<#5→(x<#6))")
-    assert evaluate(phi) is T
+    assert _verdict(phi) == (T, 6)
     psi = parse_formula("∃x(x<#5∧(x+(x)=#8))")
-    assert evaluate(psi) is T
+    assert _verdict(psi) == (T, 6)
     chi = parse_formula("∃x(x<#3∧(x+(x)=#8))")
-    assert evaluate(chi) is F
+    assert _verdict(chi) == (F, 4)
 
 
 def test_linear_solver_beyond_sweep():
-    # 2v = 10**9: the witness is far outside any sweep
+    # 2v = 10**9: the witness is far outside any sweep; the body runs at
+    # the solution only, and not at all when there is none
     big = numeral(10**9)
     phi = Exists(x, Eq(Add(x, x), big))
-    assert evaluate(phi, budget=Budget(witness_bound=4)) is T
+    assert _verdict(phi, Budget(witness_bound=4)) == (T, 2)
     odd = Exists(x, Eq(Add(x, x), numeral(10**9 + 1)))
-    assert evaluate(odd, budget=Budget(witness_bound=4)) is F
+    assert _verdict(odd, Budget(witness_bound=4)) == (F, 1)
+    for n, verdict in ((1000, (T, 2)), (1001, (F, 1))):
+        phi = parse_formula(f"∃x(x+(x)=#{n})")
+        assert _verdict(phi, Budget(witness_bound=4)) == verdict
 
 
 def test_linear_solver_on_run_forms():
@@ -99,14 +110,17 @@ def test_linear_solver_on_run_forms():
 
 def test_tail_analysis():
     # all y: y < y+1, exact by the eventual sign of the difference
-    assert evaluate(Forall(x, Lt(x, Add(x, One())))) is T
+    assert _verdict(Forall(x, Lt(x, Add(x, One())))) == (T, 1)
+    # some y > 3: the tail's TRUE decides it, no value runs
+    assert _verdict(parse_formula("∃x(#3<x)")) == (T, 1)
     # no y with y*y = 2
     assert evaluate(Exists(x, Eq(Mul(x, x), numeral(2)))) is F
-    # some y with y*y = 25, found by sweeping
-    assert evaluate(Exists(x, Eq(Mul(x, x), numeral(25)))) is T
+    # some y with y*y = 25, found by sweeping the values 0..5
+    assert _verdict(Exists(x, Eq(Mul(x, x), numeral(25)))) == (T, 7)
     # y*y = big square: degree 2 is past the solver, sweep cannot reach,
-    # and the tail cannot bound huge coefficients: honest unknown
-    assert evaluate(Exists(x, Eq(Mul(x, x), numeral(10**8)))) is U
+    # and the tail cannot bound huge coefficients: honest unknown after
+    # the 65 values up to the witness bound
+    assert _verdict(Exists(x, Eq(Mul(x, x), numeral(10**8)))) == (U, 66)
 
 
 def test_undecided_oracles_stay_unknown():
@@ -139,9 +153,10 @@ def test_a_zero_slope_argument_gives_no_support_tail():
 
 
 def test_witnessed_existentials():
+    # the body runs at the witness only
     phi = Exists(x, Eq(Mul(x, x), numeral(10**8)))
-    assert evaluate(phi, witnesses={(): 10**4}) is T
-    assert evaluate(phi, witnesses={(): 10**4 + 1}) is F
+    assert _verdict(phi, witnesses={(): 10**4}) == (T, 2)
+    assert _verdict(phi, witnesses={(): 10**4 + 1}) == (F, 2)
 
 
 def test_witness_paths_reach_nested_nodes():
