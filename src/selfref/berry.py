@@ -186,17 +186,20 @@ class MicroUniverse:
 
 @lru_cache(maxsize=8)
 def _build_universe(max_len: int, budget: Budget, order: str) -> MicroUniverse:
+    """The catalogue below max_len in the given order, with the facts of
+    one defines_all pass: the catalogue's formulas are built from shared
+    shorter ones, and the pass reads each shared subformula once."""
     from .enumeration import unary_formulas
-    from .semantics import defines
+    from .semantics import defines_all
 
     formulas = list(unary_formulas(max_len - 1))
     if order == "shuffled":
         random.Random(0).shuffle(formulas)
     elif order != "length":
         raise ValueError(f"unknown enumeration order {order!r}")
-    facts = []
-    for i, phi in enumerate(formulas):
-        rep = defines(phi, None, budget)
+    facts = []  # each report is turned into facts as it comes
+    for i, (phi, rep) in enumerate(zip(formulas,
+                                       defines_all(formulas, None, budget))):
         ints = tuple(s for s in rep.solutions if s != "...")
         cofinite = "..." in rep.solutions
         pinned = rep.exact and not cofinite and len(ints) == 1
@@ -297,8 +300,8 @@ class _DefTable:
     the catalogue exactly as the formula's own quantifier would.
 
     A length is judged at once where it can be: the genuine Tr through
-    an index of the description facts, and a property _batch reads
-    through one truths_at pass over the length's statement codes.  Any
+    an index of the description facts, and a property the batched sweep
+    reads through one truths_at pass over the length's statement codes.  Any
     other property is judged entry by entry."""
 
     def __init__(self, bundle, universe, env, budget):

@@ -37,9 +37,12 @@ Formulas are compiled into closures (Feeley & Lapalme, "Using closures
 for code generation", 1987) lazily, one node at its first visit, so a
 sweep reruns compiled code while a formula that is decided after a few
 nodes costs no more than a tree walk.  A sweep of a formula of
-connectives, ¬, = and < over int terms instead maps the whole value
-range, at each node, to truths and to the nodes compiled code would
-visit, list in, list out (Boncz, Zukowski & Nes, CIDR 2005).
+connectives, ¬, vacuous quantifiers, = and < over int terms instead
+reads the whole value range at once, bottom-up: each node's truths are
+one int bitmask, kept in a memo for the call, so defines_all reads a
+subformula shared by many catalogue formulas once.  The nodes compiled
+code would visit at each value are counted off those truths only where
+the node budget could cut the sweep (Boncz, Zukowski & Nes, CIDR 2005).
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ import enum
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bignat import BigNat, BigNatError, as_int
 from .syntax import (
@@ -290,6 +293,7 @@ def eval_term(t: Term, assignment: dict[int, Nat], env: OracleEnv,
 DEPTH_CAP = 600
 
 _T, _F, _U = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
+_UNREAD = object()  # a memo's answer for a node not read yet
 _OFF_FRAGMENT = (BigNatError, OracleUndecided)
 
 # per connective: left value that settles it, the verdict then, and the
@@ -719,11 +723,51 @@ def _solve_linear(body: Formula, asg, env: OracleEnv,
     return None
 
 
-def _eventual(phi: Formula, asg, env: OracleEnv,
-              v: int) -> Optional[tuple[int, Truth]]:
+def _eventual(phi: Formula, asg, env: OracleEnv, v: int,
+              memo: Optional[dict] = None) -> Optional[tuple[int, Truth]]:
     """A (threshold, verdict) with verdict holding for all values
-    of v at or beyond the threshold, or None."""
-    if isinstance(phi, (Eq, Lt)):
+    of v at or beyond the threshold, or None.  A memo, where given,
+    keeps each node's answer for later calls with the same asg, env
+    and v."""
+    if memo is not None:
+        got = memo.get(phi, _UNREAD)
+        if got is not _UNREAD:
+            return got
+    kind = type(phi)
+    if kind is Eq or kind is Lt or kind is OracleAtom:
+        got = _eventual_atom(phi, asg, env, v)
+    elif kind is Not:
+        sub = _eventual(phi.body, asg, env, v, memo)
+        got = sub and (sub[0], ~sub[1])
+    elif kind in _CONNECTIVES:
+        stop, settled, table = _CONNECTIVES[kind]
+        lt = _eventual(phi.left, asg, env, v, memo)
+        rt = _eventual(phi.right, asg, env, v, memo)
+        # an absorbing child decides the verdict at its own threshold
+        absorbing = [side[0] for side, value in ((lt, stop), (rt, settled))
+                     if side and side[1] is value]
+        if absorbing:
+            got = (min(absorbing), settled)
+        elif lt is None or rt is None:
+            got = None
+        else:
+            out = table(lt[1], rt[1])
+            got = None if out is _U else (max(lt[0], rt[0]), out)
+    elif (kind is Forall or kind is Exists) \
+            and phi.var.index not in phi.body.fv:
+        # over a nonempty domain a vacuous quantifier is transparent
+        got = _eventual(phi.body, asg, env, v, memo)
+    else:
+        got = None
+    if memo is not None:
+        memo[phi] = got
+    return got
+
+
+def _eventual_atom(phi: Formula, asg, env: OracleEnv,
+                   v: int) -> Optional[tuple[int, Truth]]:
+    """_eventual of an atom: =, < or an oracle atom."""
+    if type(phi) is not OracleAtom:
         try:
             diff = _poly_sub(eval_term(phi.left, asg, env, v),
                              eval_term(phi.right, asg, env, v))
@@ -731,51 +775,30 @@ def _eventual(phi: Formula, asg, env: OracleEnv,
             return None
         if not diff:
             # identical polynomials
-            return (0, Truth.TRUE if isinstance(phi, Eq) else Truth.FALSE)
+            return (0, _T if type(phi) is Eq else _F)
         th = _poly_threshold(diff)
         # from th on the difference has its leading coefficient's sign
-        holds = isinstance(phi, Lt) and diff[-1][0] < 0
+        holds = type(phi) is Lt and diff[-1][0] < 0
         return None if th is None else (th, _T if holds else _F)
-    if isinstance(phi, OracleAtom):
-        support = env.atom_supports.get(phi.name)
-        if v not in phi.fv:
-            try:
-                args = [eval_term(a, asg, env) for a in phi.args]
-            except _OFF_FRAGMENT:
-                return None
-            got = _oracle_reader(phi.name, env)(args)
-            return None if got is Truth.UNKNOWN else (0, got)
-        if support is None:
+    support = env.atom_supports.get(phi.name)
+    if v not in phi.fv:
+        try:
+            args = [eval_term(a, asg, env) for a in phi.args]
+        except _OFF_FRAGMENT:
             return None
-        # natural coefficients: with one of positive degree nonzero,
-        # the argument is at least v, so from the support on it is out
-        for arg in phi.args:
-            try:
-                p = _coefficients(eval_term(arg, asg, env, v))
-            except _OFF_FRAGMENT:
-                continue
-            if any(c != 0 for c in p[1:]):
-                return (max(support, 1), Truth.FALSE)
+        got = _oracle_reader(phi.name, env)(args)
+        return None if got is _U else (0, got)
+    if support is None:
         return None
-    if isinstance(phi, Not):
-        sub = _eventual(phi.body, asg, env, v)
-        return sub and (sub[0], ~sub[1])
-    if type(phi) in _CONNECTIVES:
-        stop, settled, table = _CONNECTIVES[type(phi)]
-        lt = _eventual(phi.left, asg, env, v)
-        rt = _eventual(phi.right, asg, env, v)
-        # an absorbing child decides the verdict at its own threshold
-        absorbing = [side[0] for side, value in ((lt, stop), (rt, settled))
-                     if side and side[1] is value]
-        if absorbing:
-            return (min(absorbing), settled)
-        if lt is None or rt is None:
-            return None
-        out = table(lt[1], rt[1])
-        return None if out is _U else (max(lt[0], rt[0]), out)
-    if isinstance(phi, (Forall, Exists)) and phi.var.index not in phi.body.fv:
-        # over a nonempty domain a vacuous quantifier is transparent
-        return _eventual(phi.body, asg, env, v)
+    # natural coefficients: with one of positive degree nonzero,
+    # the argument is at least v, so from the support on it is out
+    for arg in phi.args:
+        try:
+            p = _coefficients(eval_term(arg, asg, env, v))
+        except _OFF_FRAGMENT:
+            continue
+        if any(c != 0 for c in p[1:]):
+            return (max(support, 1), _F)
     return None
 
 
@@ -830,14 +853,38 @@ def sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
     """phi's truths at var = 0..witness_bound, the rest of asg fixed.
     The node budget covers the whole sweep: the value at which the
     nodes visited in all exceed it, and every later one, are UNKNOWN.
-    A formula _batch reads runs over the values the budget can reach
-    at once (each visits a node at least)."""
+    A formula _Batch reads is read at once over the values the budget
+    can reach (each visits a node at least); anything else runs the
+    compiled code value by value."""
+    reach = range(min(budget.witness_bound, budget.node_budget) + 1)
+    read = _batched_sweep(phi, budget, _Batch(var, asg, reach))
+    if read is None:
+        return _compiled_sweep(phi, var, asg, env, budget)
+    mask, cut = read
+    return _truths(mask, cut) + [_U] * (budget.witness_bound + 1 - cut)
+
+
+def _batched_sweep(phi: Formula, budget: Budget,
+                   batch: _Batch) -> Optional[tuple[int, int]]:
+    """sweep through batch, whose values are those the budget can reach:
+    (mask, cut), the truths below cut as a mask and UNKNOWN from cut on.
+    None where the batch cannot read phi."""
+    mask = batch.truths(phi) if _batch_depth_ok(phi, budget) else None
+    if mask is None:
+        return None
+    cut = len(batch.values)
+    # a value visits at most one node per formula node, so at most
+    # phi.length: only a budget below that total needs the counts
+    if cut * phi.length > budget.node_budget:
+        cut = bisect_right(list(accumulate(batch.counts(phi))),
+                           budget.node_budget)
+    return mask, cut
+
+
+def _compiled_sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
+                    budget: Budget) -> list[Truth]:
+    """sweep by running phi's compiled code at each value in turn."""
     n = budget.witness_bound + 1
-    batch = _batch(phi, var, asg, range(min(n, budget.node_budget + 1)), 0,
-                   budget) if phi.height <= DEPTH_CAP else None
-    if batch is not None:
-        cut = bisect_right(list(accumulate(batch[1])), budget.node_budget)
-        return [_T if t else _F for t in batch[0][:cut]] + [_U] * (n - cut)
     ev, spent, out = Evaluator(env, budget), 0, []
     at, asg = ev.compile(phi), dict(asg)
     for w in range(n):
@@ -850,67 +897,160 @@ def sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
     return out
 
 
+def _batch_depth_ok(phi: Formula, budget: Budget) -> bool:
+    """Whether compiled code reaches all of phi within the depth bound,
+    and phi is within DEPTH_CAP.  Every formula node has an atom at or
+    below it, and an atom a term below it, so none sits deeper than
+    phi.height - 2."""
+    return phi.height <= min(budget.depth_bound + 2, DEPTH_CAP)
+
+
 def truths_at(phi: Formula, var: int, values, budget: Optional[Budget] = None
               ) -> Optional[list[Truth]]:
     """[truth_at(phi, budget=budget)({var: v}) for v in values] in one
     batched pass: each value gets the whole node budget, and is UNKNOWN
-    where its nodes exceed it.  None where _batch cannot read phi, which
+    where its nodes exceed it.  None where _Batch cannot read phi, which
     includes a free variable other than var."""
     budget = budget or Budget()
-    batch = _batch(phi, var, {}, values, 0, budget) \
-        if phi.height <= DEPTH_CAP else None
-    if batch is None:
+    batch = _Batch(var, {}, values)
+    mask = batch.truths(phi) if _batch_depth_ok(phi, budget) else None
+    if mask is None:
         return None
+    truths = _truths(mask, len(values))
+    if phi.length <= budget.node_budget:  # no value can be cut
+        return truths
     limit = budget.node_budget
-    return [_U if k > limit else _T if t else _F for t, k in zip(*batch)]
+    return [_U if k > limit else t for t, k in zip(truths, batch.counts(phi))]
 
 
-def _batch(phi: Formula, var: int, asg: dict, values, depth: int,
-           budget: Budget) -> Optional[tuple[list, list]]:
-    """phi at var = each of values as two lists: truths as bools, and the
-    nodes the compiled code visits at each value.  None unless phi is
-    made of connectives, ¬, = and < over _batch_term's terms within the
-    depth bound; DEPTH_CAP is the caller's check, on phi's height."""
-    kind, below = type(phi), (var, asg, values, depth + 1, budget)
-    if depth > budget.depth_bound:
-        return None
-    if kind is Eq or kind is Lt:
-        a = _batch_term(phi.left, var, asg, values)
-        b = None if a is None else _batch_term(phi.right, var, asg, values)
-        return None if b is None else (
-            list(map(operator.eq if kind is Eq else operator.lt, a, b)),
-            [1] * len(values))
-    if kind is Not:
-        body = _batch(phi.body, *below)
-        return body and ([not t for t in body[0]], [k + 1 for k in body[1]])
-    left = kind in _CONNECTIVES and _batch(phi.left, *below)
-    right = left and _batch(phi.right, *below)
-    if not right:
-        return None
-    (a, ka), (b, kb) = left, right
-    if kind is Iff:
-        return list(map(operator.eq, a, b)), [1 + i + j for i, j in zip(ka, kb)]
-    if kind is Implies:  # a → b is ¬a ∨ b
-        a = [not s for s in a]
-    settle = kind is not And  # the left value that settles the verdict
-    return ([s if s is settle else t for s, t in zip(a, b)],
-            [1 + i + (0 if s is settle else j) for s, i, j in zip(a, ka, kb)])
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _batch_term(t: Term, var: int, asg: dict, values) -> Optional[list]:
-    """t at var = each of values if it is +, · over 0, 1 and ints, else
-    None."""
-    kind = type(t)
-    if kind is Add or kind is Mul:
-        a = _batch_term(t.left, var, asg, values)
-        b = None if a is None else _batch_term(t.right, var, asg, values)
-        return None if b is None else list(
-            map(operator.add if kind is Add else operator.mul, a, b))
-    if kind is Var and t.index == var:
-        return list(values)
-    value = asg.get(t.index) if kind is Var else t.value if kind is Num \
-        else {Zero: 0, One: 1}.get(kind)
-    return [value] * len(values) if type(value) is int else None
+def _mask(bools) -> int:
+    """The mask whose bit i is the i-th of bools."""
+    return int(b"0" + bytes(bools)[::-1].translate(_TO_DIGITS), 2)
+
+
+def _bits(mask: int, n: int) -> bytes:
+    """The first n bits of mask as bytes 0 and 1, bit i at index i."""
+    digits = bin(mask & ((1 << n) - 1) | 1 << n)[:2:-1]  # 0b1 dropped
+    return digits.encode().translate(_FROM_DIGITS)
+
+
+def _truths(mask: int, n: int) -> list[Truth]:
+    """The first n bits of mask as truths."""
+    return list(map((_F, _T).__getitem__, _bits(mask, n)))
+
+
+def _lanes(value):
+    """A batched term value as one iterable of its values."""
+    return repeat(value) if type(value) is int else value
+
+
+class _Batch:
+    """Formulas read at var = each of values at once, the rest of asg
+    fixed (Boncz, Zukowski & Nes, CIDR 2005).  A formula's truths are one
+    int, whose bit i is the truth at values[i], so a connective is one
+    int operation.  The batch reads = and < over the terms that term
+    reads, ¬, the binary connectives, and a quantifier whose variable is
+    not free in its body, as that body (N is nonempty); anything else
+    reads as None.
+
+    A node is read once per batch and kept in the memo, so formulas read
+    through one batch share their common subformulas, and equal masks
+    are one int.  The batch refers to no code, so it is freed by
+    reference counting.  Depth is the caller's check, on phi.height."""
+
+    __slots__ = ("var", "asg", "values", "full", "memo", "masks")
+
+    def __init__(self, var: int, asg: dict, values):
+        self.var, self.asg, self.values = var, asg, values
+        self.full = (1 << len(values)) - 1
+        self.memo: dict[Formula, Optional[int]] = {}
+        self.masks: dict[int, int] = {}
+
+    def truths(self, phi: Formula) -> Optional[int]:
+        """phi's truths as a mask, or None where phi is not read."""
+        got = self.memo.get(phi, _UNREAD)
+        if got is not _UNREAD:
+            return got
+        kind = type(phi)
+        if kind is Eq or kind is Lt:
+            a = self.term(phi.left)
+            b = None if a is None else self.term(phi.right)
+            op = operator.eq if kind is Eq else operator.lt
+            if b is None:
+                got = None
+            elif type(a) is int and type(b) is int:
+                got = self.full if op(a, b) else 0
+            else:
+                got = _mask(map(op, _lanes(a), _lanes(b)))
+        elif kind is Not:
+            body = self.truths(phi.body)
+            got = None if body is None else self.full ^ body
+        elif kind in _CONNECTIVES:
+            a = self.truths(phi.left)
+            b = None if a is None else self.truths(phi.right)
+            if b is None:
+                got = None
+            elif kind is And:
+                got = a & b
+            elif kind is Or:
+                got = a | b
+            elif kind is Implies:
+                got = self.full ^ a | b
+            else:
+                got = self.full ^ a ^ b
+        elif (kind is Forall or kind is Exists) \
+                and phi.var.index not in phi.body.fv:
+            got = self.truths(phi.body)
+        else:
+            got = None
+        if got is not None:
+            got = self.masks.setdefault(got, got)
+        self.memo[phi] = got
+        return got
+
+    def counts(self, phi: Formula) -> list[int]:
+        """The nodes compiled code visits at each value, read off the
+        memo's truths of phi's subformulas; truths(phi) must have read
+        phi.  An atom is one node, and so is a vacuous quantifier: over
+        int terms its tail settles it at threshold 0, unvisited body and
+        all."""
+        kind = type(phi)
+        if kind is Eq or kind is Lt or kind is Forall or kind is Exists:
+            return [1] * len(self.values)
+        if kind is Not:
+            return [k + 1 for k in self.counts(phi.body)]
+        ka, kb = self.counts(phi.left), self.counts(phi.right)
+        # the values at which the right side runs too: those after a true
+        # left side for ∧ and →, a false one for ∨, and all for ↔
+        a = self.memo[phi.left]
+        runs = a if kind is And or kind is Implies \
+            else self.full ^ a if kind is Or else self.full
+        return [1 + i + (j if r else 0)
+                for r, i, j in zip(_bits(runs, len(self.values)), ka, kb)]
+
+    def term(self, t: Term):
+        """t at every value: an int where var is not in t, else the
+        values in order; None unless t is +, · over 0, 1, int numerals and
+        variables with int values."""
+        kind = type(t)
+        if kind is Add or kind is Mul:
+            a = self.term(t.left)
+            b = None if a is None else self.term(t.right)
+            op = operator.add if kind is Add else operator.mul
+            if b is None:
+                return None
+            if type(a) is int and type(b) is int:
+                return op(a, b)
+            return list(map(op, _lanes(a), _lanes(b)))
+        if kind is Var and t.index == self.var:
+            return self.values
+        value = self.asg.get(t.index) if kind is Var else t.value \
+            if kind is Num else {Zero: 0, One: 1}.get(kind)
+        return value if type(value) is int else None
 
 
 @dataclass
@@ -927,19 +1067,48 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
 
     The sweep runs to the witness bound and tail analysis decides
     whether anything can hide beyond it.  The report is exact only when
-    every swept value is decided.
+    every swept value is decided.  This is defines_all's one-formula
+    case.
     """
+    return next(defines_all((phi,), env, budget))
+
+
+def defines_all(formulas: Iterable[Formula], env: Optional[OracleEnv] = None,
+                budget: Optional[Budget] = None) -> Iterator[DefinesReport]:
+    """defines(phi, env, budget) for each of formulas, yielded in order
+    one at a time.  The formulas share one _Batch over the values of x
+    and one memo of tail readings, so a subformula common to many of
+    them is read once per call, not once per formula."""
     env = env or OracleEnv()
     budget = budget or Budget()
+    reach = range(min(budget.witness_bound, budget.node_budget) + 1)
+    batch = _Batch(0, {}, reach)
+    tails: dict = {}
+    for phi in formulas:
+        yield _defines(phi, env, budget, batch, tails)
+
+
+def _defines(phi: Formula, env: OracleEnv, budget: Budget, batch: _Batch,
+             tails: dict) -> DefinesReport:
+    """defines(phi, env, budget) through defines_all's batch and tails."""
     if phi.fv - {0}:
         return DefinesReport(False, [], "extra free variables")
     limit = budget.witness_bound + 1
-    swept = sweep(phi, 0, {}, env, budget)
-    solutions = [w for w, got in enumerate(swept) if got is _T]
-    if _U in swept:
+    read = _batched_sweep(phi, budget, batch)
+    if read is None:
+        swept = _compiled_sweep(phi, 0, {}, env, budget)
+        solutions = [w for w, got in enumerate(swept) if got is _T]
+        undecided = swept.index(_U) if _U in swept else None
+    else:
+        # read off the mask: a truths list per formula slows a pass by 40 %
+        mask, cut = read
+        solutions = list(compress(range(cut), _bits(mask, cut)))
+        undecided = cut if cut < limit else None
+    if undecided is not None:
         return DefinesReport(False, solutions, "a swept value is unknown",
-                             swept.index(_U))
-    tail = _eventual(phi, {}, env, 0) if phi.height <= DEPTH_CAP else None
+                             undecided)
+    tail = _eventual(phi, {}, env, 0, tails) \
+        if phi.height <= DEPTH_CAP else None
     if tail is not None and tail[0] <= limit:
         if tail[1] is Truth.FALSE:
             return DefinesReport(True, solutions, "tail is false")

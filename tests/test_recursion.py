@@ -20,8 +20,9 @@ ALLOWED = {
     "semantics.eval_term": "DEPTH_CAP",
     "semantics._compile_term": "DEPTH_CAP",
     "semantics._eventual": "DEPTH_CAP",
-    "semantics._batch": "DEPTH_CAP",
-    "semantics._batch_term": "DEPTH_CAP",
+    "semantics._Batch.truths": "DEPTH_CAP",
+    "semantics._Batch.counts": "DEPTH_CAP",
+    "semantics._Batch.term": "DEPTH_CAP",
     "proofs._match": "the depth of a scheme pattern",
     # radix conversion splits a number in halves
     "bignat._put_digits": "log of the digit count",

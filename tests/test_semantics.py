@@ -16,9 +16,9 @@ from selfref.enumeration import unary_formulas
 from selfref.parser import parse_formula
 from selfref.semantics import (
     DEPTH_CAP, Budget, DefinesReport, Evaluator, OracleEnv, OracleUndecided,
-    Truth, _batch, _compile_term, defines, evaluate, evaluate_full, eval_term,
-    standard_oracle_env, sweep, t_and, t_iff, t_implies, t_or, truth_at,
-    truths_at,
+    Truth, _Batch, _compile_term, _eventual, defines,
+    defines_all, evaluate, evaluate_full, eval_term, standard_oracle_env,
+    sweep, t_and, t_iff, t_implies, t_or, truth_at, truths_at,
 )
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
@@ -678,7 +678,7 @@ def test_a_batched_sweep_equals_the_scalar_loop(seed, var, other, bound, data):
     budget = Budget(witness_bound=bound, node_budget=nodes, depth_bound=depth)
     asg = {1 - var: other}
     if depth == 256:  # the batch reads every drawn formula
-        assert _batch(phi, var, asg, range(bound + 1), 0, budget) is not None
+        assert _Batch(var, asg, range(bound + 1)).truths(phi) is not None
     env = OracleEnv()
     assert sweep(phi, var, asg, env, budget) == \
         _scalar_sweep(phi, var, asg, env, budget)
@@ -708,7 +708,124 @@ def test_truths_at_equals_truth_at_per_value(seed, var, other, values, data):
 
 
 @pytest.mark.parametrize("phi", [
-    OracleAtom("Tr", (x,)), Exists(y, Eq(y, x)), Eq(x, y)],
-    ids=["oracle-atom", "quantifier", "second-free-variable"])
+    OracleAtom("Tr", (x,)), Exists(y, Eq(y, x)), Exists(x, Eq(x, One())),
+    Eq(x, y)],
+    ids=["oracle-atom", "quantifier", "quantifier-over-the-swept-variable",
+         "second-free-variable"])
 def test_truths_at_declines_what_the_batch_cannot_read(phi):
     assert truths_at(phi, 0, [0, 1, 2]) is None
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_the_batch_keeps_the_depth_bound(depth):
+    # in ¬…¬(x=0), n negations deep, the atom sits n levels down, and
+    # phi.height is n + 2: the batch reads it exactly when n <= depth
+    env, values = OracleEnv(), range(4)
+    budget = Budget(witness_bound=3, depth_bound=depth)
+    for n in range(6):
+        for atom in (Eq(x, Zero()), Lt(x, Add(One(), One()))):
+            phi = _nested(n, Not, atom)
+            assert sweep(phi, 0, {}, env, budget) == \
+                _scalar_sweep(phi, 0, {}, env, budget)
+            at = truth_at(phi, env, budget)
+            got = truths_at(phi, 0, values, budget)
+            assert got is None or got == [at({0: v}) for v in values]
+        got = truths_at(_nested(n, Not, Eq(x, Zero())), 0, values, budget)
+        assert (got is not None) == (n <= depth)
+
+
+def _vacuous(rng: random.Random, phi):
+    """phi with random subformulas wrapped in ∀ or ∃ over x′′ or x′′′,
+    which _qf_formula never uses, so every added quantifier is vacuous."""
+    if type(phi) is Not:
+        phi = Not(_vacuous(rng, phi.body))
+    elif type(phi) in (And, Or, Implies, Iff):
+        phi = type(phi)(_vacuous(rng, phi.left), _vacuous(rng, phi.right))
+    if rng.random() < 0.3:
+        phi = rng.choice([Forall, Exists])(Var(rng.choice([2, 3])), phi)
+    return phi
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), _VALUES,
+       st.integers(0, 40), st.data())
+def test_a_batched_sweep_reads_vacuous_quantifiers(seed, var, other, bound,
+                                                   data):
+    rng = random.Random(seed)
+    phi = _vacuous(rng, _qf_formula(rng, 4))
+    asg = {1 - var: other}
+    assert _Batch(var, asg, range(bound + 1)).truths(phi) is not None
+    roomy = Budget(witness_bound=bound)  # a budget that cannot cut
+    # compiled code charges a vacuous quantifier one node, so this budget
+    # can cut the sweep at any value, or not at all
+    nodes = data.draw(st.integers(0, _formula_nodes(phi) * (bound + 1)))
+    depth = data.draw(st.sampled_from([256, 2]))
+    env = OracleEnv()
+    for budget in (roomy, Budget(witness_bound=bound, node_budget=nodes,
+                                 depth_bound=depth)):
+        assert sweep(phi, var, asg, env, budget) == \
+            _scalar_sweep(phi, var, asg, env, budget)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), _VALUES, _VALUE_LISTS,
+       st.data())
+def test_truths_at_reads_vacuous_quantifiers(seed, var, other, values, data):
+    rng = random.Random(seed)
+    phi = _vacuous(rng, substitute(_qf_formula(rng, 4), 1 - var,
+                                   Num(other + 1)))
+    assert truths_at(phi, var, values) is not None
+    nodes = data.draw(st.integers(0, _formula_nodes(phi)))
+    depth = data.draw(st.sampled_from([256, 2]))
+    budget = Budget(node_budget=nodes, depth_bound=depth)
+    got = truths_at(phi, var, values, budget)
+    at = truth_at(phi, OracleEnv(), budget)
+    if depth == 256:  # the batch reads every draw, counts and all
+        assert got is not None
+    assert got is None or got == [at({var: v}) for v in values]
+
+
+def _reference_defines(phi, env, budget):
+    """defines from the scalar sweep loop and the tail alone."""
+    if phi.fv - {0}:
+        return DefinesReport(False, [], "extra free variables")
+    swept = _scalar_sweep(phi, 0, {}, env, budget)
+    solutions = [w for w, got in enumerate(swept) if got is T]
+    if U in swept:
+        return DefinesReport(False, solutions, "a swept value is unknown",
+                             swept.index(U))
+    tail = _eventual(phi, {}, env, 0)
+    if tail is not None and tail[0] <= budget.witness_bound + 1:
+        if tail[1] is F:
+            return DefinesReport(True, solutions, "tail is false")
+        if tail[1] is T:
+            return DefinesReport(True, solutions + ["..."],
+                                 "cofinitely many solutions")
+    return DefinesReport(False, solutions, "beyond the sweep is unchecked")
+
+
+@pytest.mark.parametrize("budget", [
+    Budget(), Budget(node_budget=234), Budget(node_budget=10),
+    Budget(witness_bound=0), Budget(depth_bound=2)],
+    ids=["default", "nodes-234", "nodes-10", "one-value", "depth-2"])
+def test_defines_all_equals_the_scalar_loop_over_the_catalogue(budget):
+    # one batch and one tail memo over 1,442 formulas that share their
+    # subformulas; the tight budgets take the count walk, through
+    # vacuous quantifiers too
+    formulas = list(unary_formulas(10))
+    env = OracleEnv()
+    got = list(defines_all(formulas, env, budget))
+    assert len(got) == len(formulas) == 1442
+    for phi, report in zip(formulas, got):
+        assert report == _reference_defines(phi, env, budget), phi
+
+
+def test_defines_all_leaves_no_cyclic_garbage():
+    # the batch and the tail memo refer to no code, so a whole catalogue
+    # pass and a universe build are freed by reference counting alone
+    from selfref.berry import _build_universe
+
+    gc.collect()
+    list(defines_all(unary_formulas(8)))
+    _build_universe.__wrapped__(8, Budget(), "length")  # past the cache
+    assert gc.collect() == 0
