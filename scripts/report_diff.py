@@ -33,8 +33,10 @@ COMMANDS = [
     ["tarski-experiment", "--upsilon", "Formula(x)"],
     ["berry", "--micro-maxlen", "9", "--witness-bound", "2"],
     ["berry", "--micro-maxlen", "14"],
+    ["berry", "--witness-bound", "3000"],
     ["dominate", "--x", "3"],
     ["dominate", "--x", "2", "--kotlarski"],
+    ["dominate", "--x", "50", "--kotlarski"],
     *(["refute-truth", "--preset", preset]
       for preset in ("everything-true", "nothing-true", "parity")),
     ["diagonalize", "--psi", "x=x"],

@@ -16,12 +16,13 @@ indices instead of full codes.  Formula(a) means "a is a catalogue
 index", len(a) is the indexed formula's token count, D(a, y) is a
 pairing code standing for the statement "formula a describes exactly
 y", and Tr judges those pairing codes by actually computing each
-catalogue formula's solution set.  At this scale every definability
-verdict is exact, so the reports below can replay the two clashes
-faithfully: a genuine truth oracle makes the outer sentence true at
-the least undescribed number while closure under the truth
-biconditionals makes it false there, and the ladder argument ends in
-one catalogue code describing two different numbers.
+catalogue formula's solution set, kept as its sweep's solution mask.
+At this scale every definability verdict is exact, so the reports
+below can replay the two clashes faithfully: a genuine truth oracle
+makes the outer sentence true at the least undescribed number while
+closure under the truth biconditionals makes it false there, and the
+ladder argument ends in one catalogue code describing two different
+numbers.
 
 Genuine definers are certified within the budget's value horizon; the
 ladder treats numbers beyond it as undescribed, which is sound here
@@ -33,7 +34,8 @@ never different ones.
 The inner formula's quantifier over catalogue entries is replayed one
 length at a time: the genuine truth oracle reads an index of the
 description facts, and a property the batched sweep can read is judged
-over all statement codes of a length in one pass.
+over a length's statement codes in blocks that double, up to the first
+TRUE.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from typing import Callable, Optional
 
 from .diagonal import normalize_psi
 from .semantics import (
-    Budget, OracleEnv, Truth, catalogue_env, evaluate, from_bool,
-    statement_code, t_and, t_implies, t_or, truth_at, truths_at,
+    Budget, OracleEnv, Truth, _definability, catalogue_env, evaluate,
+    from_bool, statement_code, t_and, t_implies, t_or, truth_at, truths_at,
 )
 from .syntax import (
     And, Eq, Exists, Forall, Formula, Implies, Lt, Mul, Not, OracleAtom,
@@ -144,12 +146,14 @@ def length_audit(bundle: BerryBundle) -> LengthAudit:
 
 @dataclass(frozen=True)
 class FormulaFacts:
-    """The exact solution picture of one catalogue formula."""
+    """The exact solution picture of one catalogue formula: solutions
+    is the sweep's solution mask, bit y set where the formula holds at
+    y, over 0..witness_bound."""
 
     index: int
     formula: Formula
     length: int
-    solutions: tuple[int, ...]
+    solutions: int
     exact: bool
     cofinite: bool
     defines: Optional[int]
@@ -165,8 +169,9 @@ def _describe_status(fact: FormulaFacts, n: int, horizon: int) -> Truth:
         return Truth.TRUE
     if fact.exact or fact.cofinite:
         return Truth.FALSE
-    if n in fact.solutions:
-        return Truth.FALSE if len(fact.solutions) >= 2 else Truth.UNKNOWN
+    if fact.solutions >> n & 1:  # a second solution rules n out
+        return Truth.FALSE if fact.solutions & (fact.solutions - 1) \
+            else Truth.UNKNOWN
     if n <= horizon and (fact.undecided is None or n < fact.undecided):
         return Truth.FALSE
     return Truth.UNKNOWN
@@ -187,31 +192,28 @@ class MicroUniverse:
 @lru_cache(maxsize=8)
 def _build_universe(max_len: int, budget: Budget, order: str) -> MicroUniverse:
     """The catalogue below max_len in the given order, with the facts of
-    one defines_all pass: the catalogue's formulas are built from shared
+    one definability pass: the catalogue's formulas are built from shared
     shorter ones, and the pass reads each shared subformula once."""
     from .enumeration import unary_formulas
-    from .semantics import defines_all
 
     formulas = list(unary_formulas(max_len - 1))
     if order == "shuffled":
         random.Random(0).shuffle(formulas)
     elif order != "length":
         raise ValueError(f"unknown enumeration order {order!r}")
-    facts = []  # each report is turned into facts as it comes
-    for i, (phi, rep) in enumerate(zip(formulas,
-                                       defines_all(formulas, None, budget))):
-        ints = tuple(s for s in rep.solutions if s != "...")
-        cofinite = "..." in rep.solutions
-        pinned = rep.exact and not cofinite and len(ints) == 1
+    facts = []  # each reading is turned into facts as it comes
+    for i, (phi, (exact, mask, cofinite, _, undecided)) in enumerate(
+            zip(formulas, _definability(formulas, None, budget))):
+        pinned = exact and not cofinite and mask and not mask & (mask - 1)
         facts.append(FormulaFacts(
             index=i,
             formula=phi,
             length=length(phi),
-            solutions=ints,
-            exact=rep.exact,
+            solutions=mask,
+            exact=exact,
             cofinite=cofinite,
-            defines=ints[0] if pinned else None,
-            undecided=rep.undecided,
+            defines=mask.bit_length() - 1 if pinned else None,
+            undecided=undecided,
         ))
     return MicroUniverse(
         max_len=max_len,
@@ -299,9 +301,9 @@ class _DefTable:
     """Memoized verdicts of the inner formula, computed by enumerating
     the catalogue exactly as the formula's own quantifier would.
 
-    A length is judged at once where it can be: the genuine Tr through
+    A length is judged in bulk where it can be: the genuine Tr through
     an index of the description facts, and a property the batched sweep
-    reads through one truths_at pass over the length's statement codes.  Any
+    reads through truths_at over the length's statement codes.  Any
     other property is judged entry by entry."""
 
     def __init__(self, bundle, universe, env, budget):
@@ -342,28 +344,33 @@ class _DefTable:
         return self.memo[key]
 
     def _judge_length(self, alen: int, n: int) -> tuple[Truth, Optional[int]]:
+        """The length's entries in order, up to the first TRUE: read in
+        blocks that double where truths_at reads the property, else one
+        entry at a time."""
         entries = self.entries[alen]
         if self.index is not None:  # only open entries can be UNKNOWN
             first, entries = self.index[alen]
             if n in first:
                 return Truth.TRUE, first[n]
-            truths = [_describe_status(self.facts[a], n, self.horizon)
-                      for a in entries]
-        elif self.batched:
-            truths = truths_at(self.upsilon, 1,
-                               [statement_code(a, n) for a in entries],
-                               self.budget)
-        else:
-            verdict = Truth.FALSE
-            for a in entries:  # one by one, up to the first TRUE
-                got = self.judge(a, n)
-                if got is Truth.TRUE:
-                    return got, a
-                verdict = t_or(verdict, got)
-            return verdict, None
-        if Truth.TRUE in truths:
-            return Truth.TRUE, entries[truths.index(Truth.TRUE)]
-        verdict = Truth.UNKNOWN if Truth.UNKNOWN in truths else Truth.FALSE
+            unknown = any(_describe_status(self.facts[a], n, self.horizon)
+                          is Truth.UNKNOWN for a in entries)
+            return Truth.UNKNOWN if unknown else Truth.FALSE, None
+        # a truths_at call costs about what reading a dozen entries does,
+        # so blocks start at 16: an early TRUE wastes about one call's cost
+        verdict, start, size = Truth.FALSE, 0, 16 if self.batched else 1
+        while start < len(entries):
+            block = entries[start:start + size]
+            if self.batched:
+                codes = [statement_code(a, n) for a in block]
+                truths = truths_at(self.upsilon, 1, codes, self.budget)
+            else:
+                truths = [self.judge(a, n) for a in block]
+            if Truth.TRUE in truths:
+                return Truth.TRUE, block[truths.index(Truth.TRUE)]
+            if Truth.UNKNOWN in truths:
+                verdict = Truth.UNKNOWN
+            start += size
+            size *= 2 if self.batched else 1
         return verdict, None
 
     def berry_status(self, bound: int, n: int) -> Truth:

@@ -32,9 +32,9 @@ from typing import Optional, Union
 
 from .diagonal import NotOneFree, normalize_psi
 from .parser import parse_formula
-from .semantics import (Budget, OracleEnv, Truth, Unknown, catalogue_env,
-                        evaluate, pair, statement_code, sweep, truth_at,
-                        unpair)
+from .semantics import (Budget, OracleEnv, Truth, Unknown, _swept,
+                        catalogue_env, evaluate, pair, statement_code,
+                        truth_at, unpair)
 from .syntax import (Add, And, Exists, Forall, Formula, Implies, Lt, Not,
                      One, OracleAtom, OracleFun, Var, free_vars, substitute)
 
@@ -100,16 +100,18 @@ def _witness_scan(phi: Formula, x: int, budget: Budget
                   ) -> tuple[Optional[int], bool, bool]:
     """(least witness, saw a second one, emptiness certified).
 
-    Sweeps outputs 0..witness_bound at input x under the caller's
-    whole budget.  When nothing turns up, an existential evaluation
-    decides whether the output set is certifiably empty or merely out
-    of reach.
+    Reads the mask pair of a sweep of outputs 0..witness_bound at input
+    x under the caller's whole budget; a value in neither mask leaves
+    the scan inconclusive.  When no output is TRUE, an existential
+    evaluation decides whether the output set is certifiably empty or
+    merely out of reach.
     """
-    swept = sweep(phi, 1, {0: x}, OracleEnv(), budget)
-    if Truth.UNKNOWN in swept:
+    true, false = _swept(phi, 1, {0: x}, OracleEnv(), budget)
+    if (true | false) != (1 << budget.witness_bound + 1) - 1:
         return (None, False, False)
-    if Truth.TRUE in swept:
-        return (swept.index(Truth.TRUE), swept.count(Truth.TRUE) > 1, False)
+    if true:
+        return ((true & -true).bit_length() - 1, (true & (true - 1)) != 0,
+                False)
     anywhere = evaluate(Exists(_V, phi), budget=budget, assignment={0: x})
     return (None, False, anywhere is Truth.FALSE)
 

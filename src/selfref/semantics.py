@@ -40,9 +40,12 @@ nodes costs no more than a tree walk.  A sweep of a formula of
 connectives, ¬, vacuous quantifiers, = and < over int terms instead
 reads the whole value range at once, bottom-up: each node's truths are
 one int bitmask, kept in a memo for the call, so defines_all reads a
-subformula shared by many catalogue formulas once.  The nodes compiled
+subformula shared by many catalogue formulas once, and the swept
+variable against an int is one bit or a run of bits.  The nodes compiled
 code would visit at each value are counted off those truths only where
 the node budget could cut the sweep (Boncz, Zukowski & Nes, CIDR 2005).
+Either way a sweep gives a (TRUE, FALSE) mask pair, which its readers
+read by bits.
 """
 
 from __future__ import annotations
@@ -853,48 +856,45 @@ def sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
     """phi's truths at var = 0..witness_bound, the rest of asg fixed.
     The node budget covers the whole sweep: the value at which the
     nodes visited in all exceed it, and every later one, are UNKNOWN.
-    A formula _Batch reads is read at once over the values the budget
-    can reach (each visits a node at least); anything else runs the
-    compiled code value by value."""
-    reach = range(min(budget.witness_bound, budget.node_budget) + 1)
-    read = _batched_sweep(phi, budget, _Batch(var, asg, reach))
-    if read is None:
-        return _compiled_sweep(phi, var, asg, env, budget)
-    mask, cut = read
-    return _truths(mask, cut) + [_U] * (budget.witness_bound + 1 - cut)
+    The list rendered from _swept's mask pair."""
+    n = budget.witness_bound + 1
+    true, false = _swept(phi, var, asg, env, budget)
+    return [_T if t else _F if f else _U
+            for t, f in zip(_bits(true, n), _bits(false, n))]
 
 
-def _batched_sweep(phi: Formula, budget: Budget,
-                   batch: _Batch) -> Optional[tuple[int, int]]:
-    """sweep through batch, whose values are those the budget can reach:
-    (mask, cut), the truths below cut as a mask and UNKNOWN from cut on.
-    None where the batch cannot read phi."""
+def _swept(phi: Formula, var: int, asg: dict, env: OracleEnv, budget: Budget,
+           batch: Optional[_Batch] = None) -> tuple[int, int]:
+    """sweep as a (TRUE, FALSE) mask pair over 0..witness_bound: bit w
+    of the first is set where phi is TRUE at var = w, of the second
+    where it is FALSE, and a value in neither is UNKNOWN.  A formula the
+    batch reads is read at once over the values the budget can reach
+    (each visits a node at least), through the given batch, whose
+    values must be those; anything else runs the compiled code value by
+    value."""
+    if batch is None:
+        reach = range(min(budget.witness_bound, budget.node_budget) + 1)
+        batch = _Batch(var, asg, reach)
     mask = batch.truths(phi) if _batch_depth_ok(phi, budget) else None
-    if mask is None:
-        return None
-    cut = len(batch.values)
-    # a value visits at most one node per formula node, so at most
-    # phi.length: only a budget below that total needs the counts
-    if cut * phi.length > budget.node_budget:
+    if mask is not None:
+        # a value visits at most one node per formula node, so at most
+        # phi.length: only a budget below that total needs the counts
+        if len(batch.values) * phi.length <= budget.node_budget:
+            return mask, batch.full ^ mask
         cut = bisect_right(list(accumulate(batch.counts(phi))),
                            budget.node_budget)
-    return mask, cut
-
-
-def _compiled_sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
-                    budget: Budget) -> list[Truth]:
-    """sweep by running phi's compiled code at each value in turn."""
-    n = budget.witness_bound + 1
+        decided = (1 << cut) - 1
+        return mask & decided, decided & ~mask
     ev, spent, out = Evaluator(env, budget), 0, []
     at, asg = ev.compile(phi), dict(asg)
-    for w in range(n):
+    for w in range(budget.witness_bound + 1):
         asg[var] = w
         got = at(asg)
         spent += ev.nodes
         if spent > budget.node_budget:
-            return out + [_U] * (n - w)
+            break
         out.append(got)
-    return out
+    return _mask(t is _T for t in out), _mask(t is _F for t in out)
 
 
 def _batch_depth_ok(phi: Formula, budget: Budget) -> bool:
@@ -916,7 +916,7 @@ def truths_at(phi: Formula, var: int, values, budget: Optional[Budget] = None
     mask = batch.truths(phi) if _batch_depth_ok(phi, budget) else None
     if mask is None:
         return None
-    truths = _truths(mask, len(values))
+    truths = list(map((_F, _T).__getitem__, _bits(mask, len(values))))
     if phi.length <= budget.node_budget:  # no value can be cut
         return truths
     limit = budget.node_budget
@@ -938,11 +938,6 @@ def _bits(mask: int, n: int) -> bytes:
     return digits.encode().translate(_FROM_DIGITS)
 
 
-def _truths(mask: int, n: int) -> list[Truth]:
-    """The first n bits of mask as truths."""
-    return list(map((_F, _T).__getitem__, _bits(mask, n)))
-
-
 def _lanes(value):
     """A batched term value as one iterable of its values."""
     return repeat(value) if type(value) is int else value
@@ -955,17 +950,20 @@ class _Batch:
     int operation.  The batch reads = and < over the terms that term
     reads, ¬, the binary connectives, and a quantifier whose variable is
     not free in its body, as that body (N is nonempty); anything else
-    reads as None.
+    reads as None.  Over values range(0, n), an atom comparing var with
+    an int is read arithmetically, other values map the atom lane by
+    lane.
 
     A node is read once per batch and kept in the memo, so formulas read
     through one batch share their common subformulas, and equal masks
     are one int.  The batch refers to no code, so it is freed by
     reference counting.  Depth is the caller's check, on phi.height."""
 
-    __slots__ = ("var", "asg", "values", "full", "memo", "masks")
+    __slots__ = ("var", "asg", "values", "ordinal", "full", "memo", "masks")
 
     def __init__(self, var: int, asg: dict, values):
         self.var, self.asg, self.values = var, asg, values
+        self.ordinal = values == range(len(values))
         self.full = (1 << len(values)) - 1
         self.memo: dict[Formula, Optional[int]] = {}
         self.masks: dict[int, int] = {}
@@ -984,6 +982,9 @@ class _Batch:
                 got = None
             elif type(a) is int and type(b) is int:
                 got = self.full if op(a, b) else 0
+            elif self.ordinal and (type(a) is int or type(b) is int) \
+                    and (a is self.values or b is self.values):
+                got = self._against(kind, a, b)
             else:
                 got = _mask(map(op, _lanes(a), _lanes(b)))
         elif kind is Not:
@@ -1011,6 +1012,15 @@ class _Batch:
             got = self.masks.setdefault(got, got)
         self.memo[phi] = got
         return got
+
+    def _against(self, kind, a, b) -> int:
+        """x=c, c=x, x<c or c<x, with values 0..n-1 and c an int: bit c,
+        the bits below c, or those above it."""
+        c = min(a if type(a) is int else b, len(self.values))
+        if kind is Eq:
+            return (1 << c) & self.full
+        return (1 << c) - 1 if type(b) is int \
+            else (self.full >> c + 1) << c + 1
 
     def counts(self, phi: Formula) -> list[int]:
         """The nodes compiled code visits at each value, read off the
@@ -1076,46 +1086,43 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
 def defines_all(formulas: Iterable[Formula], env: Optional[OracleEnv] = None,
                 budget: Optional[Budget] = None) -> Iterator[DefinesReport]:
     """defines(phi, env, budget) for each of formulas, yielded in order
-    one at a time.  The formulas share one _Batch over the values of x
-    and one memo of tail readings, so a subformula common to many of
-    them is read once per call, not once per formula."""
-    env = env or OracleEnv()
+    one at a time: the reports of one _definability pass."""
     budget = budget or Budget()
-    reach = range(min(budget.witness_bound, budget.node_budget) + 1)
-    batch = _Batch(0, {}, reach)
+    values = range(budget.witness_bound + 1)
+    for exact, mask, cofinite, note, undecided in \
+            _definability(formulas, env, budget):
+        solutions = list(compress(values, _bits(mask, len(values))))
+        yield DefinesReport(exact, solutions + ["..."] if cofinite
+                            else solutions, note, undecided)
+
+
+def _definability(formulas: Iterable[Formula], env: Optional[OracleEnv],
+                  budget: Budget) -> Iterator[tuple]:
+    """For each of formulas in order, defines' reading as (exact, the
+    solution mask over 0..witness_bound, cofinite, note, undecided).
+    The formulas share one _Batch over the values of x and one memo of
+    tail readings, so a subformula common to many of them is read once
+    per call, not once per formula."""
+    env, limit = env or OracleEnv(), budget.witness_bound + 1
+    batch = _Batch(0, {}, range(min(limit - 1, budget.node_budget) + 1))
     tails: dict = {}
     for phi in formulas:
-        yield _defines(phi, env, budget, batch, tails)
-
-
-def _defines(phi: Formula, env: OracleEnv, budget: Budget, batch: _Batch,
-             tails: dict) -> DefinesReport:
-    """defines(phi, env, budget) through defines_all's batch and tails."""
-    if phi.fv - {0}:
-        return DefinesReport(False, [], "extra free variables")
-    limit = budget.witness_bound + 1
-    read = _batched_sweep(phi, budget, batch)
-    if read is None:
-        swept = _compiled_sweep(phi, 0, {}, env, budget)
-        solutions = [w for w, got in enumerate(swept) if got is _T]
-        undecided = swept.index(_U) if _U in swept else None
-    else:
-        # read off the mask: a truths list per formula slows a pass by 40 %
-        mask, cut = read
-        solutions = list(compress(range(cut), _bits(mask, cut)))
-        undecided = cut if cut < limit else None
-    if undecided is not None:
-        return DefinesReport(False, solutions, "a swept value is unknown",
-                             undecided)
-    tail = _eventual(phi, {}, env, 0, tails) \
-        if phi.height <= DEPTH_CAP else None
-    if tail is not None and tail[0] <= limit:
-        if tail[1] is Truth.FALSE:
-            return DefinesReport(True, solutions, "tail is false")
-        if tail[1] is Truth.TRUE:
-            return DefinesReport(True, solutions + ["..."],
-                                 "cofinitely many solutions")
-    return DefinesReport(False, solutions, "beyond the sweep is unchecked")
+        if phi.fv - {0}:
+            yield False, 0, False, "extra free variables", None
+            continue
+        true, false = _swept(phi, 0, {}, env, budget, batch)
+        unknown = ((1 << limit) - 1) & ~(true | false)
+        tail = None if unknown or phi.height > DEPTH_CAP \
+            else _eventual(phi, {}, env, 0, tails)
+        if unknown:  # undecided from the lowest value in neither mask
+            yield False, true, False, "a swept value is unknown", \
+                (unknown & -unknown).bit_length() - 1
+        elif tail is not None and tail[0] <= limit and tail[1] is _F:
+            yield True, true, False, "tail is false", None
+        elif tail is not None and tail[0] <= limit and tail[1] is _T:
+            yield True, true, True, "cofinitely many solutions", None
+        else:
+            yield False, true, False, "beyond the sweep is unchecked", None
 
 
 def standard_oracle_env(prf: Optional[Callable[[Nat, Nat], bool]] = None

@@ -12,12 +12,15 @@ sentence 32 + 5*ell.
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from selfref.berry import (
+    FormulaFacts,
     _DefTable,
+    _build_universe,
     _describe_status,
     BerryBundle,
     BudgetInsufficient,
@@ -33,12 +36,12 @@ from selfref.berry import (
 )
 from selfref.parser import parse_formula
 from selfref.semantics import (
-    Budget, OracleEnv, Truth, evaluate, evaluate_full, statement_code, t_or,
-    truth_at,
+    Budget, OracleEnv, Truth, defines, evaluate, evaluate_full,
+    statement_code, t_or, truth_at,
 )
 from selfref.syntax import (
-    Add, Eq, Exists, Lt, Mul, Not, OracleAtom, Var, Zero, free_vars, length,
-    numeral, render, substitute,
+    Add, Eq, Exists, Lt, Mul, Not, Num, OracleAtom, Var, Zero, free_vars,
+    length, numeral, render, substitute,
 )
 
 EVERYTHING_TRUE = Eq(Var(0), Var(0))
@@ -178,6 +181,62 @@ def test_a_decided_least_undefinable_does_not_move_with_the_node_budget():
         except BudgetInsufficient:
             pass
     assert decided == {3}
+
+
+def _facts_of_report(i, phi, report):
+    """A formula's facts read off its defines report, with the solutions
+    list as a mask."""
+    ints = [s for s in report.solutions if s != "..."]
+    cofinite = "..." in report.solutions
+    pinned = report.exact and not cofinite and len(ints) == 1
+    return FormulaFacts(
+        index=i, formula=phi, length=length(phi),
+        solutions=sum(1 << s for s in ints), exact=report.exact,
+        cofinite=cofinite, defines=ints[0] if pinned else None,
+        undecided=report.undecided)
+
+
+@pytest.mark.parametrize("budget", [
+    Budget(), Budget(node_budget=234), Budget(node_budget=10),
+    Budget(witness_bound=0), Budget(depth_bound=2)],
+    ids=["default", "nodes-234", "nodes-10", "one-value", "depth-2"])
+def test_universe_facts_equal_the_defines_reports(budget):
+    universe = _build_universe.__wrapped__(11, budget, "length")
+    assert len(universe.facts) == 1442
+    for i, (phi, fact) in enumerate(zip(universe.formulas, universe.facts)):
+        assert fact == _facts_of_report(i, phi, defines(phi, None, budget))
+
+
+def test_a_wide_witness_bound_keeps_the_universe_small():
+    # the facts keep each solution set as one mask: with an int per
+    # solution this build peaks at about 108 MB, with masks at 0.7 MB
+    _build_universe.cache_clear()
+    tracemalloc.start()
+    try:
+        micro_universe(10, Budget(witness_bound=5000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("solutions, undecided, expected", [
+    # one solution, at 7: 7 might be described, 3 is not, and 70 lies
+    # past the horizon
+    ({7}, None, {3: Truth.FALSE, 7: Truth.UNKNOWN, 70: Truth.UNKNOWN}),
+    # a second solution rules out each, and nothing else is one
+    ({2, 7}, None, {2: Truth.FALSE, 3: Truth.FALSE, 7: Truth.FALSE}),
+    # from the first undecided value on, anything may be the lone one
+    (set(), 5, {4: Truth.FALSE, 5: Truth.UNKNOWN, 9: Truth.UNKNOWN}),
+])
+def test_describe_status_reads_an_open_fact_by_bits(solutions, undecided,
+                                                    expected):
+    fact = FormulaFacts(
+        index=0, formula=EVERYTHING_TRUE, length=3,
+        solutions=sum(1 << s for s in solutions), exact=False,
+        cofinite=False, defines=None, undecided=undecided)
+    for n, status in expected.items():
+        assert _describe_status(fact, n, 64) is status, n
 
 
 def test_bounded_definition_thresholds():
@@ -462,3 +521,29 @@ def test_def_table_matches_a_per_entry_loop(budget, upsilon):
                     break
                 verdict = t_or(verdict, memo[key])
             assert table.defined(bound, n) == (verdict, witness)
+
+
+def test_def_table_stops_at_a_first_true_past_the_first_block():
+    # ¬(x<3000) holds at statement codes from 3,000 on: among the 152
+    # entries of length 7 the first to describe 0 that way is the 58th,
+    # in the third block the table reads
+    universe = micro_universe(10)
+    bundle = build_bundle(Not(Lt(Var(0), Num(3000))))
+    table = _DefTable(bundle, universe, micro_env(universe), universe.budget)
+    assert table.batched
+    at = truth_at(bundle.normalized_upsilon, micro_env(universe),
+                  universe.budget)
+    positions = set()
+    for alen, entries in table.entries.items():
+        for n in range(18):
+            verdict, witness = Truth.FALSE, None
+            for a in entries:
+                got = at({1: statement_code(a, n)})
+                if got is Truth.TRUE:
+                    verdict, witness = got, a
+                    positions.add(entries.index(a))
+                    break
+                verdict = t_or(verdict, got)
+            assert table._of_length(alen, n) == (verdict, witness)
+    assert 57 in positions
+

@@ -8,7 +8,7 @@ also ranges over inputs u <= x.
 """
 import pytest
 
-from selfref.semantics import Budget, Truth, evaluate
+from selfref.semantics import Budget, OracleEnv, Truth, evaluate, sweep
 from selfref.syntax import (Add, And, Eq, Exists, Forall, Implies, Lt, Mul,
                             Not, One, OracleAtom, OracleFun, Var, Zero,
                             free_vars, render, substitute)
@@ -16,7 +16,8 @@ from selfref.domination import (DefinedFunction, MicroScheme, NotOneFree,
                                 PsiBundle, Unknown, UnresolvedPoint,
                                 F_fixed_input, F_kotlarski, build_psi,
                                 defined_function, dominates_check,
-                                micro_domination_env, micro_scheme)
+                                micro_domination_env, micro_scheme,
+                                _witness_scan)
 
 U, V = Var(0), Var(1)
 
@@ -238,3 +239,30 @@ def test_graph_rejects_other_values():
     too_high = evaluate(bundle.graph, env, assignment={0: 3, 1: fx + 1})
     assert too_low is Truth.FALSE
     assert too_high is Truth.FALSE
+
+
+# -- the witness scan against its list reading ----------------------------------------
+
+
+def _listed_scan(phi, x, budget):
+    """_witness_scan read off the sweep's truths list."""
+    swept = sweep(phi, 1, {0: x}, OracleEnv(), budget)
+    if Truth.UNKNOWN in swept:
+        return (None, False, False)
+    if Truth.TRUE in swept:
+        return (swept.index(Truth.TRUE), swept.count(Truth.TRUE) > 1, False)
+    anywhere = evaluate(Exists(V, phi), budget=budget, assignment={0: x})
+    return (None, False, anywhere is Truth.FALSE)
+
+
+@pytest.mark.parametrize("budget", [
+    Budget(witness_bound=2700), Budget(witness_bound=5),
+    Budget(witness_bound=2700, node_budget=1000)],
+    ids=["kotlarski", "narrow", "cut"])
+def test_the_witness_scan_equals_its_list_reading(budget):
+    # the cut budget runs out at output 1,000 of each sweep: below it a
+    # witness shows, yet the scan stays inconclusive
+    for phi in (*micro_scheme().formulas, Eq(V, Add(V, U))):
+        for x in range(51):
+            assert _witness_scan.__wrapped__(phi, x, budget) == \
+                _listed_scan(phi, x, budget), (render(phi), x)

@@ -16,14 +16,14 @@ from selfref.enumeration import unary_formulas
 from selfref.parser import parse_formula
 from selfref.semantics import (
     DEPTH_CAP, Budget, DefinesReport, Evaluator, OracleEnv, OracleUndecided,
-    Truth, _Batch, _compile_term, _eventual, defines,
+    Truth, _Batch, _compile_term, _eventual, _swept, defines,
     defines_all, evaluate, evaluate_full, eval_term, standard_oracle_env,
     sweep, t_and, t_iff, t_implies, t_or, truth_at, truths_at,
 )
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
     OracleAtom, OracleFun, Or, Var, Zero, free_vars, numeral, preorder,
-    substitute,
+    render, substitute,
 )
 from selfref import coding
 
@@ -783,6 +783,76 @@ def test_truths_at_reads_vacuous_quantifiers(seed, var, other, values, data):
     if depth == 256:  # the batch reads every draw, counts and all
         assert got is not None
     assert got is None or got == [at({var: v}) for v in values]
+
+
+def _rendered(pair, n):
+    """A (TRUE, FALSE) mask pair over n values as its truths list, after
+    checking that the masks are disjoint and hold no value past n."""
+    true, false = pair
+    assert true & false == 0 and (true | false) >> n == 0
+    return [T if true >> w & 1 else F if false >> w & 1 else U
+            for w in range(n)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), _VALUES,
+       st.integers(0, 40), st.data())
+def test_the_mask_pair_equals_the_scalar_loop(seed, var, other, bound, data):
+    phi = _qf_formula(random.Random(seed), 4)
+    nodes = data.draw(st.integers(0, _formula_nodes(phi) * (bound + 1)))
+    depth = data.draw(st.sampled_from([256, 2]))
+    budget = Budget(witness_bound=bound, node_budget=nodes, depth_bound=depth)
+    asg, env = {1 - var: other}, OracleEnv()
+    assert _rendered(_swept(phi, var, asg, env, budget), bound + 1) == \
+        _scalar_sweep(phi, var, asg, env, budget)
+
+
+# the three domination formulas, which the batch reads as x′ against an
+# int, and one the compiled loop sweeps: x′ is even
+_GRAPHS = [parse_formula("x′=x+(1)"), parse_formula("x′=x+(x)"),
+           parse_formula("x′=x·(x)"), Exists(w, Eq(Add(w, w), y))]
+
+
+@pytest.mark.parametrize("phi", _GRAPHS, ids=render)
+@pytest.mark.parametrize("nodes", [500_000, 30, 7, 0])
+def test_the_mask_pair_of_a_graph_equals_the_scalar_loop(phi, nodes):
+    # 30 and 7 nodes cut the 41 values of each sweep part way
+    budget, env = Budget(witness_bound=40, node_budget=nodes), OracleEnv()
+    for x_value in range(9):
+        assert _rendered(_swept(phi, 1, {0: x_value}, env, budget), 41) == \
+            _scalar_sweep(phi, 1, {0: x_value}, env, budget)
+
+
+# x=c, c=x, x<c and c<x, with c a numeral, a Num, a sum or read from asg
+_AGAINST = [lambda c: Eq(x, c), lambda c: Eq(c, x), lambda c: Lt(x, c),
+            lambda c: Lt(c, x)]
+_HOLDS = [lambda v, c: v == c, lambda v, c: c == v, lambda v, c: v < c,
+          lambda v, c: c < v]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+@pytest.mark.parametrize("c", [0, 1, 4, 8, 9, 10, 2**70])
+def test_the_batch_reads_x_against_an_int_arithmetically(n, c):
+    spellings = [Num(c), y, Add(y, Zero()), Add(Zero(), Num(c))] if c \
+        else [Zero(), y, Mul(y, One())]
+    for atom, holds in zip(_AGAINST, _HOLDS):
+        expected = sum(1 << v for v in range(n) if holds(v, c))
+        for term in spellings:
+            phi = atom(term)
+            # over range(0, n) the arithmetic reading, over a list the lanes
+            assert _Batch(0, {1: c}, range(n)).truths(phi) == expected
+            assert _Batch(0, {1: c}, list(range(n))).truths(phi) == expected
+
+
+def test_truths_at_reads_x_against_an_int_over_any_values():
+    # value lists out of order, with repeats and past the constant: the
+    # lane reading, value by value
+    values = [7, 0, 3, 3, 12, 2**64, 1]
+    for atom in _AGAINST:
+        for c in (0, 3, 7, 20):
+            phi = atom(Num(c) if c else Zero())
+            at = truth_at(phi, OracleEnv())
+            assert truths_at(phi, 0, values) == [at({0: v}) for v in values]
 
 
 def _reference_defines(phi, env, budget):
