@@ -31,6 +31,10 @@ COMMANDS = [
     *([command, *flags] for command in ("berry", "tarski-experiment")
       for flags in _BUDGETS),
     ["tarski-experiment", "--upsilon", "Formula(x)"],
+    # a quantifier property, read through lane nodes
+    ["berry", "--upsilon", "∃x′(x′+(x′)=x)"],
+    ["tarski-experiment", "--node-budget", "2000", "--upsilon",
+     "∃x′(x′+(x′)=x)"],
     ["berry", "--micro-maxlen", "9", "--witness-bound", "2"],
     ["berry", "--micro-maxlen", "14"],
     ["berry", "--witness-bound", "3000"],

@@ -33,9 +33,9 @@ never different ones.
 
 The inner formula's quantifier over catalogue entries is replayed one
 length at a time: the genuine truth oracle reads an index of the
-description facts, and a property the batched sweep can read is judged
-over a length's statement codes in blocks that double, up to the first
-TRUE.
+description facts, and any other property is judged over a length's
+statement codes in one batched pass per block, in blocks that double,
+up to the first TRUE.
 """
 
 from __future__ import annotations
@@ -301,10 +301,9 @@ class _DefTable:
     """Memoized verdicts of the inner formula, computed by enumerating
     the catalogue exactly as the formula's own quantifier would.
 
-    A length is judged in bulk where it can be: the genuine Tr through
-    an index of the description facts, and a property the batched sweep
-    reads through truths_at over the length's statement codes.  Any
-    other property is judged entry by entry."""
+    A length is judged in bulk: the genuine Tr through an index of the
+    description facts, and any other property through truths_at over
+    the length's statement codes."""
 
     def __init__(self, bundle, universe, env, budget):
         self.judge = _upsilon_judge(bundle, universe, env, budget)
@@ -313,7 +312,8 @@ class _DefTable:
             self.entries.setdefault(fact.length, []).append(fact.index)
         self.memo: dict[tuple[int, int], tuple[Truth, Optional[int]]] = {}
         self.facts, self.horizon = universe.facts, universe.value_horizon
-        self.upsilon, self.budget = bundle.normalized_upsilon, budget
+        self.upsilon, self.env = bundle.normalized_upsilon, env
+        self.budget = budget
         self.index: Optional[dict] = None
         if self.upsilon == truth_oracle_property(1):
             # per length: the first entry defining each value, and the
@@ -325,8 +325,6 @@ class _DefTable:
                     first.setdefault(fact.defines, fact.index)
                 if not (fact.exact or fact.cofinite):
                     open_.append(fact.index)
-        self.batched = self.index is None and \
-            truths_at(self.upsilon, 1, (), budget) is not None
 
     def defined(self, bound: int, n: int) -> tuple[Truth, Optional[int]]:
         """Verdict of "some formula shorter than the bound describes n"
@@ -344,9 +342,8 @@ class _DefTable:
         return self.memo[key]
 
     def _judge_length(self, alen: int, n: int) -> tuple[Truth, Optional[int]]:
-        """The length's entries in order, up to the first TRUE: read in
-        blocks that double where truths_at reads the property, else one
-        entry at a time."""
+        """The length's entries in order, up to the first TRUE, read in
+        blocks of 1, 2, 4, ... entries, block k from entry 2^k - 1 on."""
         entries = self.entries[alen]
         if self.index is not None:  # only open entries can be UNKNOWN
             first, entries = self.index[alen]
@@ -355,22 +352,16 @@ class _DefTable:
             unknown = any(_describe_status(self.facts[a], n, self.horizon)
                           is Truth.UNKNOWN for a in entries)
             return Truth.UNKNOWN if unknown else Truth.FALSE, None
-        # a truths_at call costs about what reading a dozen entries does,
-        # so blocks start at 16: an early TRUE wastes about one call's cost
-        verdict, start, size = Truth.FALSE, 0, 16 if self.batched else 1
-        while start < len(entries):
-            block = entries[start:start + size]
-            if self.batched:
-                codes = [statement_code(a, n) for a in block]
-                truths = truths_at(self.upsilon, 1, codes, self.budget)
-            else:
-                truths = [self.judge(a, n) for a in block]
-            if Truth.TRUE in truths:
-                return Truth.TRUE, block[truths.index(Truth.TRUE)]
-            if Truth.UNKNOWN in truths:
+        verdict = Truth.FALSE
+        for k in range(len(entries).bit_length()):
+            block = entries[(1 << k) - 1:(2 << k) - 1]
+            true, false = truths_at(
+                self.upsilon, 1, [statement_code(a, n) for a in block],
+                self.budget, self.env)
+            if true:
+                return Truth.TRUE, block[(true & -true).bit_length() - 1]
+            if false != (1 << len(block)) - 1:
                 verdict = Truth.UNKNOWN
-            start += size
-            size *= 2 if self.batched else 1
         return verdict, None
 
     def berry_status(self, bound: int, n: int) -> Truth:

@@ -35,17 +35,13 @@ One interpreter, eval_term, reads a term as its value or, for tail
 analysis and linear solving, as a polynomial in the swept variable.
 Formulas are compiled into closures (Feeley & Lapalme, "Using closures
 for code generation", 1987) lazily, one node at its first visit, so a
-sweep reruns compiled code while a formula that is decided after a few
-nodes costs no more than a tree walk.  A sweep of a formula of
-connectives, ¬, vacuous quantifiers, = and < over int terms instead
-reads the whole value range at once, bottom-up: each node's truths are
-one int bitmask, kept in a memo for the call, so defines_all reads a
-subformula shared by many catalogue formulas once, and the swept
-variable against an int is one bit or a run of bits.  The nodes compiled
-code would visit at each value are counted off those truths only where
-the node budget could cut the sweep (Boncz, Zukowski & Nes, CIDR 2005).
-Either way a sweep gives a (TRUE, FALSE) mask pair, which its readers
-read by bits.
+formula decided after a few nodes costs no more than a tree walk.  A
+sweep reads the whole value range at once, bottom-up (Boncz, Zukowski &
+Nes, CIDR 2005): each node's truths are a (TRUE, FALSE) pair of int
+bitmasks, and a node not read in bulk, such as a quantifier or an
+oracle atom, runs its compiled code at the values where compiled code
+over the whole formula reaches it.  That mask pair is the sweep's
+result, which its readers read by bits.
 """
 
 from __future__ import annotations
@@ -846,81 +842,30 @@ def evaluate_full(phi: Formula, env: Optional[OracleEnv] = None,
 def truth_at(phi: Formula, env: Optional[OracleEnv] = None,
              budget: Optional[Budget] = None) -> Callable[[dict], Truth]:
     """phi compiled once, as asg -> evaluate(phi, env, budget,
-    assignment=asg): each call gets the whole node budget, where
-    sweep below shares one budget over all its values."""
+    assignment=asg): each call gets the whole node budget, where a sweep
+    shares one budget over all its values."""
     return Evaluator(env or OracleEnv(), budget or Budget()).compile(phi)
 
 
-def sweep(phi: Formula, var: int, asg: dict, env: OracleEnv,
-          budget: Budget) -> list[Truth]:
-    """phi's truths at var = 0..witness_bound, the rest of asg fixed.
-    The node budget covers the whole sweep: the value at which the
-    nodes visited in all exceed it, and every later one, are UNKNOWN.
-    The list rendered from _swept's mask pair."""
-    n = budget.witness_bound + 1
-    true, false = _swept(phi, var, asg, env, budget)
-    return [_T if t else _F if f else _U
-            for t, f in zip(_bits(true, n), _bits(false, n))]
+def _swept(phi: Formula, var: int, asg: dict, env: OracleEnv,
+           budget: Budget) -> tuple[int, int]:
+    """phi's truths at var = 0..witness_bound, the rest of asg fixed, as
+    a (TRUE, FALSE) mask pair: bit w of the first is set where phi is
+    TRUE at var = w, of the second where it is FALSE, and a value in
+    neither is UNKNOWN, as is each from the one at which the nodes
+    visited in all exceed the node budget on."""
+    reach = range(min(budget.witness_bound, budget.node_budget) + 1)
+    return _Batch(var, asg, reach, env, budget, True).read(phi)
 
 
-def _swept(phi: Formula, var: int, asg: dict, env: OracleEnv, budget: Budget,
-           batch: Optional[_Batch] = None) -> tuple[int, int]:
-    """sweep as a (TRUE, FALSE) mask pair over 0..witness_bound: bit w
-    of the first is set where phi is TRUE at var = w, of the second
-    where it is FALSE, and a value in neither is UNKNOWN.  A formula the
-    batch reads is read at once over the values the budget can reach
-    (each visits a node at least), through the given batch, whose
-    values must be those; anything else runs the compiled code value by
-    value."""
-    if batch is None:
-        reach = range(min(budget.witness_bound, budget.node_budget) + 1)
-        batch = _Batch(var, asg, reach)
-    mask = batch.truths(phi) if _batch_depth_ok(phi, budget) else None
-    if mask is not None:
-        # a value visits at most one node per formula node, so at most
-        # phi.length: only a budget below that total needs the counts
-        if len(batch.values) * phi.length <= budget.node_budget:
-            return mask, batch.full ^ mask
-        cut = bisect_right(list(accumulate(batch.counts(phi))),
-                           budget.node_budget)
-        decided = (1 << cut) - 1
-        return mask & decided, decided & ~mask
-    ev, spent, out = Evaluator(env, budget), 0, []
-    at, asg = ev.compile(phi), dict(asg)
-    for w in range(budget.witness_bound + 1):
-        asg[var] = w
-        got = at(asg)
-        spent += ev.nodes
-        if spent > budget.node_budget:
-            break
-        out.append(got)
-    return _mask(t is _T for t in out), _mask(t is _F for t in out)
-
-
-def _batch_depth_ok(phi: Formula, budget: Budget) -> bool:
-    """Whether compiled code reaches all of phi within the depth bound,
-    and phi is within DEPTH_CAP.  Every formula node has an atom at or
-    below it, and an atom a term below it, so none sits deeper than
-    phi.height - 2."""
-    return phi.height <= min(budget.depth_bound + 2, DEPTH_CAP)
-
-
-def truths_at(phi: Formula, var: int, values, budget: Optional[Budget] = None
-              ) -> Optional[list[Truth]]:
-    """[truth_at(phi, budget=budget)({var: v}) for v in values] in one
-    batched pass: each value gets the whole node budget, and is UNKNOWN
-    where its nodes exceed it.  None where _Batch cannot read phi, which
-    includes a free variable other than var."""
-    budget = budget or Budget()
-    batch = _Batch(var, {}, values)
-    mask = batch.truths(phi) if _batch_depth_ok(phi, budget) else None
-    if mask is None:
-        return None
-    truths = list(map((_F, _T).__getitem__, _bits(mask, len(values))))
-    if phi.length <= budget.node_budget:  # no value can be cut
-        return truths
-    limit = budget.node_budget
-    return [_U if k > limit else t for t, k in zip(truths, batch.counts(phi))]
+def truths_at(phi: Formula, var: int, values, budget: Optional[Budget] = None,
+              env: Optional[OracleEnv] = None) -> tuple[int, int]:
+    """[truth_at(phi, env, budget)({var: v}) for v in values] in one
+    batched pass, as a (TRUE, FALSE) mask pair over the positions of
+    values: each value gets the whole node budget, and is UNKNOWN where
+    its nodes exceed it."""
+    return _Batch(var, {}, values, env or OracleEnv(), budget or Budget(),
+                  False).read(phi)
 
 
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -943,75 +888,139 @@ def _lanes(value):
     return repeat(value) if type(value) is int else value
 
 
+class _Lane:
+    """A lane node's compiled code, the values it ran as a mask, its
+    (TRUE, FALSE) masks, and the nodes it visited at each value."""
+
+    __slots__ = ("ev", "code", "ran", "true", "false", "nodes")
+
+    def __init__(self, phi: Formula, batch: _Batch):
+        self.ev = Evaluator(batch.env, batch.budget)
+        self.code = self.ev.compile(phi)
+        self.ran = self.true = self.false = 0
+        # budget + 1 until run: a value not run is cut or not counted
+        self.nodes = [batch.budget.node_budget + 1] * len(batch.values)
+
+
 class _Batch:
     """Formulas read at var = each of values at once, the rest of asg
-    fixed (Boncz, Zukowski & Nes, CIDR 2005).  A formula's truths are one
-    int, whose bit i is the truth at values[i], so a connective is one
-    int operation.  The batch reads = and < over the terms that term
-    reads, ¬, the binary connectives, and a quantifier whose variable is
-    not free in its body, as that body (N is nonempty); anything else
-    reads as None.  Over values range(0, n), an atom comparing var with
-    an int is read arithmetically, other values map the atom lane by
-    lane.
+    fixed.  A formula's truths are a (TRUE, FALSE) pair of ints, bit i
+    of each for values[i]: the bit-sliced strong Kleene encoding.  = and
+    < over the terms that term reads, ¬, the binary connectives and a
+    vacuous quantifier, as its body (N is nonempty), are read in bulk,
+    the swept variable against an int over range(0, n) as one bit or a
+    run of bits.  Any other node is a lane node, run value by value by
+    its compiled code: a quantifier over a variable free in its body, an
+    oracle atom, an atom over other terms, a vacuous quantifier over a
+    lane node (its tail may not settle it), and a root past the depth
+    bound, within which no node is cut by depth.  Where shared, one node
+    budget covers all values, else each value gets all of it.  The memo
+    keeps a node with no lane node below as its pair, equal pairs as one
+    tuple, and a lane node with what it ran, once per batch."""
 
-    A node is read once per batch and kept in the memo, so formulas read
-    through one batch share their common subformulas, and equal masks
-    are one int.  The batch refers to no code, so it is freed by
-    reference counting.  Depth is the caller's check, on phi.height."""
+    __slots__ = ("var", "asg", "values", "env", "budget", "shared",
+                 "ordinal", "full", "memo", "masks", "lanes")
 
-    __slots__ = ("var", "asg", "values", "ordinal", "full", "memo", "masks")
-
-    def __init__(self, var: int, asg: dict, values):
+    def __init__(self, var: int, asg: dict, values, env: OracleEnv,
+                 budget: Budget, shared: bool):
         self.var, self.asg, self.values = var, asg, values
+        self.env, self.budget, self.shared = env, budget, shared
         self.ordinal = values == range(len(values))
         self.full = (1 << len(values)) - 1
-        self.memo: dict[Formula, Optional[int]] = {}
-        self.masks: dict[int, int] = {}
+        self.memo: dict[Formula, object] = {}  # a pair, or a _Lane
+        self.masks: dict[tuple[int, int], tuple[int, int]] = {}
+        self.lanes = 0  # lane node reads so far
 
-    def truths(self, phi: Formula) -> Optional[int]:
-        """phi's truths as a mask, or None where phi is not read."""
-        got = self.memo.get(phi, _UNREAD)
-        if got is not _UNREAD:
-            return got
-        kind = type(phi)
+    def read(self, phi: Formula) -> tuple[int, int]:
+        """phi's (TRUE, FALSE) mask pair, a value in neither where the
+        nodes compiled code visits exceed the node budget: up to and at
+        it where shared, at it alone otherwise."""
+        limit, lanes = self.budget.node_budget, self.lanes
+        if phi.height > min(self.budget.depth_bound + 2, DEPTH_CAP) \
+                and phi not in self.memo:  # an atom's height is 2
+            self.memo[phi] = _Lane(phi, self)
+        true, false = self.truths(phi, self.full)
+        # a value visits at most phi.length nodes: without a lane node,
+        # only a budget below that total needs the counts
+        if self.lanes == lanes and limit >= phi.length * (
+                len(self.values) if self.shared else 1):
+            return true, false
+        counts = self.counts(phi, self.full)
+        if self.shared:
+            kept = (1 << bisect_right(list(accumulate(counts)), limit)) - 1
+        else:
+            kept = _mask(k <= limit for k in counts)
+        return true & kept, false & kept
+
+    def truths(self, phi: Formula, need: int) -> tuple[int, int]:
+        """phi's (TRUE, FALSE) masks, where lane nodes run only at need,
+        the values at which compiled code over the whole formula reaches
+        phi: a connective's right side where its left side is not FALSE
+        for ∧ and →, not TRUE for ∨, and everywhere for ↔."""
+        got = self.memo.get(phi)
+        if got is not None:
+            return got if type(got) is tuple else self._run(got, need)
+        kind, full, lanes = type(phi), self.full, self.lanes
         if kind is Eq or kind is Lt:
             a = self.term(phi.left)
             b = None if a is None else self.term(phi.right)
             op = operator.eq if kind is Eq else operator.lt
             if b is None:
-                got = None
+                mask = None
             elif type(a) is int and type(b) is int:
-                got = self.full if op(a, b) else 0
+                mask = full if op(a, b) else 0
             elif self.ordinal and (type(a) is int or type(b) is int) \
                     and (a is self.values or b is self.values):
-                got = self._against(kind, a, b)
+                mask = self._against(kind, a, b)
             else:
-                got = _mask(map(op, _lanes(a), _lanes(b)))
+                mask = _mask(map(op, _lanes(a), _lanes(b)))
+            got = None if mask is None else (mask, full ^ mask)
         elif kind is Not:
-            body = self.truths(phi.body)
-            got = None if body is None else self.full ^ body
+            true, false = self.truths(phi.body, need)
+            got = false, true
         elif kind in _CONNECTIVES:
-            a = self.truths(phi.left)
-            b = None if a is None else self.truths(phi.right)
-            if b is None:
-                got = None
-            elif kind is And:
-                got = a & b
-            elif kind is Or:
-                got = a | b
-            elif kind is Implies:
-                got = self.full ^ a | b
+            at, af = self.truths(phi.left, need)
+            if kind is Implies:  # a → b is ¬a ∨ b
+                at, af = af, at
+            if kind is And:
+                bt, bf = self.truths(phi.right, need & ~af)
+                got = at & bt, af | bf
+            elif kind is Iff:
+                bt, bf = self.truths(phi.right, need)
+                got = at & bt | af & bf, at & bf | af & bt
             else:
-                got = self.full ^ a ^ b
+                bt, bf = self.truths(phi.right, need & ~at)
+                got = at | bt, af & bf
         elif (kind is Forall or kind is Exists) \
                 and phi.var.index not in phi.body.fv:
-            got = self.truths(phi.body)
-        else:
-            got = None
-        if got is not None:
-            got = self.masks.setdefault(got, got)
-        self.memo[phi] = got
+            got = self.truths(phi.body, 0)
+            got = got if self.lanes == lanes else None
+        if got is None:  # a lane node
+            got = self.memo[phi] = _Lane(phi, self)
+            return self._run(got, need)
+        if self.lanes == lanes:
+            got = self.memo[phi] = self.masks.setdefault(got, got)
         return got
+
+    def _run(self, lane: _Lane, need: int) -> tuple[int, int]:
+        """A lane node's masks, run at need in order until its own nodes
+        there exceed a shared budget, as the whole formula's then do."""
+        self.lanes += 1
+        if not need & ~lane.ran:
+            return lane.true, lane.false
+        n, asg, spent = len(self.values), dict(self.asg), 0
+        for i in compress(range(n), _bits(need, n)):
+            if not lane.ran >> i & 1:
+                asg[self.var] = self.values[i]
+                got = lane.code(asg)
+                lane.nodes[i] = lane.ev.nodes
+                lane.ran |= 1 << i
+                lane.true |= (got is _T) << i
+                lane.false |= (got is _F) << i
+            spent += lane.nodes[i]
+            if spent > self.budget.node_budget and self.shared:
+                break
+        return lane.true, lane.false
 
     def _against(self, kind, a, b) -> int:
         """x=c, c=x, x<c or c<x, with values 0..n-1 and c an int: bit c,
@@ -1022,25 +1031,24 @@ class _Batch:
         return (1 << c) - 1 if type(b) is int \
             else (self.full >> c + 1) << c + 1
 
-    def counts(self, phi: Formula) -> list[int]:
-        """The nodes compiled code visits at each value, read off the
-        memo's truths of phi's subformulas; truths(phi) must have read
-        phi.  An atom is one node, and so is a vacuous quantifier: over
-        int terms its tail settles it at threshold 0, unvisited body and
-        all."""
+    def counts(self, phi: Formula, need: int) -> list[int]:
+        """Compiled code's nodes at each value of need, off what
+        truths(phi, need) read: one for an atom, or for a vacuous
+        quantifier over no lane node, which its tail settles at once."""
+        n, got = len(self.values), self.memo.get(phi)
+        if type(got) is _Lane:
+            return got.nodes
         kind = type(phi)
         if kind is Eq or kind is Lt or kind is Forall or kind is Exists:
-            return [1] * len(self.values)
+            return [1] * n
         if kind is Not:
-            return [k + 1 for k in self.counts(phi.body)]
-        ka, kb = self.counts(phi.left), self.counts(phi.right)
-        # the values at which the right side runs too: those after a true
-        # left side for ∧ and →, a false one for ∨, and all for ↔
-        a = self.memo[phi.left]
-        runs = a if kind is And or kind is Implies \
-            else self.full ^ a if kind is Or else self.full
+            return [k + 1 for k in self.counts(phi.body, need)]
+        at, af = self.truths(phi.left, need)
+        runs = need & ~af if kind is And or kind is Implies \
+            else need & ~at if kind is Or else need
+        ka, kb = self.counts(phi.left, need), self.counts(phi.right, runs)
         return [1 + i + (j if r else 0)
-                for r, i, j in zip(_bits(runs, len(self.values)), ka, kb)]
+                for r, i, j in zip(_bits(runs, n), ka, kb)]
 
     def term(self, t: Term):
         """t at every value: an int where var is not in t, else the
@@ -1086,7 +1094,7 @@ def defines(phi: Formula, env: Optional[OracleEnv] = None,
 def defines_all(formulas: Iterable[Formula], env: Optional[OracleEnv] = None,
                 budget: Optional[Budget] = None) -> Iterator[DefinesReport]:
     """defines(phi, env, budget) for each of formulas, yielded in order
-    one at a time: the reports of one _definability pass."""
+    one at a time: one _definability pass, lane nodes and all."""
     budget = budget or Budget()
     values = range(budget.witness_bound + 1)
     for exact, mask, cofinite, note, undecided in \
@@ -1100,17 +1108,18 @@ def _definability(formulas: Iterable[Formula], env: Optional[OracleEnv],
                   budget: Budget) -> Iterator[tuple]:
     """For each of formulas in order, defines' reading as (exact, the
     solution mask over 0..witness_bound, cofinite, note, undecided).
-    The formulas share one _Batch over the values of x and one memo of
-    tail readings, so a subformula common to many of them is read once
-    per call, not once per formula."""
+    The formulas share one _Batch over the values of x, as _swept reads
+    them, and one memo of tail readings, so a subformula common to many
+    of them is read once per call, not once per formula."""
     env, limit = env or OracleEnv(), budget.witness_bound + 1
-    batch = _Batch(0, {}, range(min(limit - 1, budget.node_budget) + 1))
+    batch = _Batch(0, {}, range(min(limit - 1, budget.node_budget) + 1),
+                   env, budget, True)
     tails: dict = {}
     for phi in formulas:
         if phi.fv - {0}:
             yield False, 0, False, "extra free variables", None
             continue
-        true, false = _swept(phi, 0, {}, env, budget, batch)
+        true, false = batch.read(phi)
         unknown = ((1 << limit) - 1) & ~(true | false)
         tail = None if unknown or phi.height > DEPTH_CAP \
             else _eventual(phi, {}, env, 0, tails)

@@ -526,11 +526,10 @@ def test_def_table_matches_a_per_entry_loop(budget, upsilon):
 def test_def_table_stops_at_a_first_true_past_the_first_block():
     # ¬(x<3000) holds at statement codes from 3,000 on: among the 152
     # entries of length 7 the first to describe 0 that way is the 58th,
-    # in the third block the table reads
+    # in the sixth block the table reads (entries 32 to 63)
     universe = micro_universe(10)
     bundle = build_bundle(Not(Lt(Var(0), Num(3000))))
     table = _DefTable(bundle, universe, micro_env(universe), universe.budget)
-    assert table.batched
     at = truth_at(bundle.normalized_upsilon, micro_env(universe),
                   universe.budget)
     positions = set()

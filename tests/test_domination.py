@@ -8,7 +8,7 @@ also ranges over inputs u <= x.
 """
 import pytest
 
-from selfref.semantics import Budget, OracleEnv, Truth, evaluate, sweep
+from selfref.semantics import Budget, OracleEnv, Truth, _swept, evaluate
 from selfref.syntax import (Add, And, Eq, Exists, Forall, Implies, Lt, Mul,
                             Not, One, OracleAtom, OracleFun, Var, Zero,
                             free_vars, render, substitute)
@@ -18,6 +18,8 @@ from selfref.domination import (DefinedFunction, MicroScheme, NotOneFree,
                                 defined_function, dominates_check,
                                 micro_domination_env, micro_scheme,
                                 _witness_scan)
+
+from .test_semantics import _rendered
 
 U, V = Var(0), Var(1)
 
@@ -246,7 +248,8 @@ def test_graph_rejects_other_values():
 
 def _listed_scan(phi, x, budget):
     """_witness_scan read off the sweep's truths list."""
-    swept = sweep(phi, 1, {0: x}, OracleEnv(), budget)
+    swept = _rendered(_swept(phi, 1, {0: x}, OracleEnv(), budget),
+                      budget.witness_bound + 1)
     if Truth.UNKNOWN in swept:
         return (None, False, False)
     if Truth.TRUE in swept:

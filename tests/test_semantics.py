@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import random
@@ -18,7 +19,7 @@ from selfref.semantics import (
     DEPTH_CAP, Budget, DefinesReport, Evaluator, OracleEnv, OracleUndecided,
     Truth, _Batch, _compile_term, _eventual, _swept, defines,
     defines_all, evaluate, evaluate_full, eval_term, standard_oracle_env,
-    sweep, t_and, t_iff, t_implies, t_or, truth_at, truths_at,
+    t_and, t_iff, t_implies, t_or, truth_at, truths_at,
 )
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
@@ -238,7 +239,7 @@ def test_the_node_budget_covers_a_whole_sweep():
     env = OracleEnv(atoms={"Tr": lambda a: calls.append(a) or False})
     phi = Exists(y, And(Lt(y, x), OracleAtom("Tr", (y,))))
     budget = Budget(witness_bound=1000, node_budget=2000)
-    swept = sweep(phi, 0, {}, env, budget)
+    swept = _rendered(_swept(phi, 0, {}, env, budget), 1001)
     assert len(swept) == 1001 and len(calls) <= 2 * budget.node_budget
     decided = swept.index(U)
     assert swept[:decided] == [F] * decided and set(swept[decided:]) == {U}
@@ -677,10 +678,8 @@ def test_a_batched_sweep_equals_the_scalar_loop(seed, var, other, bound, data):
     depth = data.draw(st.sampled_from([256, 2]))
     budget = Budget(witness_bound=bound, node_budget=nodes, depth_bound=depth)
     asg = {1 - var: other}
-    if depth == 256:  # the batch reads every drawn formula
-        assert _Batch(var, asg, range(bound + 1)).truths(phi) is not None
     env = OracleEnv()
-    assert sweep(phi, var, asg, env, budget) == \
+    assert _rendered(_swept(phi, var, asg, env, budget), bound + 1) == \
         _scalar_sweep(phi, var, asg, env, budget)
 
 
@@ -701,10 +700,8 @@ def test_truths_at_equals_truth_at_per_value(seed, var, other, values, data):
     depth = data.draw(st.sampled_from([256, 2]))
     budget = Budget(node_budget=nodes, depth_bound=depth)
     got = truths_at(phi, var, values, budget)
-    if depth == 256:  # the batch reads every drawn formula
-        assert got is not None
     at = truth_at(phi, OracleEnv(), budget)
-    assert got is None or got == [at({var: v}) for v in values]
+    assert _rendered(got, len(values)) == [at({var: v}) for v in values]
 
 
 @pytest.mark.parametrize("phi", [
@@ -712,26 +709,30 @@ def test_truths_at_equals_truth_at_per_value(seed, var, other, values, data):
     Eq(x, y)],
     ids=["oracle-atom", "quantifier", "quantifier-over-the-swept-variable",
          "second-free-variable"])
-def test_truths_at_declines_what_the_batch_cannot_read(phi):
-    assert truths_at(phi, 0, [0, 1, 2]) is None
+def test_truths_at_reads_lane_nodes(phi):
+    # each is read value by value, through its compiled code
+    env = OracleEnv(atoms={"Tr": lambda a: a % 2 == 1})
+    values = [3, 0, 7, 7, 2**64, 1, 40]
+    at = truth_at(phi, env)
+    assert _rendered(truths_at(phi, 0, values, env=env), len(values)) == \
+        [at({0: v}) for v in values]
 
 
 @pytest.mark.parametrize("depth", range(5))
 def test_the_batch_keeps_the_depth_bound(depth):
     # in ¬…¬(x=0), n negations deep, the atom sits n levels down, and
-    # phi.height is n + 2: the batch reads it exactly when n <= depth
+    # phi.height is n + 2: the batch reads it in bulk when n <= depth,
+    # and as one lane node otherwise
     env, values = OracleEnv(), range(4)
     budget = Budget(witness_bound=3, depth_bound=depth)
     for n in range(6):
         for atom in (Eq(x, Zero()), Lt(x, Add(One(), One()))):
             phi = _nested(n, Not, atom)
-            assert sweep(phi, 0, {}, env, budget) == \
+            assert _rendered(_swept(phi, 0, {}, env, budget), 4) == \
                 _scalar_sweep(phi, 0, {}, env, budget)
             at = truth_at(phi, env, budget)
             got = truths_at(phi, 0, values, budget)
-            assert got is None or got == [at({0: v}) for v in values]
-        got = truths_at(_nested(n, Not, Eq(x, Zero())), 0, values, budget)
-        assert (got is not None) == (n <= depth)
+            assert _rendered(got, 4) == [at({0: v}) for v in values]
 
 
 def _vacuous(rng: random.Random, phi):
@@ -754,7 +755,6 @@ def test_a_batched_sweep_reads_vacuous_quantifiers(seed, var, other, bound,
     rng = random.Random(seed)
     phi = _vacuous(rng, _qf_formula(rng, 4))
     asg = {1 - var: other}
-    assert _Batch(var, asg, range(bound + 1)).truths(phi) is not None
     roomy = Budget(witness_bound=bound)  # a budget that cannot cut
     # compiled code charges a vacuous quantifier one node, so this budget
     # can cut the sweep at any value, or not at all
@@ -763,7 +763,7 @@ def test_a_batched_sweep_reads_vacuous_quantifiers(seed, var, other, bound,
     env = OracleEnv()
     for budget in (roomy, Budget(witness_bound=bound, node_budget=nodes,
                                  depth_bound=depth)):
-        assert sweep(phi, var, asg, env, budget) == \
+        assert _rendered(_swept(phi, var, asg, env, budget), bound + 1) == \
             _scalar_sweep(phi, var, asg, env, budget)
 
 
@@ -774,15 +774,12 @@ def test_truths_at_reads_vacuous_quantifiers(seed, var, other, values, data):
     rng = random.Random(seed)
     phi = _vacuous(rng, substitute(_qf_formula(rng, 4), 1 - var,
                                    Num(other + 1)))
-    assert truths_at(phi, var, values) is not None
     nodes = data.draw(st.integers(0, _formula_nodes(phi)))
     depth = data.draw(st.sampled_from([256, 2]))
     budget = Budget(node_budget=nodes, depth_bound=depth)
     got = truths_at(phi, var, values, budget)
     at = truth_at(phi, OracleEnv(), budget)
-    if depth == 256:  # the batch reads every draw, counts and all
-        assert got is not None
-    assert got is None or got == [at({var: v}) for v in values]
+    assert _rendered(got, len(values)) == [at({var: v}) for v in values]
 
 
 def _rendered(pair, n):
@@ -808,7 +805,7 @@ def test_the_mask_pair_equals_the_scalar_loop(seed, var, other, bound, data):
 
 
 # the three domination formulas, which the batch reads as x′ against an
-# int, and one the compiled loop sweeps: x′ is even
+# int, and one it reads as a lane node: x′ is even
 _GRAPHS = [parse_formula("x′=x+(1)"), parse_formula("x′=x+(x)"),
            parse_formula("x′=x·(x)"), Exists(w, Eq(Add(w, w), y))]
 
@@ -840,8 +837,10 @@ def test_the_batch_reads_x_against_an_int_arithmetically(n, c):
         for term in spellings:
             phi = atom(term)
             # over range(0, n) the arithmetic reading, over a list the lanes
-            assert _Batch(0, {1: c}, range(n)).truths(phi) == expected
-            assert _Batch(0, {1: c}, list(range(n))).truths(phi) == expected
+            for values in (range(n), list(range(n))):
+                batch = _Batch(0, {1: c}, values, OracleEnv(), Budget(), True)
+                assert batch.truths(phi, batch.full) == \
+                    (expected, batch.full ^ expected)
 
 
 def test_truths_at_reads_x_against_an_int_over_any_values():
@@ -852,7 +851,8 @@ def test_truths_at_reads_x_against_an_int_over_any_values():
         for c in (0, 3, 7, 20):
             phi = atom(Num(c) if c else Zero())
             at = truth_at(phi, OracleEnv())
-            assert truths_at(phi, 0, values) == [at({0: v}) for v in values]
+            assert _rendered(truths_at(phi, 0, values), len(values)) == \
+                [at({0: v}) for v in values]
 
 
 def _reference_defines(phi, env, budget):
@@ -891,11 +891,185 @@ def test_defines_all_equals_the_scalar_loop_over_the_catalogue(budget):
 
 
 def test_defines_all_leaves_no_cyclic_garbage():
-    # the batch and the tail memo refer to no code, so a whole catalogue
-    # pass and a universe build are freed by reference counting alone
+    # the batch refers to its lane nodes' code and the code to its
+    # evaluator, never back, and the tail memo to no code, so a whole
+    # catalogue pass and a universe build are freed by reference
+    # counting alone
     from selfref.berry import _build_universe
 
     gc.collect()
     list(defines_all(unary_formulas(8)))
     _build_universe.__wrapped__(8, Budget(), "length")  # past the cache
     assert gc.collect() == 0
+
+
+# -- lane nodes: what the batch reads value by value -----------------------------
+
+def _lane_env(calls=None):
+    """prf, undecided where its second argument is 4 mod 5, Tr, Formula
+    with a support, and len.  Where calls is given, each prf call is
+    appended to it as its arguments."""
+    def prf(a, b):
+        if calls is not None:
+            calls.append((a, b))
+        if b % 5 == 4:
+            raise OracleUndecided("undecided")
+        return (a + b) % 3 == 1
+    return OracleEnv(atoms={"prf": prf, "Tr": lambda a: a % 3 == 1,
+                            "Formula": lambda a: a % 2 == 0},
+                     funs={"len": lambda a: a // 2 + 1},
+                     atom_supports={"Formula": 6})
+
+
+def _lane_term(rng: random.Random, depth: int, bound: tuple):
+    """A term over 0, 1, numerals, x, x′, the bound variables and len."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Zero(), One(), Num(rng.randrange(2, 9)),
+                           *map(Var, (0, 1, *bound))])
+    if rng.random() < 0.2:
+        return OracleFun("len", (_lane_term(rng, depth - 1, bound),))
+    return rng.choice([Add, Mul])(_lane_term(rng, depth - 1, bound),
+                                  _lane_term(rng, depth - 1, bound))
+
+
+def _lane_formula(rng: random.Random, depth: int, bound: tuple = (),
+                  tags=None):
+    """A formula over x and x′ with oracle atoms, oracle functions and
+    quantifiers over x′′ and x′′′: bounded ones, vacuous ones, and
+    vacuous ones over x′′′′ around a quantifier.  Each prf atom is
+    prf(x, t + 1000·k) with its own k, so no two are the same node."""
+    tags = tags if tags is not None else iter(range(1, 10**6))
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        pick = rng.randrange(5)
+        term = _lane_term(rng, 2, bound)
+        if pick == 0:
+            return OracleAtom("prf", (x, Add(term, Num(1000 * next(tags)))))
+        if pick == 1:
+            return OracleAtom(rng.choice(["Tr", "Formula"]), (term,))
+        return rng.choice([Eq, Lt])(term, _lane_term(rng, 2, bound))
+    if r < 0.3:
+        return Not(_lane_formula(rng, depth - 1, bound, tags))
+    if r < 0.55:
+        v = rng.choice([2, 3])
+        body = _lane_formula(rng, depth - 1, bound + (v,), tags)
+        guard = Lt(Var(v), _lane_term(rng, 1, bound))
+        q = rng.choice([Exists(Var(v), body), Forall(Var(v), body),
+                        Exists(Var(v), And(guard, body)),
+                        Forall(Var(v), Implies(guard, body))])
+        return rng.choice([Forall, Exists])(Var(4), q) \
+            if rng.random() < 0.3 else q
+    ctor = rng.choice([And, Or, Implies, Iff])
+    return ctor(_lane_formula(rng, depth - 1, bound, tags),
+                _lane_formula(rng, depth - 1, bound, tags))
+
+
+# node budgets from none at all to past every draw's sweep
+_LANE_BUDGETS = st.builds(
+    lambda wb, nodes, depth: Budget(witness_bound=wb, node_budget=nodes,
+                                    depth_bound=depth),
+    st.integers(0, 6), st.one_of(st.integers(0, 300), st.just(500_000)),
+    st.sampled_from([256, 3, 1]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), _VALUES,
+       st.integers(0, 12), _LANE_BUDGETS)
+def test_a_sweep_over_lane_nodes_equals_the_scalar_loop(seed, var, other,
+                                                        bound, budget):
+    phi = _lane_formula(random.Random(seed), 4)
+    asg, env = {1 - var: other}, _lane_env()
+    for budget in (budget, replace(budget, witness_bound=bound)):
+        n = budget.witness_bound + 1
+        assert _rendered(_swept(phi, var, asg, env, budget), n) == \
+            _scalar_sweep(phi, var, asg, env, budget), render(phi)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), _VALUES, _VALUE_LISTS,
+       _LANE_BUDGETS)
+def test_truths_at_over_lane_nodes_equals_truth_at_per_value(
+        seed, var, other, values, budget):
+    phi = substitute(_lane_formula(random.Random(seed), 4), 1 - var,
+                     Num(other + 1))
+    env = _lane_env()
+    at = truth_at(phi, env, budget)
+    assert _rendered(truths_at(phi, var, values, budget, env),
+                     len(values)) == [at({var: v}) for v in values]
+
+
+def test_a_vacuous_quantifier_over_a_lane_node_is_one_lane_node():
+    # at x = 0 the tail settles ∀x′′′(x=0 ∨ ∃x′′(x′′·x′′=x)) in one
+    # node; elsewhere the ∀ runs its body once, ∃ and all, so reading it
+    # as its body, at one node a value, would cut the sweep late
+    phi = Forall(Var(3), Or(Eq(x, Zero()), Exists(w, Eq(Mul(w, w), x))))
+    env = OracleEnv()
+    budget = Budget(witness_bound=40, node_budget=40)
+    scalar = _scalar_sweep(phi, 0, {}, env, budget)
+    assert scalar[:4] == [T, T, F, F] and U in scalar[:10]
+    assert _rendered(_swept(phi, 0, {}, env, budget), 41) == scalar
+    values = list(range(12))
+    for nodes in (1, 5, 12, 40):
+        budget = Budget(node_budget=nodes)
+        at = truth_at(phi, env, budget)
+        assert _rendered(truths_at(phi, 0, values, budget), 12) == \
+            [at({0: v}) for v in values]
+
+
+def _scalar_cut(phi, var, asg, env, budget) -> int:
+    """The value at which _scalar_sweep's nodes in all exceed the
+    budget, or witness_bound + 1 where they never do."""
+    ev, spent = Evaluator(env, budget), 0
+    at, asg = ev.compile(phi), dict(asg)
+    for w in range(budget.witness_bound + 1):
+        asg[var] = w
+        at(asg)
+        spent += ev.nodes
+        if spent > budget.node_budget:
+            return w
+    return budget.witness_bound + 1
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), _VALUES, _LANE_BUDGETS)
+def test_lane_nodes_run_only_where_compiled_code_runs_them(seed, other,
+                                                          budget):
+    # prf(x, t) records the swept value x at each call: below the
+    # scalar loop's cut the batch makes the scalar loop's calls, and
+    # past it only a lane node's own budget stops its runs
+    phi = _lane_formula(random.Random(seed), 4)
+    asg, batch_calls, scalar_calls = {1: other}, [], []
+    _swept(phi, 0, asg, _lane_env(batch_calls), budget)
+    _scalar_sweep(phi, 0, asg, _lane_env(scalar_calls), budget)
+    cut = _scalar_cut(phi, 0, asg, _lane_env(), budget)
+
+    def below(calls):
+        return sorted(c for c in calls if c[0] < cut)
+    assert below(batch_calls) == below(scalar_calls), render(phi)
+    if cut > budget.witness_bound:  # no cut: the same calls
+        assert sorted(batch_calls) == sorted(scalar_calls)
+
+
+def _has_lane_quantifier(phi) -> bool:
+    return any(type(node) in (Exists, Forall)
+               and node.var.index in node.body.fv for node in preorder(phi))
+
+
+@functools.lru_cache(maxsize=1)
+def _quantifier_catalogue() -> tuple:
+    """The formulas of the length-14 catalogue that hold a quantifier
+    over its variable: all that catalogue's lane formulas."""
+    return tuple(filter(_has_lane_quantifier, unary_formulas(13)))
+
+
+@pytest.mark.parametrize("budget", [
+    Budget(), Budget(node_budget=234), Budget(node_budget=10),
+    Budget(witness_bound=0), Budget(depth_bound=2)],
+    ids=["default", "nodes-234", "nodes-10", "one-value", "depth-2"])
+def test_defines_all_equals_the_scalar_loop_over_quantifier_formulas(budget):
+    # the catalogue's lane formulas through one batch, which runs each of
+    # their shared lane nodes once a value
+    formulas, env = _quantifier_catalogue(), OracleEnv()
+    assert len(formulas) == 1880
+    for phi, report in zip(formulas, defines_all(formulas, env, budget)):
+        assert report == _reference_defines(phi, env, budget), phi
