@@ -35,6 +35,9 @@ COMMANDS = [
     ["berry", "--upsilon", "∃x′(x′+(x′)=x)"],
     ["tarski-experiment", "--node-budget", "2000", "--upsilon",
      "∃x′(x′+(x′)=x)"],
+    # spot checks cut inside an α sweep, one of them read in bulk
+    ["berry", "--node-budget", "30000"],
+    ["berry", "--upsilon", "¬(x=x)", "--node-budget", "30000"],
     ["berry", "--micro-maxlen", "9", "--witness-bound", "2"],
     ["berry", "--micro-maxlen", "14"],
     ["berry", "--witness-bound", "3000"],

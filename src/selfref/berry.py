@@ -34,8 +34,8 @@ never different ones.
 The inner formula's quantifier over catalogue entries is replayed one
 length at a time: the genuine truth oracle reads an index of the
 description facts, and any other property is judged over a length's
-statement codes in one batched pass per block, in blocks that double,
-up to the first TRUE.
+statement codes by one batch, in blocks that double, up to the first
+TRUE.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from typing import Callable, Optional
 
 from .diagonal import normalize_psi
 from .semantics import (
-    Budget, OracleEnv, Truth, _definability, catalogue_env, evaluate,
-    from_bool, statement_code, t_and, t_implies, t_or, truth_at, truths_at,
+    Budget, OracleEnv, Truth, _Batch, _definability, catalogue_env, evaluate,
+    from_bool, statement_code, statement_codes, t_and, t_implies, t_or,
+    truth_at,
 )
 from .syntax import (
     And, Eq, Exists, Forall, Formula, Implies, Lt, Mul, Not, OracleAtom,
@@ -302,8 +303,9 @@ class _DefTable:
     the catalogue exactly as the formula's own quantifier would.
 
     A length is judged in bulk: the genuine Tr through an index of the
-    description facts, and any other property through truths_at over
-    the length's statement codes."""
+    description facts, and any other property through a _Batch over the
+    length's statement codes, whose lane code the table's batches share,
+    so a property read value by value is compiled once per table."""
 
     def __init__(self, bundle, universe, env, budget):
         self.judge = _upsilon_judge(bundle, universe, env, budget)
@@ -314,6 +316,7 @@ class _DefTable:
         self.facts, self.horizon = universe.facts, universe.value_horizon
         self.upsilon, self.env = bundle.normalized_upsilon, env
         self.budget = budget
+        self.codes: dict = {}  # lane code, shared by the table's batches
         self.index: Optional[dict] = None
         if self.upsilon == truth_oracle_property(1):
             # per length: the first entry defining each value, and the
@@ -342,8 +345,9 @@ class _DefTable:
         return self.memo[key]
 
     def _judge_length(self, alen: int, n: int) -> tuple[Truth, Optional[int]]:
-        """The length's entries in order, up to the first TRUE, read in
-        blocks of 1, 2, 4, ... entries, block k from entry 2^k - 1 on."""
+        """The length's entries in order, up to the first TRUE, read by one
+        batch over their statement codes in blocks of 1, 2, 4, ... entries,
+        each value within the whole node budget."""
         entries = self.entries[alen]
         if self.index is not None:  # only open entries can be UNKNOWN
             first, entries = self.index[alen]
@@ -352,15 +356,13 @@ class _DefTable:
             unknown = any(_describe_status(self.facts[a], n, self.horizon)
                           is Truth.UNKNOWN for a in entries)
             return Truth.UNKNOWN if unknown else Truth.FALSE, None
+        batch = _Batch(1, {}, statement_codes(entries, n), self.env,
+                       self.budget, False, self.codes)
         verdict = Truth.FALSE
-        for k in range(len(entries).bit_length()):
-            block = entries[(1 << k) - 1:(2 << k) - 1]
-            true, false = truths_at(
-                self.upsilon, 1, [statement_code(a, n) for a in block],
-                self.budget, self.env)
+        for block, true, false in batch.blocks(self.upsilon, Truth.TRUE):
             if true:
-                return Truth.TRUE, block[(true & -true).bit_length() - 1]
-            if false != (1 << len(block)) - 1:
+                return Truth.TRUE, entries[(true & -true).bit_length() - 1]
+            if false != block:
                 verdict = Truth.UNKNOWN
         return verdict, None
 

@@ -38,10 +38,13 @@ for code generation", 1987) lazily, one node at its first visit, so a
 formula decided after a few nodes costs no more than a tree walk.  A
 sweep reads the whole value range at once, bottom-up (Boncz, Zukowski &
 Nes, CIDR 2005): each node's truths are a (TRUE, FALSE) pair of int
-bitmasks, and a node not read in bulk, such as a quantifier or an
-oracle atom, runs its compiled code at the values where compiled code
-over the whole formula reaches it.  That mask pair is the sweep's
-result, which its readers read by bits.
+bitmasks; an oracle atom is read in bulk at the values where compiled
+code over the whole formula reaches it, and a node not read in bulk,
+such as a quantifier, runs its compiled code there.  That mask pair is
+the sweep's result, which its readers read by bits.  A quantifier visit
+with a long range reads the values past its first ones the same way,
+in blocks up to its first stop value, where that reading is exact in
+verdict, nodes and oracle calls alike.
 """
 
 from __future__ import annotations
@@ -50,14 +53,16 @@ import enum
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bignat import BigNat, BigNatError, as_int
 from .syntax import (
-    Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Mul, Nat,
-    Not, Num, One, OracleAtom, OracleFun, Or, Term, Var, Zero, preorder,
+    ORACLE_FUNS, Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt,
+    Mul, Nat, Not, Num, One, OracleAtom, OracleFun, Or, Term, Var, Zero,
+    preorder,
 )
 
 Path = tuple[int, ...]
@@ -162,7 +167,12 @@ def statement_code(a: int, rest: int) -> int:
     """The code of the statement "catalogue entry a holds at rest", as
     catalogue_env's Tr reads it: the Cantor code plus one, so that no
     statement has code 0."""
-    return pair(a, rest) + 1
+    return (a + rest) * (a + rest + 1) // 2 + rest + 1  # pair(a, rest) + 1
+
+
+def statement_codes(entries: Iterable[int], rest: int) -> list[int]:
+    """[statement_code(a, rest) for a in entries], with no call an entry."""
+    return [(a + rest) * (a + rest + 1) // 2 + rest + 1 for a in entries]
 
 
 def catalogue_env(size: int, judge: Callable[[int, int], Truth],
@@ -201,7 +211,13 @@ def catalogue_env(size: int, judge: Callable[[int, int], Truth],
             raise OracleUndecided("catalogue judgment undecided")
         return got is Truth.TRUE
 
-    def reading(fn):
+    def reading(fn, arity):
+        if arity == 1:
+            return lambda a: fn(a if type(a) is int else index(a))
+        if arity == 2:
+            return lambda a, b: fn(a, b) if type(a) is int and type(b) is int \
+                else fn(index(a), index(b))
+
         def read(*args):
             for a in args:
                 if type(a) is not int:
@@ -210,7 +226,8 @@ def catalogue_env(size: int, judge: Callable[[int, int], Truth],
         return read
 
     return OracleEnv(atoms={"Formula": formula_fn, "Tr": tr_fn},
-                     funs={name: reading(fn) for name, fn in funs.items()},
+                     funs={name: reading(fn, ORACLE_FUNS.get(name))
+                           for name, fn in funs.items()},
                      atom_supports={"Formula": size})
 
 
@@ -564,10 +581,12 @@ class Evaluator:
                 if ev.nodes > limit:
                     raise BudgetExceeded
                 try:
-                    values = [one(asg)] if one else [a(asg) for a in args]
+                    if one:
+                        return read(one(asg))  # read raises nothing
+                    values = [a(asg) for a in args]
                 except _OFF_FRAGMENT:
                     return _U
-                return read(values)
+                return read(*values)
             return oracle
         left = _compile_term(phi.left, self.env)
         right = _compile_term(phi.right, self.env)
@@ -600,7 +619,10 @@ class Evaluator:
         settles it, and the values below run; a vacuous body runs once.
         All of these are exact.  Otherwise the sweep to the witness bound
         is not.  One loop runs the values: a stop value decides, else the
-        verdict is start if the run is exact and no value was UNKNOWN."""
+        verdict is start if the run is exact and no value was UNKNOWN.
+        The loop runs the first _SWEPT values; _sweep runs the rest, in
+        bulk where a _Batch reads them as the loop would (see _readable),
+        with lane code kept across visits."""
         ev, env, budget = self, self.env, self.budget
         limit, iter_cap = budget.node_budget, budget.iter_cap
         horizon = budget.witness_bound + 1  # values a full sweep runs
@@ -613,6 +635,8 @@ class Evaluator:
         witness = self.witnesses.get(path) if exists else None
         walks = depth + phi.height <= DEPTH_CAP
         guard = body = rest = None
+        codes: dict = {}
+        readable: dict = {}  # per formula the code runs: does _sweep read it
         if witness is None and type(phi.body) is (And if exists else Implies) \
                 and type(phi.body.left) is Lt:
             var, bound = phi.body.left.left, phi.body.left.right
@@ -631,11 +655,11 @@ class Evaluator:
                 if rest is None:
                     rest = ev._compile(phi.body.right, path + (0, 1),
                                        depth + 1)
-                code, values = rest, range(n)
+                code, values, at = rest, range(n), path + (0, 1)
             else:
                 if body is None:
                     body = ev._compile(phi.body, path + (0,), depth + 1)
-                code = body
+                code, at = body, path + (0,)
                 if witness is not None:
                     values = (witness,)
                 elif walks:
@@ -651,7 +675,9 @@ class Evaluator:
                             values = range(tail[0])
                 if values is None:  # a vacuous body has its verdict
                     values, exact = range(1 if vacuous else horizon), vacuous
-            inner = dict(asg)
+            inner, bulk = dict(asg), ()
+            if len(values) > _SWEPT:
+                values, bulk = values[:_SWEPT], values[_SWEPT:]
             for w in values:
                 inner[v] = w
                 got = code(inner)
@@ -659,19 +685,138 @@ class Evaluator:
                     return stop
                 if got is not start:
                     exact = False
+            if bulk:
+                sub = phi.body.right if code is rest else phi.body
+                if at not in readable:
+                    readable[at] = ev._readable(sub, at, depth + 1, stop)
+                return ev._sweep(sub, code, v, inner, bulk, codes, stop, exact,
+                                 readable[at])
             return start if exact else _U
         return run
 
+    def _readable(self, phi: Formula, path: Path, depth: int,
+                  stop: Truth) -> Optional[int]:
+        """Whether a _Batch reads phi, compiled at path and depth, as its
+        compiled code runs, in verdicts, nodes and oracle calls: None
+        where it may not, else _bulk_cap(phi, stop).  That asks for no
+        witness at or below path, and no node of phi cut by depth, so
+        that lane code compiled at depth 0 is cut nowhere either."""
+        if depth + phi.height > min(self.budget.depth_bound + 2, DEPTH_CAP) \
+                or any(p[:len(path)] == path for p in self.witnesses):
+            return None
+        return _bulk_cap(phi, stop)
 
-def _oracle_reader(name: str, env: OracleEnv) -> Callable[[list], Truth]:
+    def _sweep(self, phi: Formula, code, v: int, asg: dict, values: range,
+               codes: dict, stop: Truth, exact: bool,
+               cap: Optional[int]) -> Truth:
+        """The quantifier loop over values for phi, compiled as code: read
+        by a _Batch where cap (see _readable) allows it and no value can
+        run out of nodes, in blocks of 1, 2, 4, ... values up to the first
+        block that holds a stop value, with the loop's verdict, the loop's
+        nodes charged up to and at the first stop value, and
+        BudgetExceeded where the loop runs out of them; else by code."""
+        start, limit = ~stop, self.budget.node_budget
+        if cap is None or cap * len(values) > limit - self.nodes:
+            for w in values:
+                asg[v] = w
+                got = code(asg)
+                if got is stop:
+                    return stop
+                exact = exact and got is start
+            return start if exact else _U
+        batch = _Batch(v, asg, values, self.env, self.budget, True, codes,
+                       limit - self.nodes)
+        spent = 0
+        for block, true, false in batch.blocks(phi, stop):
+            hits, starts = (true, false) if stop is _T else (false, true)
+            upto = block & ((hits & -hits) << 1) - 1 if hits else block
+            spent += batch.cost(phi, upto)
+            if spent > batch.limit:
+                self.nodes = limit + 1
+                raise BudgetExceeded
+            if hits:
+                self.nodes += spent
+                return stop
+            exact = exact and starts == block
+        self.nodes += spent
+        return start if exact else _U
+
+
+# a quantifier visit runs this many values in its loop, and reads the rest,
+# where it may, in bulk
+_SWEPT = 128
+_KINDS = frozenset((Eq, Lt, OracleAtom, Not, Exists, Forall, *_CONNECTIVES))
+_ANY = frozenset((_T, _F, _U))
+
+
+@lru_cache(maxsize=256)
+def _bulk_cap(phi: Formula, stop: Truth) -> Optional[int]:
+    """The most nodes a value of a sweep over phi may visit for a _Batch
+    to read it without calling an oracle that compiled code would not, 0
+    for any, or None where it may not.  Every node must be a formula, so
+    that no error leaf ends the evaluation; and where phi calls oracles,
+    it must never take the truth stop (so the loop runs every value), and
+    hold no quantifier, no oracle atom twice (the batch reads a node once
+    a value) and no closed oracle function term (compiled code computes
+    that once)."""
+    formulas = list(preorder(phi, _subformulas))
+    if not all(type(node) in _KINDS for node in formulas) \
+            or (type(phi) is Exists or type(phi) is Forall) \
+            and phi.var.index in phi.body.fv:  # run by its code, as a lane
+        return None
+    oracles = [node for node in preorder(phi)
+               if type(node) is OracleAtom or type(node) is OracleFun]
+    if not oracles:
+        return 0
+    atoms = [node for node in oracles if type(node) is OracleAtom]
+    if stop in _takes(formulas) or len(set(atoms)) < len(atoms) \
+            or any(type(node) is Exists or type(node) is Forall
+                   for node in formulas) \
+            or any(not node.fv for node in oracles):
+        return None
+    return len(formulas)
+
+
+def _takes(formulas: list) -> frozenset:
+    """The truths the first of formulas, a formula's preorder, may take,
+    read off its shape alone: an identity t = t is never FALSE and t < t
+    never TRUE, and ∃ and ∀ take only truths their body takes."""
+    takes: dict = {}
+    for phi in reversed(formulas):  # children first
+        kind = type(phi)
+        if (kind is Eq or kind is Lt) and phi.left == phi.right:
+            got = frozenset((_T if kind is Eq else _F, _U))
+        elif kind is Not:
+            got = frozenset(~t for t in takes[phi.body])
+        elif kind is Exists or kind is Forall:
+            got = takes[phi.body]
+        elif kind in _CONNECTIVES:
+            table, right = _CONNECTIVES[kind][2], takes[phi.right]
+            got = frozenset(table(a, b) for a in takes[phi.left]
+                            for b in right)
+        else:
+            got = _ANY
+        takes[phi] = got
+    return takes[formulas[0]]
+
+
+def _subformulas(phi) -> tuple:
+    """A formula node's formula children, for preorder."""
+    kind = type(phi)
+    if kind is Not or kind is Exists or kind is Forall:
+        return (phi.body,)
+    return (phi.left, phi.right) if kind in _CONNECTIVES else ()
+
+
+def _oracle_reader(name: str, env: OracleEnv) -> Callable[..., Truth]:
     """Code giving the truth of oracle atom name at argument values."""
     support = env.atom_supports.get(name)
     fn = env.atoms.get(name)
     if support is not None and support <= 0:
-        return lambda values: _F
+        return lambda *values: _F
     last = -1 if support is None else support - 1
 
-    def read(values):
+    def read(*values):
         if last >= 0:
             try:
                 for a in values:
@@ -785,7 +930,7 @@ def _eventual_atom(phi: Formula, asg, env: OracleEnv,
             args = [eval_term(a, asg, env) for a in phi.args]
         except _OFF_FRAGMENT:
             return None
-        got = _oracle_reader(phi.name, env)(args)
+        got = _oracle_reader(phi.name, env)(*args)
         return None if got is _U else (0, got)
     if support is None:
         return None
@@ -883,23 +1028,86 @@ def _bits(mask: int, n: int) -> bytes:
     return digits.encode().translate(_FROM_DIGITS)
 
 
+def _positions(mask: int) -> list[int]:
+    """The indices of mask's set bits, in order."""
+    if not mask:
+        return []
+    lo, hi = (mask & -mask).bit_length() - 1, mask.bit_length()
+    return list(compress(range(lo, hi), _bits(mask >> lo, hi - lo)))
+
+
+def _scatter(at: list[int], bools) -> int:
+    """The mask with bit at[i] set where the i-th of bools holds, for
+    positions at in order."""
+    if not at:
+        return 0
+    lo, span = at[0], at[-1] + 1 - at[0]
+    if span == len(at):
+        return _mask(bools) << lo
+    dense = bytearray(span)
+    for i, b in zip(at, bools):
+        dense[i - lo] = b
+    return _mask(dense) << lo
+
+
 def _lanes(value):
     """A batched term value as one iterable of its values."""
     return repeat(value) if type(value) is int else value
 
 
+_FAILED = object()  # a term read in bulk where compiled code raises
+
+
+class _Holes(list):
+    """A term's values read in bulk, _FAILED at some of them."""
+
+    __slots__ = ()
+
+
+def _calls(fn, columns) -> list:
+    """list(map(fn, *columns)), but _FAILED at each call that leaves the
+    exact fragment, and then a _Holes."""
+    out, calls = [], map(fn, *columns)
+    while True:
+        try:
+            out.extend(calls)  # keeps the calls before a failure
+            return out
+        except _OFF_FRAGMENT:
+            out = out if type(out) is _Holes else _Holes(out)
+            out.append(_FAILED)
+
+
+def _guarded(fn):
+    """fn, giving _FAILED uncalled where an argument is _FAILED."""
+    return lambda *args: _FAILED if _FAILED in args else fn(*args)
+
+
+def _arith(op):
+    """op on two term values, as compiled code applies it."""
+    def run(a, b):
+        if type(a) is int and type(b) is int:
+            return op(a, b)
+        return _as_int_if_small(op(a, b))
+    return run
+
+
+_ARITH = {Add: _arith(operator.add), Mul: _arith(operator.mul)}
+
+
 class _Lane:
-    """A lane node's compiled code, the values it ran as a mask, its
-    (TRUE, FALSE) masks, and the nodes it visited at each value."""
+    """A node read only at the values where compiled code over the whole
+    formula reaches it: an atom read in bulk there (code None), or a node
+    that its compiled code, with that code's evaluator, runs value by
+    value.  It keeps the values it ran as a mask, its (TRUE, FALSE) masks,
+    and for compiled code the nodes it visited at each value."""
 
-    __slots__ = ("ev", "code", "ran", "true", "false", "nodes")
+    __slots__ = ("phi", "code", "ran", "true", "false", "nodes")
 
-    def __init__(self, phi: Formula, batch: _Batch):
-        self.ev = Evaluator(batch.env, batch.budget)
-        self.code = self.ev.compile(phi)
+    def __init__(self, phi: Formula, code, n: int, limit: int):
+        self.phi, self.code = phi, code
         self.ran = self.true = self.false = 0
-        # budget + 1 until run: a value not run is cut or not counted
-        self.nodes = [batch.budget.node_budget + 1] * len(batch.values)
+        # limit + 1 until run: a value not run is cut or not counted
+        self.nodes = None if code is None else [limit + 1] * n
 
 
 class _Batch:
@@ -909,23 +1117,32 @@ class _Batch:
     < over the terms that term reads, ¬, the binary connectives and a
     vacuous quantifier, as its body (N is nonempty), are read in bulk,
     the swept variable against an int over range(0, n) as one bit or a
-    run of bits.  Any other node is a lane node, run value by value by
-    its compiled code: a quantifier over a variable free in its body, an
-    oracle atom, an atom over other terms, a vacuous quantifier over a
-    lane node (its tail may not settle it), and a root past the depth
-    bound, within which no node is cut by depth.  Where shared, one node
-    budget covers all values, else each value gets all of it.  The memo
-    keeps a node with no lane node below as its pair, equal pairs as one
-    tuple, and a lane node with what it ran, once per batch."""
+    run of bits.  Any other node is a lane node, read only where compiled
+    code reaches it: an oracle atom or an atom over other terms, its
+    terms and oracles called in bulk there, each failure an UNKNOWN at
+    its value alone; and, run value by value by compiled code, a
+    quantifier over a variable free in its body, a vacuous quantifier over
+    a lane node (its tail may not settle it), and a root past the depth
+    bound, within which no node is cut by depth.  Where shared, limit
+    nodes (the node budget unless given) cover all values, else each
+    value gets that many.  The memo keeps a node with no lane node below
+    as its pair, equal pairs as one tuple, and a lane node with what it
+    ran, once per batch; codes keeps lane code, and may be shared by
+    batches under one budget."""
 
-    __slots__ = ("var", "asg", "values", "env", "budget", "shared",
-                 "ordinal", "full", "memo", "masks", "lanes")
+    __slots__ = ("var", "asg", "values", "env", "budget", "shared", "limit",
+                 "codes", "start", "full", "memo", "masks", "lanes")
 
     def __init__(self, var: int, asg: dict, values, env: OracleEnv,
-                 budget: Budget, shared: bool):
+                 budget: Budget, shared: bool, codes: Optional[dict] = None,
+                 limit: Optional[int] = None):
         self.var, self.asg, self.values = var, asg, values
         self.env, self.budget, self.shared = env, budget, shared
-        self.ordinal = values == range(len(values))
+        self.limit = budget.node_budget if limit is None else limit
+        self.codes = {} if codes is None else codes
+        # the first of values where they run up one by one, else None
+        self.start = values.start if type(values) is range \
+            and values.step == 1 else None
         self.full = (1 << len(values)) - 1
         self.memo: dict[Formula, object] = {}  # a pair, or a _Lane
         self.masks: dict[tuple[int, int], tuple[int, int]] = {}
@@ -933,24 +1150,49 @@ class _Batch:
 
     def read(self, phi: Formula) -> tuple[int, int]:
         """phi's (TRUE, FALSE) mask pair, a value in neither where the
-        nodes compiled code visits exceed the node budget: up to and at
-        it where shared, at it alone otherwise."""
-        limit, lanes = self.budget.node_budget, self.lanes
-        if phi.height > min(self.budget.depth_bound + 2, DEPTH_CAP) \
-                and phi not in self.memo:  # an atom's height is 2
-            self.memo[phi] = _Lane(phi, self)
+        nodes compiled code visits exceed the limit: up to and at it
+        where shared, at it alone otherwise."""
+        lanes = self._root(phi)
         true, false = self.truths(phi, self.full)
         # a value visits at most phi.length nodes: without a lane node,
-        # only a budget below that total needs the counts
-        if self.lanes == lanes and limit >= phi.length * (
+        # only a limit below that total needs the counts
+        if self.lanes == lanes and self.limit >= phi.length * (
                 len(self.values) if self.shared else 1):
             return true, false
-        counts = self.counts(phi, self.full)
-        if self.shared:
-            kept = (1 << bisect_right(list(accumulate(counts)), limit)) - 1
-        else:
-            kept = _mask(k <= limit for k in counts)
+        kept = self.kept(phi, self.full)
         return true & kept, false & kept
+
+    def blocks(self, phi: Formula, stop: Truth) -> Iterator[tuple]:
+        """phi read in blocks of 1, 2, 4, ... values, up to the first
+        block with a value at which phi has the truth stop, each as the
+        block's mask and phi's (TRUE, FALSE) masks within it.  Where not
+        shared, a value past the limit is in neither mask; where shared,
+        cost counts the nodes."""
+        n, lo = len(self.values), 0
+        while lo < n:
+            hi, lanes = min(2 * lo + 1, n), self._root(phi)
+            block = (1 << hi) - (1 << lo)
+            true, false = self.truths(phi, block)
+            if self.lanes == lanes:  # phi's masks hold every value
+                hi, block = n, self.full ^ (1 << lo) - 1
+            true, false = true & block, false & block
+            if not self.shared and (self.lanes != lanes
+                                    or self.limit < phi.length):
+                kept = self.kept(phi, block)
+                true, false = true & kept, false & kept
+            yield block, true, false
+            if true if stop is _T else false:
+                return
+            lo = hi
+
+    def _root(self, phi: Formula) -> int:
+        """Makes phi one lane node where depth may cut a node of it: past
+        the depth bound, within which none is.  Gives the lane reads so
+        far."""
+        if phi.height > min(self.budget.depth_bound + 2, DEPTH_CAP) \
+                and phi not in self.memo:  # an atom's height is 2
+            self.memo[phi] = self._lane(phi, True)
+        return self.lanes
 
     def truths(self, phi: Formula, need: int) -> tuple[int, int]:
         """phi's (TRUE, FALSE) masks, where lane nodes run only at need,
@@ -969,7 +1211,8 @@ class _Batch:
                 mask = None
             elif type(a) is int and type(b) is int:
                 mask = full if op(a, b) else 0
-            elif self.ordinal and (type(a) is int or type(b) is int) \
+            elif self.start is not None \
+                    and (type(a) is int or type(b) is int) \
                     and (a is self.values or b is self.values):
                 mask = self._against(kind, a, b)
             else:
@@ -996,59 +1239,170 @@ class _Batch:
             got = self.truths(phi.body, 0)
             got = got if self.lanes == lanes else None
         if got is None:  # a lane node
-            got = self.memo[phi] = _Lane(phi, self)
+            atom = kind is Eq or kind is Lt or kind is OracleAtom
+            got = self.memo[phi] = self._lane(phi, not atom)
             return self._run(got, need)
         if self.lanes == lanes:
             got = self.memo[phi] = self.masks.setdefault(got, got)
         return got
 
+    def _lane(self, phi: Formula, compiled: bool) -> _Lane:
+        """A lane node for phi, with its code from codes where compiled."""
+        code = self.codes.get(phi) if compiled else None
+        if compiled and code is None:
+            ev = Evaluator(self.env, self.budget)
+            code = self.codes[phi] = ev, ev._compile(phi, (), 0)
+        return _Lane(phi, code, len(self.values), self.limit)
+
     def _run(self, lane: _Lane, need: int) -> tuple[int, int]:
-        """A lane node's masks, run at need in order until its own nodes
-        there exceed a shared budget, as the whole formula's then do."""
+        """A lane node's masks, read at need: an atom's in bulk, compiled
+        code's value by value in order until its own nodes there exceed a
+        shared limit, as the whole formula's then do."""
         self.lanes += 1
-        if not need & ~lane.ran:
+        todo = need & ~lane.ran
+        if not todo:
             return lane.true, lane.false
-        n, asg, spent = len(self.values), dict(self.asg), 0
-        for i in compress(range(n), _bits(need, n)):
+        if lane.code is None:
+            true, false = self._atom_at(lane.phi, todo)
+            lane.ran, lane.true, lane.false = \
+                lane.ran | todo, lane.true | true, lane.false | false
+            return lane.true, lane.false
+        (ev, code), asg, spent = lane.code, dict(self.asg), 0
+        base = self.budget.node_budget - self.limit  # nodes spent before
+        for i in _positions(need):
             if not lane.ran >> i & 1:
                 asg[self.var] = self.values[i]
-                got = lane.code(asg)
-                lane.nodes[i] = lane.ev.nodes
+                ev.nodes = base
+                try:
+                    got = code(asg)
+                except (BudgetExceeded, BigNatError, OracleUndecided):
+                    got = _U
+                lane.nodes[i] = ev.nodes - base
                 lane.ran |= 1 << i
                 lane.true |= (got is _T) << i
                 lane.false |= (got is _F) << i
             spent += lane.nodes[i]
-            if spent > self.budget.node_budget and self.shared:
+            if spent > self.limit and self.shared:
                 break
         return lane.true, lane.false
 
-    def _against(self, kind, a, b) -> int:
-        """x=c, c=x, x<c or c<x, with values 0..n-1 and c an int: bit c,
-        the bits below c, or those above it."""
-        c = min(a if type(a) is int else b, len(self.values))
-        if kind is Eq:
-            return (1 << c) & self.full
-        return (1 << c) - 1 if type(b) is int \
-            else (self.full >> c + 1) << c + 1
+    def _atom_at(self, phi: Formula, todo: int) -> tuple[int, int]:
+        """An atom's (TRUE, FALSE) masks at the values of todo, its terms
+        and oracles called in bulk there."""
+        at = _positions(todo)
+        values = list(map(self.values.__getitem__, at))
+        if type(phi) is OracleAtom:
+            got = self._apply(_oracle_reader(phi.name, self.env), phi.args,
+                              values)
+            yes, no = _T, _F
+        else:
+            got = self._apply(operator.eq if type(phi) is Eq else operator.lt,
+                              (phi.left, phi.right), values)
+            yes, no = True, False
+        return (_scatter(at, map(operator.is_, got, repeat(yes))),
+                _scatter(at, map(operator.is_, got, repeat(no))))
 
-    def counts(self, phi: Formula, need: int) -> list[int]:
-        """Compiled code's nodes at each value of need, off what
-        truths(phi, need) read: one for an atom, or for a vacuous
-        quantifier over no lane node, which its tail settles at once."""
-        n, got = len(self.values), self.memo.get(phi)
-        if type(got) is _Lane:
-            return got.nodes
-        kind = type(phi)
-        if kind is Eq or kind is Lt or kind is Forall or kind is Exists:
-            return [1] * n
+    def _apply(self, fn, terms, values) -> list:
+        """fn at each of values over the terms' values there, each term
+        read where those before it did not fail, as compiled code reads
+        them, and _FAILED where one did or fn leaves the exact fragment."""
+        columns, holes = [], False
+        for t in terms:
+            got = self._at(t, values)
+            if type(got) is _Holes:
+                holes = True
+                values = _Holes(_FAILED if g is _FAILED else v
+                                for g, v in zip(got, values))
+            elif type(got) is not list:
+                got = repeat(got, len(values))
+            columns.append(got)
+        return _calls(_guarded(fn) if holes else fn, columns)
+
+    def _at(self, t: Term, values):
+        """t with var at each of values: its value where var is not free
+        in it, else a list of values, a _Holes where one fails."""
+        if self.var not in t.fv:
+            try:
+                return eval_term(t, self.asg, self.env)
+            except _OFF_FRAGMENT:
+                return _Holes(repeat(_FAILED, len(values)))
+        kind = type(t)
+        if kind is Var:
+            return values
+        if kind is Add or kind is Mul:
+            return self._apply(_ARITH[kind], (t.left, t.right), values)
+        fn = self.env.funs.get(t.name)
+        if fn is None:
+            return _Holes(repeat(_FAILED, len(values)))
+        return self._apply(fn, t.args, values)
+
+    def _against(self, kind, a, b) -> int:
+        """x=c, c=x, x<c or c<x, with values a run of ints up from start
+        and c an int: the bit at c, the bits below it, or those above it."""
+        k = min(max((a if type(a) is int else b) - self.start, -1),
+                len(self.values))
+        if kind is Eq:
+            return (1 << k) & self.full if k >= 0 else 0
+        return (1 << max(k, 0)) - 1 if type(b) is int \
+            else (self.full >> k + 1) << k + 1
+
+    def counts(self, phi: Formula, need: int, out: dict) -> dict:
+        """out, with one more for each node that compiled code over the
+        whole formula visits below phi, off what truths(phi, need) read,
+        at the values it visits it at: keyed by their mask for a node
+        visited once a value (an atom, or a vacuous quantifier over no
+        lane node, which its tail settles at once), by (lane, mask) for a
+        lane node's compiled code."""
+        got, kind = self.memo.get(phi), type(phi)
+        if type(got) is _Lane and got.code is not None:
+            out[got, need] = out.get((got, need), 0) + 1
+            return out
+        out[need] = out.get(need, 0) + 1
         if kind is Not:
-            return [k + 1 for k in self.counts(phi.body, need)]
-        at, af = self.truths(phi.left, need)
-        runs = need & ~af if kind is And or kind is Implies \
-            else need & ~at if kind is Or else need
-        ka, kb = self.counts(phi.left, need), self.counts(phi.right, runs)
-        return [1 + i + (j if r else 0)
-                for r, i, j in zip(_bits(runs, n), ka, kb)]
+            self.counts(phi.body, need, out)
+        elif kind in _CONNECTIVES:
+            at, af = self.truths(phi.left, need)
+            self.counts(phi.left, need, out)
+            self.counts(phi.right, need & ~af if kind is And or kind is Implies
+                        else need & ~at if kind is Or else need, out)
+        return out
+
+    def cost(self, phi: Formula, need: int) -> int:
+        """Compiled code's nodes at the values of need, in all."""
+        n, total = len(self.values), 0
+        for key, k in self.counts(phi, need, {}).items():
+            if type(key) is int:
+                total += k * key.bit_count()
+            else:
+                total += k * sum(compress(key[0].nodes, _bits(key[1], n)))
+        return total
+
+    def _per_value(self, phi: Formula, need: int) -> list[int]:
+        """Compiled code's nodes at each value of need, in order."""
+        at = _positions(need)
+        if not at:
+            return []
+        lo, span = at[0], at[-1] + 1 - at[0]
+        total = [0] * span
+        for key, k in self.counts(phi, need, {}).items():
+            if type(key) is int:
+                row = _bits(key >> lo, span)
+            else:
+                row = map(operator.mul, _bits(key[1] >> lo, span),
+                          key[0].nodes[lo:lo + span])
+            total = list(map(operator.add, total,
+                             row if k == 1 else map(k.__mul__, row)))
+        return list(compress(total, _bits(need >> lo, span)))
+
+    def kept(self, phi: Formula, need: int) -> int:
+        """The values of need at which compiled code's nodes stay within
+        the limit: each value's where not shared, else their running sum
+        over need in order."""
+        at, counts = _positions(need), self._per_value(phi, need)
+        if not self.shared:
+            return _scatter(at, map(self.limit.__ge__, counts))
+        cut = bisect_right(list(accumulate(counts)), self.limit)
+        return need if cut == len(at) else need & (1 << at[cut]) - 1
 
     def term(self, t: Term):
         """t at every value: an int where var is not in t, else the

@@ -37,7 +37,7 @@ from selfref.berry import (
 from selfref.parser import parse_formula
 from selfref.semantics import (
     Budget, OracleEnv, Truth, defines, evaluate, evaluate_full,
-    statement_code, t_or, truth_at,
+    statement_code, statement_codes, t_or, truth_at,
 )
 from selfref.syntax import (
     Add, Eq, Exists, Lt, Mul, Not, Num, OracleAtom, Var, Zero, free_vars,
@@ -521,6 +521,25 @@ def test_def_table_matches_a_per_entry_loop(budget, upsilon):
                     break
                 verdict = t_or(verdict, memo[key])
             assert table.defined(bound, n) == (verdict, witness)
+
+
+def test_statement_codes_equal_statement_code():
+    for rest in (0, 1, 7, 300, 2**70):
+        entries = [0, 1, 2, 5, 4109, 2**64, 3]
+        assert statement_codes(entries, rest) == \
+            [statement_code(a, rest) for a in entries]
+    assert statement_codes([], 4) == []
+
+
+def test_def_table_compiles_a_lane_property_once():
+    # a quantifier property is one lane node: the table's batches, one a
+    # length and value, share its compiled code
+    universe = micro_universe(8)
+    bundle = build_bundle(parse_formula("∃x′(x′+(x′)=x)"))
+    table = _DefTable(bundle, universe, micro_env(universe), Budget())
+    for n in range(6):
+        table.defined(9, n)
+    assert list(table.codes) == [bundle.normalized_upsilon]
 
 
 def test_def_table_stops_at_a_first_true_past_the_first_block():

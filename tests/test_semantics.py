@@ -6,6 +6,7 @@ import functools
 import gc
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,7 +27,7 @@ from selfref.syntax import (
     OracleAtom, OracleFun, Or, Var, Zero, free_vars, numeral, preorder,
     render, substitute,
 )
-from selfref import coding
+from selfref import coding, semantics
 
 T, F, U = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
 x, y, w = Var(0), Var(1), Var(2)
@@ -1073,3 +1074,223 @@ def test_defines_all_equals_the_scalar_loop_over_quantifier_formulas(budget):
     assert len(formulas) == 1880
     for phi, report in zip(formulas, defines_all(formulas, env, budget)):
         assert report == _reference_defines(phi, env, budget), phi
+
+
+# -- long quantifier sweeps, read in bulk --------------------------------------------
+
+def _existential_paths(phi, path=()):
+    """The tree paths of phi's existential nodes, left to right."""
+    if type(phi) is Exists:
+        yield path
+    if type(phi) in (Not, Exists, Forall):
+        yield from _existential_paths(phi.body, path + (0,))
+    elif type(phi) in (And, Or, Implies, Iff):
+        yield from _existential_paths(phi.left, path + (0,))
+        yield from _existential_paths(phi.right, path + (1,))
+
+
+def _cuts(nodes: int, *points: int) -> list:
+    """Node budgets that cut an evaluation of nodes in all one before, at
+    and one after each of points and its end, and at sixteenths of it."""
+    out = {nodes * k // 16 for k in range(1, 16)}
+    for point in (nodes, *points):
+        out.update((point - 1, point, point + 1))
+    return sorted(b for b in out if b >= 0)
+
+
+def _berry_direct_reports():
+    """The six direct evaluations of both Berry reports at the length-10
+    universe: each at node budgets that cut its first α sweep one before,
+    at and one after its first stop value (or its end), and throughout."""
+    from selfref import berry
+
+    universe = berry.micro_universe(10)
+    for upsilon in (berry.truth_oracle_property(), Not(Eq(x, x))):
+        bundle = berry.build_bundle(upsilon)
+        report = berry.berry_contradiction_report(bundle, universe)
+        pure = berry.micro_env(universe)
+        closed = berry.micro_env(universe, bundle)
+        sweep = berry._sweep_budget(universe, universe.budget, bundle)
+        six_ell, bval = 6 * bundle.ell, report.berry_value
+        focus = report.uniqueness.extensions[six_ell][0]
+
+        def at(phi, n, bound):
+            return substitute(substitute(phi, 0, numeral(n)), 1,
+                              numeral(bound))
+        b_at = substitute(bundle.b_formula, 0, numeral(bval))
+        inner = at(bundle.def_formula, bval, six_ell)
+        # each formula and env, its first α sweep alone, and the nodes
+        # compiled code visits before that sweep starts
+        runs = [(at(bundle.berry_formula, n, bound), pure,
+                 at(bundle.def_formula, n, bound), 2)
+                for n, bound in ((focus, six_ell), (focus + 1, six_ell),
+                                 (0, universe.max_len))]
+        runs += [(b_at, pure, inner, 5), (inner, closed, inner, 0),
+                 (b_at, closed, inner, 5)]
+        for phi, env, first, before in runs:
+            whole = evaluate_full(phi, env, sweep).nodes_used
+            stop = before + evaluate_full(first, env, sweep).nodes_used
+            for nodes in _cuts(whole, stop):
+                yield evaluate_full(phi, env,
+                                    replace(sweep, node_budget=nodes))
+
+
+def _graph_point_reports():
+    """domination's graph formula over Tr at the six graph points and
+    their neighbours, whole and under budgets that cut it throughout."""
+    from selfref import domination
+
+    env = domination.micro_domination_env()
+    graph = domination.build_psi(OracleAtom("Tr", (x,))).graph
+    for u in range(6):
+        fx = domination.F_fixed_input(u)
+        for v in (fx - 1, fx, fx + 1):
+            whole = evaluate_full(graph, env, assignment={0: u, 1: v})
+            yield whole
+            for nodes in _cuts(whole.nodes_used)[::3]:
+                yield evaluate_full(graph, env, Budget(node_budget=nodes),
+                                    assignment={0: u, 1: v})
+
+
+def _sweep_term(rng: random.Random, depth: int, bound: tuple):
+    """A term over 0, 1, numerals, x, x′ and the bound variables."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Zero(), One(), Num(rng.randrange(2, 9)),
+                           *map(Var, (0, 1, *bound))])
+    return rng.choice([Add, Mul])(_sweep_term(rng, depth - 1, bound),
+                                  _sweep_term(rng, depth - 1, bound))
+
+
+def _sweep_formula(rng: random.Random, depth: int, bound: tuple = (),
+                   tags=None):
+    """A formula as _lane_formula draws them, whose atoms are mostly
+    oracle-free, now and then ¬(t = t) or t < t over a len term (which
+    call len yet never hold) or a prf atom of its own."""
+    tags = tags if tags is not None else iter(range(1, 10**6))
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        term = _sweep_term(rng, 2, bound)
+        pick = rng.randrange(8)
+        if pick == 0:
+            return OracleAtom("prf", (x, Add(term, Num(1000 * next(tags)))))
+        if pick == 1:
+            fixed = OracleFun("len", (term,))
+            return rng.choice([Not(Eq(fixed, fixed)), Lt(fixed, fixed)])
+        return rng.choice([Eq, Lt])(term, _sweep_term(rng, 2, bound))
+    if r < 0.3:
+        return Not(_sweep_formula(rng, depth - 1, bound, tags))
+    if r < 0.5:
+        v = rng.choice([2, 3])
+        body = _sweep_formula(rng, depth - 1, bound + (v,), tags)
+        guard = Lt(Var(v), _sweep_term(rng, 1, bound))
+        return rng.choice([Exists(Var(v), body), Forall(Var(v), body),
+                           Exists(Var(v), And(guard, body)),
+                           Forall(Var(v), Implies(guard, body))])
+    return rng.choice([And, Or, Implies, Iff])(
+        _sweep_formula(rng, depth - 1, bound, tags),
+        _sweep_formula(rng, depth - 1, bound, tags))
+
+
+def _lane_formula_reports():
+    """300 draws under a quantifier over x′′ or x′′′ that their body
+    reads: every other one a _lane_formula, the rest a _sweep_formula;
+    each under three drawn witness maps and tight depth and node bounds,
+    with witness bounds past the values a quantifier runs in its loop."""
+    env = _lane_env()
+    for seed in range(300):
+        rng = random.Random(seed)
+        v = rng.choice([2, 3])
+        body = (_lane_formula if seed % 2 else _sweep_formula)(rng, 4, (v,))
+        phi = rng.choice([Exists, Forall])(Var(v), body)
+        asg = {0: rng.randrange(12), 1: rng.randrange(12)}
+        paths = list(_existential_paths(phi))
+        for _ in range(3):
+            witnesses = {p: rng.randrange(8) for p in paths
+                         if rng.random() < 0.3}
+            budget = Budget(witness_bound=rng.choice([12, 150, 300]),
+                            node_budget=rng.choice([30, 300, 3000, 40_000]),
+                            depth_bound=rng.choice([1, 2, 3, 4, 6, 256]))
+            yield evaluate_full(phi, env, budget, witnesses, asg)
+
+
+@pytest.mark.parametrize("reports, digest", [
+    (_berry_direct_reports, 
+     "f7913d41def424890efba2ef3c4cb01bc1d762f18ac3d42853deb0f17f786d07"),
+    (_graph_point_reports, 
+     "bb0f3587bb0ef95cab484bebfc694dea1b4401941d295ebea6833fb9cb5d6fed"),
+    (_lane_formula_reports, 
+     "c477c2b1d52dd01d57bf195ca3f86c83480cb990a934e741d09a07a9247e65eb"),
+], ids=["berry-direct", "graph-points", "lane-formulas"])
+def test_batched_quantifier_accounting_is_pinned(reports, digest):
+    # (truth, nodes_used, budget_hit) of each evaluation, pinned with every
+    # quantifier run by the loop value by value: a long sweep read in
+    # bulk charges the loop's nodes up to its first stop value and runs
+    # out of nodes where the loop does
+    assert _accounting_digest(reports()) == digest
+
+
+def _counting_env(calls: Counter):
+    """_lane_env, with len and every oracle atom counting their calls
+    into calls, by name and arguments."""
+    env = _lane_env()
+
+    def count(name, fn):
+        def run(*args):
+            calls[name, args] += 1
+            return fn(*args)
+        return run
+    return OracleEnv(atoms={n: count(n, f) for n, f in env.atoms.items()},
+                     funs={n: count(n, f) for n, f in env.funs.items()},
+                     atom_supports=dict(env.atom_supports))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Exists, Forall]),
+       st.sampled_from([200, 300]),
+       st.one_of(st.integers(0, 3000), st.just(40_000)))
+def test_a_bulk_sweep_calls_the_oracles_the_loop_calls(seed, ctor, bound,
+                                                       nodes):
+    # a bulk read past a stop value or past the node budget would call
+    # oracles the loop never calls, so a sweep calls oracles in bulk only
+    # where it cannot stop and cannot run out of nodes: every evaluation
+    # calls each oracle at each argument as often as the loop does
+    rng = random.Random(seed)
+    v = rng.choice([2, 3])
+    phi = ctor(Var(v), _sweep_formula(rng, 4, (v,)))
+    asg = {0: rng.randrange(12), 1: rng.randrange(12)}
+    budget = Budget(witness_bound=bound, node_budget=nodes)
+    got, looped = Counter(), Counter()
+    report = evaluate_full(phi, _counting_env(got), budget, assignment=asg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "_SWEPT", 10**9)  # every value in the loop
+        loop = evaluate_full(phi, _counting_env(looped), budget,
+                             assignment=asg)
+    assert (report, got) == (loop, looped), render(phi)
+
+
+def test_a_never_true_sweep_calls_its_oracles_in_bulk(monkeypatch):
+    # ∃x′′(Formula(x′′) ∧ ¬(len(x′′) = len(x′′))) never stops: it runs
+    # past the loop's first values in bulk, one block of values at a
+    # time, and calls Formula and len as the loop does, at every value
+    phi = Exists(w, And(OracleAtom("Formula", (w,)),
+                        Not(Eq(OracleFun("len", (w,)),
+                               OracleFun("len", (w,))))))
+    blocks = []
+    read = _Batch.blocks
+
+    def counted(batch, *args):
+        for block in read(batch, *args):
+            blocks.append(block)
+            yield block
+    monkeypatch.setattr(_Batch, "blocks", counted)
+    calls = Counter()
+    env = _counting_env(calls)
+    env.atom_supports.pop("Formula")
+    budget = Budget(witness_bound=1000)
+    report = evaluate_full(phi, env, budget)
+    # UNKNOWN: a sweep to the witness bound leaves the values past it open
+    assert report.truth is U and len(blocks) == 10  # 873 values past 128
+    assert calls == Counter({**{("Formula", (a,)): 1 for a in range(1001)},
+                             **{("len", (a,)): 2 for a in range(0, 1001, 2)}})
+    monkeypatch.setattr(semantics, "_SWEPT", 10**9)
+    assert evaluate_full(phi, env, budget) == report
