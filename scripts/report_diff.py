@@ -35,9 +35,12 @@ COMMANDS = [
     ["berry", "--upsilon", "∃x′(x′+(x′)=x)"],
     ["tarski-experiment", "--node-budget", "2000", "--upsilon",
      "∃x′(x′+(x′)=x)"],
-    # spot checks cut inside an α sweep, one of them read in bulk
+    # spot checks cut inside an α sweep, which the loop runs
     ["berry", "--node-budget", "30000"],
     ["berry", "--upsilon", "¬(x=x)", "--node-budget", "30000"],
+    # a property over a term with no interpretation, UNKNOWN everywhere
+    *([command, "--upsilon", "inst(x,x,x)+(1)=x"]
+      for command in ("berry", "tarski-experiment")),
     ["berry", "--micro-maxlen", "9", "--witness-bound", "2"],
     ["berry", "--micro-maxlen", "14"],
     ["berry", "--witness-bound", "3000"],

@@ -359,7 +359,7 @@ class _DefTable:
         batch = _Batch(1, {}, statement_codes(entries, n), self.env,
                        self.budget, False, self.codes)
         verdict = Truth.FALSE
-        for block, true, false in batch.blocks(self.upsilon, Truth.TRUE):
+        for block, true, false in batch.blocks(self.upsilon):
             if true:
                 return Truth.TRUE, entries[(true & -true).bit_length() - 1]
             if false != block:

@@ -42,9 +42,10 @@ bitmasks; an oracle atom is read in bulk at the values where compiled
 code over the whole formula reaches it, and a node not read in bulk,
 such as a quantifier, runs its compiled code there.  That mask pair is
 the sweep's result, which its readers read by bits.  A quantifier visit
-with a long range reads the values past its first ones the same way,
-in blocks up to its first stop value, where that reading is exact in
-verdict, nodes and oracle calls alike.
+with a long range is read the same way, all its values in one read,
+where its body can never stop it and holds no quantifier, so that the
+read is exact in verdict, nodes and oracle calls alike; any other
+visit runs its values one by one.
 """
 
 from __future__ import annotations
@@ -620,9 +621,9 @@ class Evaluator:
         All of these are exact.  Otherwise the sweep to the witness bound
         is not.  One loop runs the values: a stop value decides, else the
         verdict is start if the run is exact and no value was UNKNOWN.
-        The loop runs the first _SWEPT values; _sweep runs the rest, in
-        bulk where a _Batch reads them as the loop would (see _readable),
-        with lane code kept across visits."""
+        A visit of more than _SWEPT values whose formula fits the depth
+        bound, which _bulk_cap admits and whose every value fits the nodes
+        left, is read by _sweep instead, all its values in bulk."""
         ev, env, budget = self, self.env, self.budget
         limit, iter_cap = budget.node_budget, budget.iter_cap
         horizon = budget.witness_bound + 1  # values a full sweep runs
@@ -634,9 +635,10 @@ class Evaluator:
         vacuous = v not in phi.body.fv
         witness = self.witnesses.get(path) if exists else None
         walks = depth + phi.height <= DEPTH_CAP
+        # the greatest height of a formula compiled below this node that no
+        # depth check cuts (an atom's height is 2)
+        fits = min(budget.depth_bound + 2, DEPTH_CAP) - depth - 1
         guard = body = rest = None
-        codes: dict = {}
-        readable: dict = {}  # per formula the code runs: does _sweep read it
         if witness is None and type(phi.body) is (And if exists else Implies) \
                 and type(phi.body.left) is Lt:
             var, bound = phi.body.left.left, phi.body.left.right
@@ -655,11 +657,11 @@ class Evaluator:
                 if rest is None:
                     rest = ev._compile(phi.body.right, path + (0, 1),
                                        depth + 1)
-                code, values, at = rest, range(n), path + (0, 1)
+                code, values = rest, range(n)
             else:
                 if body is None:
                     body = ev._compile(phi.body, path + (0,), depth + 1)
-                code, at = body, path + (0,)
+                code = body
                 if witness is not None:
                     values = (witness,)
                 elif walks:
@@ -675,9 +677,12 @@ class Evaluator:
                             values = range(tail[0])
                 if values is None:  # a vacuous body has its verdict
                     values, exact = range(1 if vacuous else horizon), vacuous
-            inner, bulk = dict(asg), ()
             if len(values) > _SWEPT:
-                values, bulk = values[:_SWEPT], values[_SWEPT:]
+                sub = phi.body.right if code is rest else phi.body
+                cap = sub.height <= fits and _bulk_cap(sub, stop, v)
+                if cap and cap * len(values) <= limit - ev.nodes:
+                    return ev._sweep(sub, v, asg, values, stop, exact)
+            inner = dict(asg)
             for w in values:
                 inner[v] = w
                 got = code(inner)
@@ -685,94 +690,45 @@ class Evaluator:
                     return stop
                 if got is not start:
                     exact = False
-            if bulk:
-                sub = phi.body.right if code is rest else phi.body
-                if at not in readable:
-                    readable[at] = ev._readable(sub, at, depth + 1, stop)
-                return ev._sweep(sub, code, v, inner, bulk, codes, stop, exact,
-                                 readable[at])
             return start if exact else _U
         return run
 
-    def _readable(self, phi: Formula, path: Path, depth: int,
-                  stop: Truth) -> Optional[int]:
-        """Whether a _Batch reads phi, compiled at path and depth, as its
-        compiled code runs, in verdicts, nodes and oracle calls: None
-        where it may not, else _bulk_cap(phi, stop).  That asks for no
-        witness at or below path, and no node of phi cut by depth, so
-        that lane code compiled at depth 0 is cut nowhere either."""
-        if depth + phi.height > min(self.budget.depth_bound + 2, DEPTH_CAP) \
-                or any(p[:len(path)] == path for p in self.witnesses):
-            return None
-        return _bulk_cap(phi, stop)
-
-    def _sweep(self, phi: Formula, code, v: int, asg: dict, values: range,
-               codes: dict, stop: Truth, exact: bool,
-               cap: Optional[int]) -> Truth:
-        """The quantifier loop over values for phi, compiled as code: read
-        by a _Batch where cap (see _readable) allows it and no value can
-        run out of nodes, in blocks of 1, 2, 4, ... values up to the first
-        block that holds a stop value, with the loop's verdict, the loop's
-        nodes charged up to and at the first stop value, and
-        BudgetExceeded where the loop runs out of them; else by code."""
-        start, limit = ~stop, self.budget.node_budget
-        if cap is None or cap * len(values) > limit - self.nodes:
-            for w in values:
-                asg[v] = w
-                got = code(asg)
-                if got is stop:
-                    return stop
-                exact = exact and got is start
-            return start if exact else _U
-        batch = _Batch(v, asg, values, self.env, self.budget, True, codes,
-                       limit - self.nodes)
-        spent = 0
-        for block, true, false in batch.blocks(phi, stop):
-            hits, starts = (true, false) if stop is _T else (false, true)
-            upto = block & ((hits & -hits) << 1) - 1 if hits else block
-            spent += batch.cost(phi, upto)
-            if spent > batch.limit:
-                self.nodes = limit + 1
-                raise BudgetExceeded
-            if hits:
-                self.nodes += spent
-                return stop
-            exact = exact and starts == block
-        self.nodes += spent
-        return start if exact else _U
+    def _sweep(self, phi: Formula, v: int, asg: dict, values: range,
+               stop: Truth, exact: bool) -> Truth:
+        """The quantifier loop over values for phi, which _bulk_cap admits
+        and whose every value fits the nodes left: one _Batch read of all
+        values, none of them stop, charged the loop's nodes."""
+        batch = _Batch(v, asg, values, self.env, self.budget, True)
+        true, false = batch.truths(phi, batch.full)
+        self.nodes += batch.cost(phi, batch.full)
+        starts = false if stop is _T else true
+        return ~stop if exact and starts == batch.full else _U
 
 
-# a quantifier visit runs this many values in its loop, and reads the rest,
-# where it may, in bulk
+# a quantifier visit with more values than this reads them, where it may,
+# in bulk
 _SWEPT = 128
-_KINDS = frozenset((Eq, Lt, OracleAtom, Not, Exists, Forall, *_CONNECTIVES))
+_KINDS = frozenset((Eq, Lt, OracleAtom, Not, *_CONNECTIVES))
 _ANY = frozenset((_T, _F, _U))
 
 
 @lru_cache(maxsize=256)
-def _bulk_cap(phi: Formula, stop: Truth) -> Optional[int]:
-    """The most nodes a value of a sweep over phi may visit for a _Batch
-    to read it without calling an oracle that compiled code would not, 0
-    for any, or None where it may not.  Every node must be a formula, so
-    that no error leaf ends the evaluation; and where phi calls oracles,
-    it must never take the truth stop (so the loop runs every value), and
-    hold no quantifier, no oracle atom twice (the batch reads a node once
-    a value) and no closed oracle function term (compiled code computes
-    that once)."""
+def _bulk_cap(phi: Formula, stop: Truth, var: int) -> Optional[int]:
+    """The most nodes a value of a sweep of var over phi visits, where a
+    _Batch reads every value of it as compiled code runs them, in
+    verdicts, nodes and oracle calls alike; else None.  Every node must
+    be a formula node but no quantifier, so that no error leaf ends the
+    evaluation and no node runs as compiled code; phi must never take
+    the truth stop, so that the loop runs every value; and phi may hold
+    no oracle atom twice (the batch reads a node once a value) and no
+    oracle function term without var (the batch computes it once a
+    read, compiled code at each value, or once in all where closed)."""
     formulas = list(preorder(phi, _subformulas))
+    atoms = [node for node in formulas if type(node) is OracleAtom]
     if not all(type(node) in _KINDS for node in formulas) \
-            or (type(phi) is Exists or type(phi) is Forall) \
-            and phi.var.index in phi.body.fv:  # run by its code, as a lane
-        return None
-    oracles = [node for node in preorder(phi)
-               if type(node) is OracleAtom or type(node) is OracleFun]
-    if not oracles:
-        return 0
-    atoms = [node for node in oracles if type(node) is OracleAtom]
-    if stop in _takes(formulas) or len(set(atoms)) < len(atoms) \
-            or any(type(node) is Exists or type(node) is Forall
-                   for node in formulas) \
-            or any(not node.fv for node in oracles):
+            or stop in _takes(formulas) or len(set(atoms)) < len(atoms) \
+            or any(type(node) is OracleFun and var not in node.fv
+                   for node in preorder(phi)):
         return None
     return len(formulas)
 
@@ -780,7 +736,7 @@ def _bulk_cap(phi: Formula, stop: Truth) -> Optional[int]:
 def _takes(formulas: list) -> frozenset:
     """The truths the first of formulas, a formula's preorder, may take,
     read off its shape alone: an identity t = t is never FALSE and t < t
-    never TRUE, and ∃ and ∀ take only truths their body takes."""
+    never TRUE."""
     takes: dict = {}
     for phi in reversed(formulas):  # children first
         kind = type(phi)
@@ -788,8 +744,6 @@ def _takes(formulas: list) -> frozenset:
             got = frozenset((_T if kind is Eq else _F, _U))
         elif kind is Not:
             got = frozenset(~t for t in takes[phi.body])
-        elif kind is Exists or kind is Forall:
-            got = takes[phi.body]
         elif kind in _CONNECTIVES:
             table, right = _CONNECTIVES[kind][2], takes[phi.right]
             got = frozenset(table(a, b) for a in takes[phi.left]
@@ -802,10 +756,9 @@ def _takes(formulas: list) -> frozenset:
 
 def _subformulas(phi) -> tuple:
     """A formula node's formula children, for preorder."""
-    kind = type(phi)
-    if kind is Not or kind is Exists or kind is Forall:
+    if type(phi) is Not:
         return (phi.body,)
-    return (phi.left, phi.right) if kind in _CONNECTIVES else ()
+    return (phi.left, phi.right) if type(phi) in _CONNECTIVES else ()
 
 
 def _oracle_reader(name: str, env: OracleEnv) -> Callable[..., Truth]:
@@ -1003,16 +956,6 @@ def _swept(phi: Formula, var: int, asg: dict, env: OracleEnv,
     return _Batch(var, asg, reach, env, budget, True).read(phi)
 
 
-def truths_at(phi: Formula, var: int, values, budget: Optional[Budget] = None,
-              env: Optional[OracleEnv] = None) -> tuple[int, int]:
-    """[truth_at(phi, env, budget)({var: v}) for v in values] in one
-    batched pass, as a (TRUE, FALSE) mask pair over the positions of
-    values: each value gets the whole node budget, and is UNKNOWN where
-    its nodes exceed it."""
-    return _Batch(var, {}, values, env or OracleEnv(), budget or Budget(),
-                  False).read(phi)
-
-
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -1123,26 +1066,21 @@ class _Batch:
     its value alone; and, run value by value by compiled code, a
     quantifier over a variable free in its body, a vacuous quantifier over
     a lane node (its tail may not settle it), and a root past the depth
-    bound, within which no node is cut by depth.  Where shared, limit
-    nodes (the node budget unless given) cover all values, else each
-    value gets that many.  The memo keeps a node with no lane node below
-    as its pair, equal pairs as one tuple, and a lane node with what it
-    ran, once per batch; codes keeps lane code, and may be shared by
-    batches under one budget."""
+    bound, within which no node is cut by depth.  Values are range(0, n)
+    or a list.  Where shared, the node budget covers all values, else
+    each value gets it whole.  The memo keeps a node with no lane node
+    below as its pair, equal pairs as one tuple, and a lane node with
+    what it ran, once per batch; codes keeps lane code, and may be
+    shared by batches under one budget."""
 
-    __slots__ = ("var", "asg", "values", "env", "budget", "shared", "limit",
-                 "codes", "start", "full", "memo", "masks", "lanes")
+    __slots__ = ("var", "asg", "values", "env", "budget", "shared", "codes",
+                 "full", "memo", "masks", "lanes")
 
     def __init__(self, var: int, asg: dict, values, env: OracleEnv,
-                 budget: Budget, shared: bool, codes: Optional[dict] = None,
-                 limit: Optional[int] = None):
+                 budget: Budget, shared: bool, codes: Optional[dict] = None):
         self.var, self.asg, self.values = var, asg, values
         self.env, self.budget, self.shared = env, budget, shared
-        self.limit = budget.node_budget if limit is None else limit
         self.codes = {} if codes is None else codes
-        # the first of values where they run up one by one, else None
-        self.start = values.start if type(values) is range \
-            and values.step == 1 else None
         self.full = (1 << len(values)) - 1
         self.memo: dict[Formula, object] = {}  # a pair, or a _Lane
         self.masks: dict[tuple[int, int], tuple[int, int]] = {}
@@ -1150,24 +1088,23 @@ class _Batch:
 
     def read(self, phi: Formula) -> tuple[int, int]:
         """phi's (TRUE, FALSE) mask pair, a value in neither where the
-        nodes compiled code visits exceed the limit: up to and at it
-        where shared, at it alone otherwise."""
+        nodes compiled code visits exceed the node budget: up to and at
+        it where shared, at it alone otherwise."""
         lanes = self._root(phi)
         true, false = self.truths(phi, self.full)
         # a value visits at most phi.length nodes: without a lane node,
-        # only a limit below that total needs the counts
-        if self.lanes == lanes and self.limit >= phi.length * (
+        # only a budget below that total needs the counts
+        if self.lanes == lanes and self.budget.node_budget >= phi.length * (
                 len(self.values) if self.shared else 1):
             return true, false
         kept = self.kept(phi, self.full)
         return true & kept, false & kept
 
-    def blocks(self, phi: Formula, stop: Truth) -> Iterator[tuple]:
+    def blocks(self, phi: Formula) -> Iterator[tuple]:
         """phi read in blocks of 1, 2, 4, ... values, up to the first
-        block with a value at which phi has the truth stop, each as the
-        block's mask and phi's (TRUE, FALSE) masks within it.  Where not
-        shared, a value past the limit is in neither mask; where shared,
-        cost counts the nodes."""
+        block with a value at which phi is TRUE, each as the block's mask
+        and phi's (TRUE, FALSE) masks within it, a value past the node
+        budget in neither: for a batch that is not shared."""
         n, lo = len(self.values), 0
         while lo < n:
             hi, lanes = min(2 * lo + 1, n), self._root(phi)
@@ -1176,12 +1113,11 @@ class _Batch:
             if self.lanes == lanes:  # phi's masks hold every value
                 hi, block = n, self.full ^ (1 << lo) - 1
             true, false = true & block, false & block
-            if not self.shared and (self.lanes != lanes
-                                    or self.limit < phi.length):
+            if self.lanes != lanes or self.budget.node_budget < phi.length:
                 kept = self.kept(phi, block)
                 true, false = true & kept, false & kept
             yield block, true, false
-            if true if stop is _T else false:
+            if true:
                 return
             lo = hi
 
@@ -1211,7 +1147,7 @@ class _Batch:
                 mask = None
             elif type(a) is int and type(b) is int:
                 mask = full if op(a, b) else 0
-            elif self.start is not None \
+            elif type(self.values) is range \
                     and (type(a) is int or type(b) is int) \
                     and (a is self.values or b is self.values):
                 mask = self._against(kind, a, b)
@@ -1252,12 +1188,12 @@ class _Batch:
         if compiled and code is None:
             ev = Evaluator(self.env, self.budget)
             code = self.codes[phi] = ev, ev._compile(phi, (), 0)
-        return _Lane(phi, code, len(self.values), self.limit)
+        return _Lane(phi, code, len(self.values), self.budget.node_budget)
 
     def _run(self, lane: _Lane, need: int) -> tuple[int, int]:
         """A lane node's masks, read at need: an atom's in bulk, compiled
         code's value by value in order until its own nodes there exceed a
-        shared limit, as the whole formula's then do."""
+        shared node budget, as the whole formula's then do."""
         self.lanes += 1
         todo = need & ~lane.ran
         if not todo:
@@ -1268,21 +1204,20 @@ class _Batch:
                 lane.ran | todo, lane.true | true, lane.false | false
             return lane.true, lane.false
         (ev, code), asg, spent = lane.code, dict(self.asg), 0
-        base = self.budget.node_budget - self.limit  # nodes spent before
         for i in _positions(need):
             if not lane.ran >> i & 1:
                 asg[self.var] = self.values[i]
-                ev.nodes = base
+                ev.nodes = 0
                 try:
                     got = code(asg)
                 except (BudgetExceeded, BigNatError, OracleUndecided):
                     got = _U
-                lane.nodes[i] = ev.nodes - base
+                lane.nodes[i] = ev.nodes
                 lane.ran |= 1 << i
                 lane.true |= (got is _T) << i
                 lane.false |= (got is _F) << i
             spent += lane.nodes[i]
-            if spent > self.limit and self.shared:
+            if spent > self.budget.node_budget and self.shared:
                 break
         return lane.true, lane.false
 
@@ -1316,7 +1251,9 @@ class _Batch:
             elif type(got) is not list:
                 got = repeat(got, len(values))
             columns.append(got)
-        return _calls(_guarded(fn) if holes else fn, columns)
+        if not holes:
+            return _calls(fn, columns)
+        return _Holes(_calls(_guarded(fn), columns))
 
     def _at(self, t: Term, values):
         """t with var at each of values: its value where var is not free
@@ -1337,13 +1274,12 @@ class _Batch:
         return self._apply(fn, t.args, values)
 
     def _against(self, kind, a, b) -> int:
-        """x=c, c=x, x<c or c<x, with values a run of ints up from start
-        and c an int: the bit at c, the bits below it, or those above it."""
-        k = min(max((a if type(a) is int else b) - self.start, -1),
-                len(self.values))
+        """x=c, c=x, x<c or c<x, with values range(0, n) and c an int: the
+        bit at c, the bits below it, or those above it."""
+        k = min(a if type(a) is int else b, len(self.values))
         if kind is Eq:
-            return (1 << k) & self.full if k >= 0 else 0
-        return (1 << max(k, 0)) - 1 if type(b) is int \
+            return (1 << k) & self.full
+        return (1 << k) - 1 if type(b) is int \
             else (self.full >> k + 1) << k + 1
 
     def counts(self, phi: Formula, need: int, out: dict) -> dict:
@@ -1368,20 +1304,18 @@ class _Batch:
         return out
 
     def cost(self, phi: Formula, need: int) -> int:
-        """Compiled code's nodes at the values of need, in all."""
-        n, total = len(self.values), 0
-        for key, k in self.counts(phi, need, {}).items():
-            if type(key) is int:
-                total += k * key.bit_count()
-            else:
-                total += k * sum(compress(key[0].nodes, _bits(key[1], n)))
-        return total
+        """Compiled code's nodes at the values of need, in all, for phi
+        with no compiled lane node."""
+        return sum(k * mask.bit_count()
+                   for mask, k in self.counts(phi, need, {}).items())
 
-    def _per_value(self, phi: Formula, need: int) -> list[int]:
-        """Compiled code's nodes at each value of need, in order."""
+    def kept(self, phi: Formula, need: int) -> int:
+        """The values of need at which compiled code's nodes stay within
+        the node budget: each value's where not shared, else their running
+        sum over need in order."""
         at = _positions(need)
         if not at:
-            return []
+            return 0
         lo, span = at[0], at[-1] + 1 - at[0]
         total = [0] * span
         for key, k in self.counts(phi, need, {}).items():
@@ -1392,16 +1326,11 @@ class _Batch:
                           key[0].nodes[lo:lo + span])
             total = list(map(operator.add, total,
                              row if k == 1 else map(k.__mul__, row)))
-        return list(compress(total, _bits(need >> lo, span)))
-
-    def kept(self, phi: Formula, need: int) -> int:
-        """The values of need at which compiled code's nodes stay within
-        the limit: each value's where not shared, else their running sum
-        over need in order."""
-        at, counts = _positions(need), self._per_value(phi, need)
+        counts, limit = compress(total, _bits(need >> lo, span)), \
+            self.budget.node_budget
         if not self.shared:
-            return _scatter(at, map(self.limit.__ge__, counts))
-        cut = bisect_right(list(accumulate(counts)), self.limit)
+            return _scatter(at, map(limit.__ge__, counts))
+        cut = bisect_right(list(accumulate(counts)), limit)
         return need if cut == len(at) else need & (1 << at[cut]) - 1
 
     def term(self, t: Term):

@@ -84,6 +84,21 @@ def test_a_tight_budget_finds_the_least_undefinable_value(capsys, command):
     assert report["outputs"]["least_undefinable"] == 4
 
 
+def test_a_property_over_an_uninterpreted_term_settles_nothing(capsys):
+    # the catalogue reading has no inst, so inst(x,x,x)+1 = x is UNKNOWN at
+    # every statement code: a term read in bulk keeps each failure
+    # through the sum, and no uniqueness or least undefinable value is
+    # claimed off an UNKNOWN
+    upsilon = ["--upsilon", "inst(x,x,x)+(1)=x"]
+    code, report = _run(capsys, ["berry", *upsilon])
+    assert code == 1
+    assert report["verdict_failure"]["budget_insufficient"] == \
+        "uniqueness sweep unsettled at bound 4, value 0"
+    code, report = _run(capsys, ["tarski-experiment", *upsilon])
+    assert code == 0
+    assert report["outputs"]["least_undefinable"] is None
+
+
 def test_parse_rejects_garbage_with_usage_exit(capsys):
     assert main(["parse", "x=+"]) == 2
     assert capsys.readouterr().out == ""  # no report on usage errors

@@ -18,9 +18,9 @@ from selfref.enumeration import unary_formulas
 from selfref.parser import parse_formula
 from selfref.semantics import (
     DEPTH_CAP, Budget, DefinesReport, Evaluator, OracleEnv, OracleUndecided,
-    Truth, _Batch, _compile_term, _eventual, _swept, defines,
+    Truth, _Batch, _bulk_cap, _compile_term, _eventual, _swept, defines,
     defines_all, evaluate, evaluate_full, eval_term, standard_oracle_env,
-    t_and, t_iff, t_implies, t_or, truth_at, truths_at,
+    t_and, t_iff, t_implies, t_or, truth_at,
 )
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, Num, One,
@@ -684,6 +684,14 @@ def test_a_batched_sweep_equals_the_scalar_loop(seed, var, other, bound, data):
         _scalar_sweep(phi, var, asg, env, budget)
 
 
+def _truths_at(phi, var, values, budget=None, env=None):
+    """[truth_at(phi, env, budget)({var: v}) for v in values] in one
+    unshared batch read, as a (TRUE, FALSE) mask pair over the positions
+    of values: each value gets the whole node budget."""
+    return _Batch(var, {}, values, env or OracleEnv(), budget or Budget(),
+                  False).read(phi)
+
+
 # value lists out of order, with repeats, and past machine words
 _VALUE_LISTS = st.lists(st.one_of(st.integers(0, 40),
                                   st.integers(2**62, 2**70)), max_size=12)
@@ -700,7 +708,7 @@ def test_truths_at_equals_truth_at_per_value(seed, var, other, values, data):
     nodes = data.draw(st.integers(0, _formula_nodes(phi)))
     depth = data.draw(st.sampled_from([256, 2]))
     budget = Budget(node_budget=nodes, depth_bound=depth)
-    got = truths_at(phi, var, values, budget)
+    got = _truths_at(phi, var, values, budget)
     at = truth_at(phi, OracleEnv(), budget)
     assert _rendered(got, len(values)) == [at({var: v}) for v in values]
 
@@ -715,7 +723,7 @@ def test_truths_at_reads_lane_nodes(phi):
     env = OracleEnv(atoms={"Tr": lambda a: a % 2 == 1})
     values = [3, 0, 7, 7, 2**64, 1, 40]
     at = truth_at(phi, env)
-    assert _rendered(truths_at(phi, 0, values, env=env), len(values)) == \
+    assert _rendered(_truths_at(phi, 0, values, env=env), len(values)) == \
         [at({0: v}) for v in values]
 
 
@@ -732,7 +740,7 @@ def test_the_batch_keeps_the_depth_bound(depth):
             assert _rendered(_swept(phi, 0, {}, env, budget), 4) == \
                 _scalar_sweep(phi, 0, {}, env, budget)
             at = truth_at(phi, env, budget)
-            got = truths_at(phi, 0, values, budget)
+            got = _truths_at(phi, 0, values, budget)
             assert _rendered(got, 4) == [at({0: v}) for v in values]
 
 
@@ -778,7 +786,7 @@ def test_truths_at_reads_vacuous_quantifiers(seed, var, other, values, data):
     nodes = data.draw(st.integers(0, _formula_nodes(phi)))
     depth = data.draw(st.sampled_from([256, 2]))
     budget = Budget(node_budget=nodes, depth_bound=depth)
-    got = truths_at(phi, var, values, budget)
+    got = _truths_at(phi, var, values, budget)
     at = truth_at(phi, OracleEnv(), budget)
     assert _rendered(got, len(values)) == [at({var: v}) for v in values]
 
@@ -852,7 +860,7 @@ def test_truths_at_reads_x_against_an_int_over_any_values():
         for c in (0, 3, 7, 20):
             phi = atom(Num(c) if c else Zero())
             at = truth_at(phi, OracleEnv())
-            assert _rendered(truths_at(phi, 0, values), len(values)) == \
+            assert _rendered(_truths_at(phi, 0, values), len(values)) == \
                 [at({0: v}) for v in values]
 
 
@@ -995,7 +1003,7 @@ def test_truths_at_over_lane_nodes_equals_truth_at_per_value(
                      Num(other + 1))
     env = _lane_env()
     at = truth_at(phi, env, budget)
-    assert _rendered(truths_at(phi, var, values, budget, env),
+    assert _rendered(_truths_at(phi, var, values, budget, env),
                      len(values)) == [at({var: v}) for v in values]
 
 
@@ -1013,7 +1021,7 @@ def test_a_vacuous_quantifier_over_a_lane_node_is_one_lane_node():
     for nodes in (1, 5, 12, 40):
         budget = Budget(node_budget=nodes)
         at = truth_at(phi, env, budget)
-        assert _rendered(truths_at(phi, 0, values, budget), 12) == \
+        assert _rendered(_truths_at(phi, 0, values, budget), 12) == \
             [at({0: v}) for v in values]
 
 
@@ -1229,10 +1237,10 @@ def test_batched_quantifier_accounting_is_pinned(reports, digest):
     assert _accounting_digest(reports()) == digest
 
 
-def _counting_env(calls: Counter):
-    """_lane_env, with len and every oracle atom counting their calls
-    into calls, by name and arguments."""
-    env = _lane_env()
+def _counting_env(calls: Counter, env=None):
+    """env (_lane_env unless given), with its functions and oracle atoms
+    counting their calls into calls, by name and arguments."""
+    env = env or _lane_env()
 
     def count(name, fn):
         def run(*args):
@@ -1269,28 +1277,142 @@ def test_a_bulk_sweep_calls_the_oracles_the_loop_calls(seed, ctor, bound,
 
 
 def test_a_never_true_sweep_calls_its_oracles_in_bulk(monkeypatch):
-    # ∃x′′(Formula(x′′) ∧ ¬(len(x′′) = len(x′′))) never stops: it runs
-    # past the loop's first values in bulk, one block of values at a
-    # time, and calls Formula and len as the loop does, at every value
+    # ∃x′′(Formula(x′′) ∧ ¬(len(x′′) = len(x′′))) never stops: all its
+    # values are read in bulk, in one read, which calls Formula and len
+    # as the loop does, at every value
     phi = Exists(w, And(OracleAtom("Formula", (w,)),
                         Not(Eq(OracleFun("len", (w,)),
                                OracleFun("len", (w,))))))
-    blocks = []
-    read = _Batch.blocks
+    reads = []
+    sweep = Evaluator._sweep
 
-    def counted(batch, *args):
-        for block in read(batch, *args):
-            blocks.append(block)
-            yield block
-    monkeypatch.setattr(_Batch, "blocks", counted)
+    def counted(ev, phi, v, asg, values, *args):
+        reads.append(len(values))
+        return sweep(ev, phi, v, asg, values, *args)
+    monkeypatch.setattr(Evaluator, "_sweep", counted)
     calls = Counter()
     env = _counting_env(calls)
     env.atom_supports.pop("Formula")
     budget = Budget(witness_bound=1000)
     report = evaluate_full(phi, env, budget)
     # UNKNOWN: a sweep to the witness bound leaves the values past it open
-    assert report.truth is U and len(blocks) == 10  # 873 values past 128
+    assert report.truth is U and reads == [1001]
     assert calls == Counter({**{("Formula", (a,)): 1 for a in range(1001)},
                              **{("len", (a,)): 2 for a in range(0, 1001, 2)}})
     monkeypatch.setattr(semantics, "_SWEPT", 10**9)
     assert evaluate_full(phi, env, budget) == report
+
+
+def test_the_bulk_cap_is_one_rule_for_every_body():
+    # a sweep body is read in bulk, with or without oracles, where it has
+    # only formula nodes and no quantifier, never takes the stop truth,
+    # holds no oracle atom twice and no oracle function term without the
+    # swept variable x′′; the cap is its formula node count
+    formula, length = OracleAtom("Formula", (w,)), OracleFun("len", (w,))
+    never = Not(Eq(length, length))  # never TRUE
+    assert _bulk_cap(And(formula, never), T, 2) == 4
+    assert _bulk_cap(Not(Eq(w, w)), T, 2) == 2
+    assert _bulk_cap(Lt(Add(w, x), Add(w, x)), T, 2) == 1
+    assert _bulk_cap(Eq(w, w), F, 2) == 1
+    for body, stop in [
+            # may take the stop truth
+            (Eq(w, x), T), (Lt(w, w), F), (Or(formula, never), T),
+            # holds a quantifier
+            (And(Lt(w, w), Exists(y, Eq(y, w))), T),
+            (And(never, Exists(y, Eq(y, length))), T),
+            # an oracle atom twice
+            (And(formula, And(formula, never)), T),
+            # an oracle function term closed, or without x′′
+            *((And(formula, Not(Eq(term, term))), T)
+              for term in (OracleFun("len", (Num(3),)),
+                           OracleFun("len", (x,))))]:
+        assert _bulk_cap(body, stop, 2) is None, render(body)
+
+
+def _undecided_env(undecided=lambda a: a % 7 == 3):
+    """_lane_env, with len undecided at each argument undecided holds at."""
+    env = _lane_env()
+    length = env.funs["len"]
+
+    def partial(a):
+        if undecided(a):
+            raise OracleUndecided("undecided")
+        return length(a)
+    env.funs["len"] = partial
+    return env
+
+
+def test_a_term_over_a_failed_term_fails_where_it_does():
+    # len(x) fails at 3, 10, ..., and with it len(x)+1 and the atom over
+    # it, which is UNKNOWN there and not FALSE
+    env, budget = _undecided_env(), Budget(witness_bound=20)
+    phi = Eq(Add(OracleFun("len", (x,)), One()), Num(5))
+    swept = _scalar_sweep(phi, 0, {}, env, budget)
+    assert swept[3] is swept[10] is U and swept[6] is T
+    assert _rendered(_swept(phi, 0, {}, env, budget), 21) == swept
+    assert defines(phi, env, budget).undecided == 3
+
+
+def test_an_oracle_function_of_a_failed_term_is_not_called():
+    # len(len(x)+1) fails where len(x) does, with no call of len on the
+    # failure
+    env, budget = _undecided_env(), Budget(witness_bound=20)
+    phi = Eq(OracleFun("len", (Add(OracleFun("len", (x,)), One()),)), x)
+    assert defines(phi, env, budget) == _reference_defines(phi, env, budget)
+
+
+def test_a_bulk_sweep_is_unknown_where_a_term_fails():
+    # len is undecided only past the loop's first values, at 500 and up:
+    # ∀x′′(x′′<1000 → len(x′′)+1 = len(x′′)+1) is UNKNOWN, read in bulk
+    # as by the loop
+    env = _undecided_env(lambda a: a >= 500 and a % 7 == 3)
+    term = Add(OracleFun("len", (w,)), One())
+    phi = Forall(w, Implies(Lt(w, Num(1000)), Eq(term, term)))
+    report = evaluate_full(phi, env)
+    assert report.truth is U
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "_SWEPT", 10**9)  # every value in the loop
+        assert evaluate_full(phi, env) == report
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), _VALUES, _VALUE_LISTS,
+       _LANE_BUDGETS, st.sampled_from([Exists, Forall]),
+       st.sampled_from([200, 300]),
+       st.one_of(st.integers(0, 3000), st.just(40_000)))
+def test_bulk_reads_of_undecided_terms_equal_the_loop(
+        seed, var, other, values, budget, ctor, bound, nodes):
+    # len undecided at some arguments fails inside bulk maps and under
+    # the terms over it: the shared sweep and the unshared batch read
+    # give the loop's truths, and a long quantifier sweep the loop's
+    # report and oracle calls, whether read in bulk or not
+    rng = random.Random(seed)
+    draw = _lane_formula if seed % 2 else _sweep_formula
+    phi, env = draw(rng, 4), _undecided_env()
+    asg = {1 - var: other}
+    assert _rendered(_swept(phi, var, asg, env, budget),
+                     budget.witness_bound + 1) == \
+        _scalar_sweep(phi, var, asg, env, budget), render(phi)
+    phi = substitute(phi, 1 - var, Num(other + 1))
+    at = truth_at(phi, env, budget)
+    assert _rendered(_truths_at(phi, var, values, budget, env),
+                     len(values)) == [at({var: v}) for v in values]
+    # a body that cannot stop, so that the sweep runs every value, with
+    # len of x′′ in it, so that no tail settles it
+    v = rng.choice([2, 3])
+    body = draw(rng, 3, (v,))
+    term = Add(OracleFun("len", (Add(Var(v), _lane_term(rng, 1, (v,))),)),
+               _lane_term(rng, 1, (v,)))
+    body = And(body, Not(Eq(term, term))) if ctor is Exists \
+        else Or(body, Eq(term, term))
+    phi = ctor(Var(v), body)
+    asg = {0: rng.randrange(12), 1: rng.randrange(12)}
+    budget = Budget(witness_bound=bound, node_budget=nodes)
+    got, looped = Counter(), Counter()
+    report = evaluate_full(phi, _counting_env(got, _undecided_env()), budget,
+                           assignment=asg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "_SWEPT", 10**9)  # every value in the loop
+        loop = evaluate_full(phi, _counting_env(looped, _undecided_env()),
+                             budget, assignment=asg)
+    assert (report, got) == (loop, looped), render(phi)
