@@ -7,6 +7,7 @@ true sentence is 0=0 and the first false one is 0=1.  Node-count
 ceilings restate the documented search contract, not tuned numbers.
 """
 
+import hashlib
 import random
 import time
 from pathlib import Path
@@ -407,6 +408,65 @@ def test_search_is_deterministic():
     b = search_report(NOT_DELTA, T, 1000)
     assert serialize_proof(a.outcome) == serialize_proof(b.outcome)
     assert a.nodes_used == b.nodes_used
+
+
+_ATOMS = ("0<1", "0=0", "0=1", "1<0", "1=1+(0)", "1+(1)<1+(1+(1))")
+
+
+def _random_goal(rng: random.Random, depth: int):
+    """A closed propositional goal over _ATOMS, drawn as the proof-search
+    benchmark corpus draws its goals."""
+    if depth == 0 or rng.random() < 0.25:
+        return parse_formula(rng.choice(_ATOMS))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Not(_random_goal(rng, depth - 1))
+    ctor = (And, Or, Implies, Iff)[kind - 1]
+    return ctor(_random_goal(rng, depth - 1), _random_goal(rng, depth - 1))
+
+
+def _pin(goal, budget: int) -> tuple:
+    """(outcome kind, nodes used, proof digest or the reason not found)."""
+    report = search_report(goal, standard_theory(), budget)
+    if isinstance(report.outcome, NotFound):
+        return ("not-found", report.nodes_used, report.outcome.reason)
+    digest = hashlib.sha256(serialize_proof(report.outcome).encode())
+    return ("proved", report.nodes_used, digest.hexdigest()[:16])
+
+
+def test_search_outcomes_are_pinned():
+    # every fact is added in a fixed order, so the node counts and the
+    # proofs themselves are part of the search's contract
+    rng = random.Random(2009)
+    goals = [(_random_goal(rng, rng.randrange(1, 4)), 5_000)
+             for _ in range(20)]
+    goals += [(successor_bound_proof(k).conclusion, 5_000) for k in range(4)]
+    goals.append((DELTA, 100_000))
+    spent, exhausted = "node budget spent", "frontier exhausted"
+    assert [_pin(goal, budget) for goal, budget in goals] == [
+        ("not-found", 5000, spent),
+        ("proved", 10, "35e62d04a17000a0"),
+        ("not-found", 345, exhausted),
+        ("not-found", 472, exhausted),
+        ("not-found", 1261, exhausted),
+        ("not-found", 1262, exhausted),
+        ("proved", 10, "35e62d04a17000a0"),
+        ("not-found", 1270, exhausted),
+        ("not-found", 5000, spent),
+        ("proved", 595, "76ac33d2254096b8"),
+        ("proved", 358, "a2e59b8a4a0bf9e0"),
+        ("proved", 304, "ab7cc0456164a4fc"),
+        ("not-found", 5000, spent),
+        ("not-found", 5000, spent),
+        ("proved", 559, "a7b827821337e1d5"),
+        ("not-found", 345, exhausted),
+        ("proved", 429, "a2957438adddd525"),
+        ("proved", 1060, "d8fa101cc0dad2ba"),
+        ("not-found", 345, exhausted),
+        ("not-found", 3558, exhausted),
+        *[("not-found", 5000, spent)] * 4,
+        ("not-found", 507, exhausted),
+    ]
 
 
 def _closes(f: Forall) -> bool:
