@@ -54,6 +54,13 @@ COMMANDS = [
     ["goedel"],
     ["selftest"],
     ["tb", "--psi", "x=x"],
+    # bounded proof search: a proof, an exhausted frontier, an axiom, a
+    # spent budget, and a goal deeper than any pool template
+    ["prove", "--goal", "¬(¬(0=0))"],
+    ["prove", "--goal", "0<1"],
+    ["prove", "--goal", "∀x(¬(x<0))"],
+    ["prove", "--goal", "Tr(0)", "--budget", "100"],
+    ["prove", "--goal", "¬(" * 300 + "0=0" + ")" * 300, "--budget", "20000"],
 ]
 
 
@@ -94,8 +101,10 @@ def main() -> int:
             differ += not same
             detail = "" if same or parent[0] == change[0] \
                 else f" (exit {parent[0]} -> {change[0]})"
-            print(f"{'same' if same else 'differs'}{detail}: "
-                  f"{' '.join(argv)}")
+            label = " ".join(argv)
+            if len(label) > 100:
+                label = label[:97] + "..."
+            print(f"{'same' if same else 'differs'}{detail}: {label}")
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands the same")
     return 1 if differ else 0
 

@@ -192,8 +192,8 @@ def standard_theory() -> TheoryHandle:
 # -- logical axiom schemes -------------------------------------------------------------
 # Each data-free scheme is one builder from metavariables to its instance.
 # The checker matches a claimed instance against the builder's pattern and
-# the bounded search calls the builders to make instances; in ex_elim and
-# gen_vac the bound variable v must also not be free in c.
+# the bounded search builds instances by the pattern's compiled steps
+# (``_STEPS``); in ex_elim and gen_vac v must also not be free in c.
 
 
 _SCHEMES: dict[str, Callable[..., Formula]] = {
@@ -647,6 +647,31 @@ def _sort_key(node):
     return (node.length, render(node, compact=True))
 
 
+_CONNECTIVES = (Not, And, Or, Implies, Iff)
+
+
+def _compile(name: str) -> Optional[tuple]:
+    """The postorder steps that build scheme name's instance in a search's
+    id table: an int pushes that builder argument's id, a connective class
+    joins the ids on top.  None for a scheme with any other node."""
+    params = list(inspect.signature(_SCHEMES[name]).parameters)
+    steps: list = []
+    for node in reversed(list(preorder(
+            _PATTERNS[name], lambda n: n._parts()
+            if type(n) in _CONNECTIVES else ()))):
+        if isinstance(node, _Meta):
+            steps.append(params.index(node))
+        elif type(node) in _CONNECTIVES:
+            steps.append(type(node))
+        else:
+            return None
+    return tuple(steps)
+
+
+_STEPS = {name: steps for name in _SCHEMES
+          if (steps := _compile(name)) is not None}
+
+
 class _Searcher:
     """Forward saturation over schema instances drawn from the goal.
 
@@ -657,13 +682,20 @@ class _Searcher:
     once the expansion wave has opened, and generalizes toward subgoals
     of the target.  Pool membership is capped by token length so giant
     quoted numerals never enter a template.
+
+    Inside one search a formula is an int id, its row in a search-scoped
+    table (a connective over child ids, or a node for any other formula),
+    so equal formulas are equal ints and nodes are built only for the
+    steps of a returned proof.
     """
 
     def __init__(self, goal: Formula, theory: TheoryHandle,
                  node_budget: int):
-        self.goal = goal
         self.theory = theory
         self.node_budget = node_budget
+        self.rows: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.goal = self._intern(goal)
         # every distinct subtree of the goal, equal subtrees once
         nodes: dict = {}
 
@@ -684,13 +716,14 @@ class _Searcher:
         # the cap is on tree size (each occurrence of a shared subtree,
         # no quantifier's variable), not tokens, so quoted codes pass
         cap = 4 * _POOL_FORMULA_LEN
-        self.closures: dict[Formula, list[Forall]] = {}
+        self.closures: dict[int, list[int]] = {}
         for f in sorted((f for f in subformulas if isinstance(f, Forall)
                          and f.var.index in f.body.fv
                          and sum(1 for _ in itertools.islice(
                              preorder(f), cap + 1)) <= cap),
                         key=lambda f: f.var.index):
-            self.closures.setdefault(f.body, []).append(f)
+            self.closures.setdefault(self._intern(f.body), []).append(
+                self._intern(f))
 
         pool: dict[Formula, None] = {}
         for f in subformulas:
@@ -700,7 +733,7 @@ class _Searcher:
             neg = Not(f)
             if neg.length <= _POOL_FORMULA_LEN:
                 pool.setdefault(neg, None)
-        self.pool = sorted(pool, key=_sort_key)
+        self.pool = [self._intern(f) for f in sorted(pool, key=_sort_key)]
 
         terms: dict[Term, None] = {}
         for t in subterms:
@@ -714,15 +747,57 @@ class _Searcher:
         for f in subformulas:
             if isinstance(f, Exists) and f.length <= _POOL_FORMULA_LEN:
                 exists_targets.setdefault(f, None)
-        self.exists_targets = sorted(exists_targets, key=_sort_key)
+        self.exists_targets = [(e, self._intern(e)) for e in
+                               sorted(exists_targets, key=_sort_key)]
 
-        self.facts: dict[Formula, tuple] = {}
-        self.by_antecedent: dict[Formula, list[Implies]] = {}
-        self.queue: deque[Formula] = deque()
+        self.facts: dict[int, tuple] = {}
+        self.by_antecedent: dict[int, list[int]] = {}
+        self.queue: deque[int] = deque()
         self.count = 0
         self.expand_universals = False
 
-    def _add(self, f: Formula, provenance: tuple) -> None:
+    def _id(self, row: tuple) -> int:
+        i = self.ids.get(row)
+        if i is None:
+            i = self.ids[row] = len(self.rows)
+            self.rows.append(row)
+        return i
+
+    def _intern(self, node: Formula) -> int:
+        """The id of a formula, its connectives walked on a stack."""
+        done: list[int] = []
+        work: list = [node]
+        while work:
+            item = work.pop()
+            if type(item) is type:  # a connective whose children are done
+                right = done.pop()
+                done.append(self._id((Not, right) if item is Not
+                                     else (item, done.pop(), right)))
+            elif type(item) in _CONNECTIVES:
+                work.append(type(item))
+                work.extend(reversed(item._parts()))
+            else:
+                done.append(self._id((type(item), item)))
+        return done[0]
+
+    def _node(self, f: int, built: dict[int, Formula]) -> Formula:
+        """The syntax node of an id, built on a stack over built."""
+        work = [f]
+        while work:
+            i = work[-1]
+            row = self.rows[i]
+            if type(row[1]) is not int:
+                built[i] = row[1]
+            else:
+                kids = [k for k in row[1:] if k not in built]
+                if kids:
+                    work.extend(kids)
+                    continue
+                built[i] = row[0](*[built[k] for k in row[1:]])
+            work.pop()
+        return built[f]
+
+    def _add(self, f: int, provenance: tuple) -> None:
         if f in self.facts:
             return
         if self.count >= self.node_budget:
@@ -734,26 +809,30 @@ class _Searcher:
             raise _Found
 
     def _drain(self) -> None:
+        rows = self.rows
         while self.queue:
             f = self.queue.popleft()
-            if isinstance(f, Implies):
-                self.by_antecedent.setdefault(f.left, []).append(f)
-                if f.left in self.facts:
-                    self._add(f.right, ("mp", f, f.left))
+            row = rows[f]
+            kind, a = row[0], row[1]
+            if kind is Implies:
+                self.by_antecedent.setdefault(a, []).append(f)
+                if a in self.facts:
+                    self._add(row[2], ("mp", f, a))
             for imp in self.by_antecedent.get(f, ()):
-                self._add(imp.right, ("mp", imp, f))
-            if isinstance(f, Iff):
-                self._add_schemes(("iff_left", "iff_right"), f.left, f.right)
-            elif isinstance(f, And):
-                self._add_schemes(("and_left", "and_right"), f.left, f.right)
-            elif isinstance(f, Not) and isinstance(f.body, Not):
-                self._add_schemes(("dn_elim",), f.body.body)
-            elif isinstance(f, Forall) and self.expand_universals:
+                self._add(rows[imp][2], ("mp", imp, f))
+            if kind is Iff:
+                self._add_schemes(("iff_left", "iff_right"), a, row[2])
+            elif kind is And:
+                self._add_schemes(("and_left", "and_right"), a, row[2])
+            elif kind is Not and rows[a][0] is Not:
+                self._add_schemes(("dn_elim",), rows[a][1])
+            elif kind is Forall and self.expand_universals:
                 for t in self.terms:
-                    self._add(Implies(f, substitute(f.body, f.var.index, t)),
+                    instance = self._intern(substitute(a.body, a.var.index, t))
+                    self._add(self._id((Implies, f, instance)),
                               ("logic", "inst", (t,)))
             for target in self.closures.get(f, ()):
-                self._add(target, ("gen", f, target.var.index))
+                self._add(target, ("gen", f, rows[target][1].var.index))
 
     def run(self) -> SearchReport:
         try:
@@ -769,21 +848,22 @@ class _Searcher:
 
     def _waves(self) -> None:
         for aid, phi in self.theory.axioms:
-            self._add(phi, ("axiom", aid))
+            self._add(self._intern(phi), ("axiom", aid))
             self._drain()
         for t in self.terms:
-            self._add_schemes(("refl",), t)
+            self._add(self._intern(_SCHEMES["refl"](t)), ("logic", "refl", ()))
             self._drain()
         for f in self.pool:
             self._add_schemes(("dn_intro", "dn_elim"), f)
             self._drain()
-        for e in self.exists_targets:
+        for e, e_id in self.exists_targets:
             for t in self.terms:
-                premise = substitute(e.body, e.var.index, t)
-                self._add(Implies(premise, e), ("logic", "ex_intro", (t,)))
+                premise = self._intern(substitute(e.body, e.var.index, t))
+                self._add(self._id((Implies, premise, e_id)),
+                          ("logic", "ex_intro", (t,)))
                 self._drain()
         self.expand_universals = True
-        for f in [g for g in self.facts if isinstance(g, Forall)]:
+        for f in [g for g in self.facts if self.rows[g][0] is Forall]:
             self.queue.append(f)
         self._drain()
         for a, b in itertools.product(self.pool, repeat=2):
@@ -795,31 +875,47 @@ class _Searcher:
             self._add_schemes(("s", "or_elim"), a, b, c)
             self._drain()
 
-    def _add_schemes(self, names: tuple[str, ...], *args) -> None:
+    def _add_schemes(self, names: tuple[str, ...], *args: int) -> None:
         for name in names:
-            self._add(_SCHEMES[name](*args), ("logic", name, ()))
+            stack: list[int] = []
+            for step in _STEPS[name]:
+                if type(step) is int:
+                    stack.append(args[step])
+                else:
+                    right = stack.pop()
+                    stack.append(self._id((Not, right) if step is Not
+                                          else (step, stack.pop(), right)))
+            self._add(stack[0], ("logic", name, ()))
 
     def _reconstruct(self) -> ProofObject:
+        # the steps in the order of a depth-first walk of the provenance,
+        # each after the steps it cites
         steps: list[ProofStep] = []
-        indices: dict[Formula, int] = {}
-
-        def emit(f: Formula) -> int:
+        indices: dict[int, int] = {}
+        built: dict[int, Formula] = {}
+        work = [self.goal]
+        while work:
+            f = work[-1]
             if f in indices:
-                return indices[f]
+                work.pop()
+                continue
             prov = self.facts[f]
+            cited = {"mp": prov[1:3], "gen": prov[1:2]}.get(prov[0], ())
+            pending = [g for g in cited if g not in indices]
+            if pending:
+                work.extend(reversed(pending))
+                continue
+            work.pop()
             if prov[0] == "axiom":
                 just: Justification = Axiom(prov[1])
             elif prov[0] == "logic":
                 just = LogicalAxiom(prov[1], prov[2])
             elif prov[0] == "mp":
-                just = ModusPonens(emit(prov[1]), emit(prov[2]))
+                just = ModusPonens(indices[prov[1]], indices[prov[2]])
             else:
-                just = Generalization(emit(prov[1]), prov[2])
-            steps.append(ProofStep(f, just))
+                just = Generalization(indices[prov[1]], prov[2])
+            steps.append(ProofStep(self._node(f, built), just))
             indices[f] = len(steps) - 1
-            return indices[f]
-
-        emit(self.goal)
         proof = ProofObject(tuple(steps))
         report = check_proof_report(proof, self.theory)
         if not report.ok:

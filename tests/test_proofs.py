@@ -472,7 +472,8 @@ def test_search_outcomes_are_pinned():
 def _closes(f: Forall) -> bool:
     """Whether a search for f may generalize its body back to f."""
     searcher = _Searcher(f, standard_theory(), 1000)
-    return f in searcher.closures.get(f.body, [])
+    return searcher._intern(f) in searcher.closures.get(
+        searcher._intern(f.body), [])
 
 
 def test_generalization_targets_are_capped_by_tree_size_not_tokens():

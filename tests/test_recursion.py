@@ -33,9 +33,6 @@ ALLOWED = {
     "enumeration.count_formulas": "the token length",
     "acceptance._random_term": "its depth argument",
     "acceptance._random_formula": "its depth argument",
-    # at most 3 deep over the 20 propositional corpus goals at a budget
-    # of 100,000 nodes
-    "proofs._Searcher._reconstruct.emit": "the provenance depth",
 }
 
 
