@@ -442,6 +442,8 @@ def test_search_outcomes_are_pinned():
              for _ in range(20)]
     goals += [(successor_bound_proof(k).conclusion, 5_000) for k in range(4)]
     goals.append((DELTA, 100_000))
+    rho = rosser_sentence(standard_theory()).rho
+    goals += [(rho, 10_000), (Not(rho), 10_000)]
     spent, exhausted = "node budget spent", "frontier exhausted"
     assert [_pin(goal, budget) for goal, budget in goals] == [
         ("not-found", 5000, spent),
@@ -466,6 +468,7 @@ def test_search_outcomes_are_pinned():
         ("not-found", 3558, exhausted),
         *[("not-found", 5000, spent)] * 4,
         ("not-found", 507, exhausted),
+        *[("not-found", 10_000, spent)] * 2,
     ]
 
 
