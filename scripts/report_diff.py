@@ -61,6 +61,10 @@ COMMANDS = [
     ["prove", "--goal", "∀x(¬(x<0))"],
     ["prove", "--goal", "Tr(0)", "--budget", "100"],
     ["prove", "--goal", "¬(" * 300 + "0=0" + ")" * 300, "--budget", "20000"],
+    # a proof through an ex_intro premise, and a universal goal whose
+    # budget goes on instances of the axioms' universals
+    ["prove", "--goal", "∃x(x=0)"],
+    ["prove", "--goal", "∀x(x<1+(1)→(x<1∨(x=1)))", "--budget", "2000"],
 ]
 
 

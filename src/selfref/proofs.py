@@ -192,8 +192,9 @@ def standard_theory() -> TheoryHandle:
 # -- logical axiom schemes -------------------------------------------------------------
 # Each data-free scheme is one builder from metavariables to its instance.
 # The checker matches a claimed instance against the builder's pattern and
-# the bounded search builds instances by the pattern's compiled steps
-# (``_STEPS``); in ex_elim and gen_vac v must also not be free in c.
+# the bounded search builds instances by group programs compiled from the
+# patterns (``_program``); in ex_elim and gen_vac v must also not be free
+# in c.
 
 
 _SCHEMES: dict[str, Callable[..., Formula]] = {
@@ -650,26 +651,48 @@ def _sort_key(node):
 _CONNECTIVES = (Not, And, Or, Implies, Iff)
 
 
-def _compile(name: str) -> Optional[tuple]:
-    """The postorder steps that build scheme name's instance in a search's
-    id table: an int pushes that builder argument's id, a connective class
-    joins the ids on top.  None for a scheme with any other node."""
-    params = list(inspect.signature(_SCHEMES[name]).parameters)
-    steps: list = []
-    for node in reversed(list(preorder(
-            _PATTERNS[name], lambda n: n._parts()
-            if type(n) in _CONNECTIVES else ()))):
-        if isinstance(node, _Meta):
-            steps.append(params.index(node))
-        elif type(node) in _CONNECTIVES:
-            steps.append(type(node))
-        else:
-            return None
-    return tuple(steps)
+def _program(*names: str) -> tuple:
+    """One postorder program that builds the instances of the schemes
+    names over shared arguments, which fill the first slots: each row
+    (connective, slot, slot) joins two earlier slots into the next one
+    (a Not row's second slot is None), each distinct subpattern once.
+    Returns the rows and, in the order of names, (name, instance slot)."""
+    rows: dict[tuple, int] = {}
+    roots = []
+    for name in names:
+        params = list(inspect.signature(_SCHEMES[name]).parameters)
+        slots: list = []
+        for node in reversed(list(preorder(_PATTERNS[name], lambda n: ()
+                                           if isinstance(n, _Meta)
+                                           else n._parts()))):
+            if isinstance(node, _Meta):
+                slots.append(params.index(node))
+                continue
+            right = slots.pop()
+            row = ((Not, right, None) if type(node) is Not
+                   else (type(node), slots.pop(), right))
+            slots.append(rows.setdefault(row, len(params) + len(rows)))
+        roots.append((name, slots[0]))
+    return tuple(rows), tuple(roots)
 
 
-_STEPS = {name: steps for name in _SCHEMES
-          if (steps := _compile(name)) is not None}
+# the scheme groups the search instantiates together, in the order the
+# instances are added
+_PAIR = _program("k", "contrapose2", "contr", "absurd", "and_intro",
+                 "or_left", "or_right", "iff_intro")
+_TRIPLE = _program("s", "or_elim")
+_IFF_ELIM = _program("iff_left", "iff_right")
+_AND_ELIM = _program("and_left", "and_right")
+_DN_ELIM = _program("dn_elim")
+_DN = _program("dn_intro", "dn_elim")
+
+
+@lru_cache(maxsize=1024)
+def _instance(body: Formula, index: int, term: Term) -> Formula:
+    """substitute, memoized: universal and existential instances recur
+    across searches (the theory's axioms at the same terms).  It holds
+    syntax nodes, never a search's ids."""
+    return substitute(body, index, term)
 
 
 class _Searcher:
@@ -686,7 +709,10 @@ class _Searcher:
     Inside one search a formula is an int id, its row in a search-scoped
     table (a connective over child ids, or a node for any other formula),
     so equal formulas are equal ints and nodes are built only for the
-    steps of a returned proof.
+    steps of a returned proof.  The schemes seeded together run as one
+    group program, so a subpattern they share is one row lookup, and
+    universal and existential instances come from a memo of substitute
+    shared by all searches; the ids themselves never outlive a search.
     """
 
     def __init__(self, goal: Formula, theory: TheoryHandle,
@@ -821,14 +847,14 @@ class _Searcher:
             for imp in self.by_antecedent.get(f, ()):
                 self._add(rows[imp][2], ("mp", imp, f))
             if kind is Iff:
-                self._add_schemes(("iff_left", "iff_right"), a, row[2])
+                self._add_group(_IFF_ELIM, a, row[2])
             elif kind is And:
-                self._add_schemes(("and_left", "and_right"), a, row[2])
+                self._add_group(_AND_ELIM, a, row[2])
             elif kind is Not and rows[a][0] is Not:
-                self._add_schemes(("dn_elim",), rows[a][1])
+                self._add_group(_DN_ELIM, rows[a][1])
             elif kind is Forall and self.expand_universals:
                 for t in self.terms:
-                    instance = self._intern(substitute(a.body, a.var.index, t))
+                    instance = self._intern(_instance(a.body, a.var.index, t))
                     self._add(self._id((Implies, f, instance)),
                               ("logic", "inst", (t,)))
             for target in self.closures.get(f, ()):
@@ -854,11 +880,11 @@ class _Searcher:
             self._add(self._intern(_SCHEMES["refl"](t)), ("logic", "refl", ()))
             self._drain()
         for f in self.pool:
-            self._add_schemes(("dn_intro", "dn_elim"), f)
+            self._add_group(_DN, f)
             self._drain()
         for e, e_id in self.exists_targets:
             for t in self.terms:
-                premise = self._intern(substitute(e.body, e.var.index, t))
+                premise = self._intern(_instance(e.body, e.var.index, t))
                 self._add(self._id((Implies, premise, e_id)),
                           ("logic", "ex_intro", (t,)))
                 self._drain()
@@ -867,25 +893,20 @@ class _Searcher:
             self.queue.append(f)
         self._drain()
         for a, b in itertools.product(self.pool, repeat=2):
-            self._add_schemes(("k", "contrapose2", "contr", "absurd",
-                               "and_intro", "or_left", "or_right",
-                               "iff_intro"), a, b)
+            self._add_group(_PAIR, a, b)
             self._drain()
         for a, b, c in itertools.product(self.pool, repeat=3):
-            self._add_schemes(("s", "or_elim"), a, b, c)
+            self._add_group(_TRIPLE, a, b, c)
             self._drain()
 
-    def _add_schemes(self, names: tuple[str, ...], *args: int) -> None:
-        for name in names:
-            stack: list[int] = []
-            for step in _STEPS[name]:
-                if type(step) is int:
-                    stack.append(args[step])
-                else:
-                    right = stack.pop()
-                    stack.append(self._id((Not, right) if step is Not
-                                          else (step, stack.pop(), right)))
-            self._add(stack[0], ("logic", name, ()))
+    def _add_group(self, group: tuple, *args: int) -> None:
+        program, roots = group
+        slots = list(args)
+        for op, left, right in program:
+            slots.append(self._id((op, slots[left]) if right is None
+                                  else (op, slots[left], slots[right])))
+        for name, slot in roots:
+            self._add(slots[slot], ("logic", name, ()))
 
     def _reconstruct(self) -> ProofObject:
         # the steps in the order of a depth-first walk of the provenance,

@@ -8,6 +8,7 @@ ceilings restate the documented search contract, not tuned numbers.
 """
 
 import hashlib
+import inspect
 import random
 import time
 from pathlib import Path
@@ -19,8 +20,8 @@ from selfref.diagonal import diagonal_sentence, normalize_psi, taut_equiv
 from selfref.semantics import Budget, Truth, evaluate
 from selfref.syntax import (
     Add, And, Eq, Exists, Forall, Iff, Implies, Lt, Mul, Not, One, Or,
-    OracleAtom, OracleFun, Var, Zero, free_vars, length, numeral, render,
-    substitute,
+    OracleAtom, OracleFun, Var, Zero, free_vars, length, numeral, preorder,
+    render, substitute,
 )
 from selfref.parser import parse_formula
 from selfref.proofs import (
@@ -34,7 +35,8 @@ from selfref.proofs import (
     rosser_pr_formula, rosser_psi,
     rosser_sentence, search_report, serialize_proof,
     standard_theory, successor_bound_proof, tb_stream,
-    _POOL_FORMULA_LEN, _Searcher,
+    _AND_ELIM, _DN, _DN_ELIM, _IFF_ELIM, _PAIR, _PATTERNS, _POOL_FORMULA_LEN,
+    _SCHEMES, _Searcher, _TRIPLE, _instance,
 )
 
 X, X1, X2 = Var(0), Var(1), Var(2)
@@ -434,42 +436,84 @@ def _pin(goal, budget: int) -> tuple:
     return ("proved", report.nodes_used, digest.hexdigest()[:16])
 
 
-def test_search_outcomes_are_pinned():
-    # every fact is added in a fixed order, so the node counts and the
-    # proofs themselves are part of the search's contract
+def _pinned_goals() -> list:
+    """(goal, node budget) for the searches whose outcomes are pinned."""
     rng = random.Random(2009)
     goals = [(_random_goal(rng, rng.randrange(1, 4)), 5_000)
              for _ in range(20)]
     goals += [(successor_bound_proof(k).conclusion, 5_000) for k in range(4)]
     goals.append((DELTA, 100_000))
     rho = rosser_sentence(standard_theory()).rho
-    goals += [(rho, 10_000), (Not(rho), 10_000)]
-    spent, exhausted = "node budget spent", "frontier exhausted"
-    assert [_pin(goal, budget) for goal, budget in goals] == [
-        ("not-found", 5000, spent),
-        ("proved", 10, "35e62d04a17000a0"),
-        ("not-found", 345, exhausted),
-        ("not-found", 472, exhausted),
-        ("not-found", 1261, exhausted),
-        ("not-found", 1262, exhausted),
-        ("proved", 10, "35e62d04a17000a0"),
-        ("not-found", 1270, exhausted),
-        ("not-found", 5000, spent),
-        ("proved", 595, "76ac33d2254096b8"),
-        ("proved", 358, "a2e59b8a4a0bf9e0"),
-        ("proved", 304, "ab7cc0456164a4fc"),
-        ("not-found", 5000, spent),
-        ("not-found", 5000, spent),
-        ("proved", 559, "a7b827821337e1d5"),
-        ("not-found", 345, exhausted),
-        ("proved", 429, "a2957438adddd525"),
-        ("proved", 1060, "d8fa101cc0dad2ba"),
-        ("not-found", 345, exhausted),
-        ("not-found", 3558, exhausted),
-        *[("not-found", 5000, spent)] * 4,
-        ("not-found", 507, exhausted),
-        *[("not-found", 10_000, spent)] * 2,
-    ]
+    return goals + [(rho, 10_000), (Not(rho), 10_000)]
+
+
+_SPENT, _EXHAUSTED = "node budget spent", "frontier exhausted"
+_PINS = [
+    ("not-found", 5000, _SPENT),
+    ("proved", 10, "35e62d04a17000a0"),
+    ("not-found", 345, _EXHAUSTED),
+    ("not-found", 472, _EXHAUSTED),
+    ("not-found", 1261, _EXHAUSTED),
+    ("not-found", 1262, _EXHAUSTED),
+    ("proved", 10, "35e62d04a17000a0"),
+    ("not-found", 1270, _EXHAUSTED),
+    ("not-found", 5000, _SPENT),
+    ("proved", 595, "76ac33d2254096b8"),
+    ("proved", 358, "a2e59b8a4a0bf9e0"),
+    ("proved", 304, "ab7cc0456164a4fc"),
+    ("not-found", 5000, _SPENT),
+    ("not-found", 5000, _SPENT),
+    ("proved", 559, "a7b827821337e1d5"),
+    ("not-found", 345, _EXHAUSTED),
+    ("proved", 429, "a2957438adddd525"),
+    ("proved", 1060, "d8fa101cc0dad2ba"),
+    ("not-found", 345, _EXHAUSTED),
+    ("not-found", 3558, _EXHAUSTED),
+    *[("not-found", 5000, _SPENT)] * 4,
+    ("not-found", 507, _EXHAUSTED),
+    *[("not-found", 10_000, _SPENT)] * 2,
+]
+
+
+def test_search_outcomes_are_pinned():
+    # every fact is added in a fixed order, so the node counts and the
+    # proofs themselves are part of the search's contract
+    assert [_pin(goal, budget) for goal, budget in _pinned_goals()] == _PINS
+
+
+def test_search_outcomes_do_not_depend_on_process_history():
+    # the instance memo outlives each search: a cold memo and one warmed
+    # by the other searches, run in reverse order, give the same pins
+    _instance.cache_clear()
+    goals = _pinned_goals()
+    cold = [_pin(goal, budget) for goal, budget in goals]
+    assert _instance.cache_info().hits > 0
+    warm = [_pin(goal, budget) for goal, budget in reversed(goals)]
+    assert cold == warm[::-1] == _PINS
+
+
+@pytest.mark.parametrize("group", [_PAIR, _TRIPLE, _IFF_ELIM, _AND_ELIM,
+                                   _DN_ELIM, _DN],
+                         ids=["pair", "triple", "iff_elim", "and_elim",
+                              "dn_elim", "dn"])
+def test_group_programs_add_the_schemes_in_order(group):
+    names = [name for name, _ in group[1]]
+    rng = random.Random(len(names))
+    args = [_random_goal(rng, 2)
+            for _ in inspect.signature(_SCHEMES[names[0]]).parameters]
+    assert len(set(args)) == len(args)
+    searcher = _Searcher(DELTA, standard_theory(), 1000)
+    ids = [searcher._intern(arg) for arg in args]
+    lookups = []
+    searcher._id = lambda row: lookups.append(row) or _Searcher._id(
+        searcher, row)
+    searcher._add_group(group, *ids)
+    assert [(searcher._node(f, {}), prov)
+            for f, prov in searcher.facts.items()] == [
+        (_SCHEMES[name](*args), ("logic", name, ())) for name in names]
+    # one row lookup per distinct subpattern of the group's schemes
+    assert len(lookups) == len({node for name in names
+                                for node in preorder(_PATTERNS[name])})
 
 
 def _closes(f: Forall) -> bool:
