@@ -43,6 +43,10 @@ COMMANDS = [
       for command in ("berry", "tarski-experiment")),
     ["berry", "--micro-maxlen", "9", "--witness-bound", "2"],
     ["berry", "--micro-maxlen", "14"],
+    # the nothing-true report at micro length 14, whose α sweeps never
+    # stop, and a definability table whose formulas read an oracle atom
+    ["berry", "--upsilon", "¬(x=x)", "--micro-maxlen", "14"],
+    ["tarski-experiment", "--upsilon", "¬(Formula(x))"],
     ["berry", "--witness-bound", "3000"],
     ["dominate", "--x", "3"],
     ["dominate", "--x", "2", "--kotlarski"],

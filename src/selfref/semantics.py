@@ -38,14 +38,13 @@ for code generation", 1987) lazily, one node at its first visit, so a
 formula decided after a few nodes costs no more than a tree walk.  A
 sweep reads the whole value range at once, bottom-up (Boncz, Zukowski &
 Nes, CIDR 2005): each node's truths are a (TRUE, FALSE) pair of int
-bitmasks; an oracle atom is read in bulk at the values where compiled
-code over the whole formula reaches it, and a node not read in bulk,
-such as a quantifier, runs its compiled code there.  That mask pair is
-the sweep's result, which its readers read by bits.  A quantifier visit
-with a long range is read the same way, all its values in one read,
-where its body can never stop it and holds no quantifier, so that the
-read is exact in verdict, nodes and oracle calls alike; any other
-visit runs its values one by one.
+bitmasks; = and < over sums and products of numerals and variables, ¬
+and the binary connectives are read in bulk, and any other node, such
+as an oracle atom or a quantifier, runs its compiled code value by value
+at the values where compiled code over the whole formula reaches it.
+That mask pair is the sweep's result, which its readers read by bits.
+A quantifier visit is never read through a batch: its loop runs its
+values one by one.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ import enum
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Optional
@@ -620,10 +618,7 @@ class Evaluator:
         settles it, and the values below run; a vacuous body runs once.
         All of these are exact.  Otherwise the sweep to the witness bound
         is not.  One loop runs the values: a stop value decides, else the
-        verdict is start if the run is exact and no value was UNKNOWN.
-        A visit of more than _SWEPT values whose formula fits the depth
-        bound, which _bulk_cap admits and whose every value fits the nodes
-        left, is read by _sweep instead, all its values in bulk."""
+        verdict is start if the run is exact and no value was UNKNOWN."""
         ev, env, budget = self, self.env, self.budget
         limit, iter_cap = budget.node_budget, budget.iter_cap
         horizon = budget.witness_bound + 1  # values a full sweep runs
@@ -635,9 +630,6 @@ class Evaluator:
         vacuous = v not in phi.body.fv
         witness = self.witnesses.get(path) if exists else None
         walks = depth + phi.height <= DEPTH_CAP
-        # the greatest height of a formula compiled below this node that no
-        # depth check cuts (an atom's height is 2)
-        fits = min(budget.depth_bound + 2, DEPTH_CAP) - depth - 1
         guard = body = rest = None
         if witness is None and type(phi.body) is (And if exists else Implies) \
                 and type(phi.body.left) is Lt:
@@ -677,11 +669,6 @@ class Evaluator:
                             values = range(tail[0])
                 if values is None:  # a vacuous body has its verdict
                     values, exact = range(1 if vacuous else horizon), vacuous
-            if len(values) > _SWEPT:
-                sub = phi.body.right if code is rest else phi.body
-                cap = sub.height <= fits and _bulk_cap(sub, stop, v)
-                if cap and cap * len(values) <= limit - ev.nodes:
-                    return ev._sweep(sub, v, asg, values, stop, exact)
             inner = dict(asg)
             for w in values:
                 inner[v] = w
@@ -692,74 +679,6 @@ class Evaluator:
                     exact = False
             return start if exact else _U
         return run
-
-    def _sweep(self, phi: Formula, v: int, asg: dict, values: range,
-               stop: Truth, exact: bool) -> Truth:
-        """The quantifier loop over values for phi, which _bulk_cap admits
-        and whose every value fits the nodes left: one _Batch read of all
-        values, none of them stop, charged the loop's nodes."""
-        batch = _Batch(v, asg, values, self.env, self.budget, True)
-        true, false = batch.truths(phi, batch.full)
-        self.nodes += batch.cost(phi, batch.full)
-        starts = false if stop is _T else true
-        return ~stop if exact and starts == batch.full else _U
-
-
-# a quantifier visit with more values than this reads them, where it may,
-# in bulk
-_SWEPT = 128
-_KINDS = frozenset((Eq, Lt, OracleAtom, Not, *_CONNECTIVES))
-_ANY = frozenset((_T, _F, _U))
-
-
-@lru_cache(maxsize=256)
-def _bulk_cap(phi: Formula, stop: Truth, var: int) -> Optional[int]:
-    """The most nodes a value of a sweep of var over phi visits, where a
-    _Batch reads every value of it as compiled code runs them, in
-    verdicts, nodes and oracle calls alike; else None.  Every node must
-    be a formula node but no quantifier, so that no error leaf ends the
-    evaluation and no node runs as compiled code; phi must never take
-    the truth stop, so that the loop runs every value; and phi may hold
-    no oracle atom twice (the batch reads a node once a value) and no
-    oracle function term without var (the batch computes it once a
-    read, compiled code at each value, or once in all where closed)."""
-    formulas = list(preorder(phi, _subformulas))
-    atoms = [node for node in formulas if type(node) is OracleAtom]
-    if not all(type(node) in _KINDS for node in formulas) \
-            or stop in _takes(formulas) or len(set(atoms)) < len(atoms) \
-            or any(type(node) is OracleFun and var not in node.fv
-                   for node in preorder(phi)):
-        return None
-    return len(formulas)
-
-
-def _takes(formulas: list) -> frozenset:
-    """The truths the first of formulas, a formula's preorder, may take,
-    read off its shape alone: an identity t = t is never FALSE and t < t
-    never TRUE."""
-    takes: dict = {}
-    for phi in reversed(formulas):  # children first
-        kind = type(phi)
-        if (kind is Eq or kind is Lt) and phi.left == phi.right:
-            got = frozenset((_T if kind is Eq else _F, _U))
-        elif kind is Not:
-            got = frozenset(~t for t in takes[phi.body])
-        elif kind in _CONNECTIVES:
-            table, right = _CONNECTIVES[kind][2], takes[phi.right]
-            got = frozenset(table(a, b) for a in takes[phi.left]
-                            for b in right)
-        else:
-            got = _ANY
-        takes[phi] = got
-    return takes[formulas[0]]
-
-
-def _subformulas(phi) -> tuple:
-    """A formula node's formula children, for preorder."""
-    if type(phi) is Not:
-        return (phi.body,)
-    return (phi.left, phi.right) if type(phi) in _CONNECTIVES else ()
-
 
 def _oracle_reader(name: str, env: OracleEnv) -> Callable[..., Truth]:
     """Code giving the truth of oracle atom name at argument values."""
@@ -998,59 +917,19 @@ def _lanes(value):
     return repeat(value) if type(value) is int else value
 
 
-_FAILED = object()  # a term read in bulk where compiled code raises
-
-
-class _Holes(list):
-    """A term's values read in bulk, _FAILED at some of them."""
-
-    __slots__ = ()
-
-
-def _calls(fn, columns) -> list:
-    """list(map(fn, *columns)), but _FAILED at each call that leaves the
-    exact fragment, and then a _Holes."""
-    out, calls = [], map(fn, *columns)
-    while True:
-        try:
-            out.extend(calls)  # keeps the calls before a failure
-            return out
-        except _OFF_FRAGMENT:
-            out = out if type(out) is _Holes else _Holes(out)
-            out.append(_FAILED)
-
-
-def _guarded(fn):
-    """fn, giving _FAILED uncalled where an argument is _FAILED."""
-    return lambda *args: _FAILED if _FAILED in args else fn(*args)
-
-
-def _arith(op):
-    """op on two term values, as compiled code applies it."""
-    def run(a, b):
-        if type(a) is int and type(b) is int:
-            return op(a, b)
-        return _as_int_if_small(op(a, b))
-    return run
-
-
-_ARITH = {Add: _arith(operator.add), Mul: _arith(operator.mul)}
-
-
 class _Lane:
-    """A node read only at the values where compiled code over the whole
-    formula reaches it: an atom read in bulk there (code None), or a node
-    that its compiled code, with that code's evaluator, runs value by
-    value.  It keeps the values it ran as a mask, its (TRUE, FALSE) masks,
-    and for compiled code the nodes it visited at each value."""
+    """A node that its compiled code, with that code's evaluator, runs
+    value by value, only at the values where compiled code over the whole
+    formula reaches it.  It keeps the values it ran as a mask, its (TRUE,
+    FALSE) masks, and the nodes it visited at each value."""
 
-    __slots__ = ("phi", "code", "ran", "true", "false", "nodes")
+    __slots__ = ("code", "ran", "true", "false", "nodes")
 
-    def __init__(self, phi: Formula, code, n: int, limit: int):
-        self.phi, self.code = phi, code
+    def __init__(self, code, n: int, limit: int):
+        self.code = code
         self.ran = self.true = self.false = 0
         # limit + 1 until run: a value not run is cut or not counted
-        self.nodes = None if code is None else [limit + 1] * n
+        self.nodes = [limit + 1] * n
 
 
 class _Batch:
@@ -1060,18 +939,17 @@ class _Batch:
     < over the terms that term reads, ¬, the binary connectives and a
     vacuous quantifier, as its body (N is nonempty), are read in bulk,
     the swept variable against an int over range(0, n) as one bit or a
-    run of bits.  Any other node is a lane node, read only where compiled
-    code reaches it: an oracle atom or an atom over other terms, its
-    terms and oracles called in bulk there, each failure an UNKNOWN at
-    its value alone; and, run value by value by compiled code, a
-    quantifier over a variable free in its body, a vacuous quantifier over
-    a lane node (its tail may not settle it), and a root past the depth
-    bound, within which no node is cut by depth.  Values are range(0, n)
-    or a list.  Where shared, the node budget covers all values, else
-    each value gets it whole.  The memo keeps a node with no lane node
-    below as its pair, equal pairs as one tuple, and a lane node with
-    what it ran, once per batch; codes keeps lane code, and may be
-    shared by batches under one budget."""
+    run of bits.  Any other node is a lane node, which its compiled code
+    runs value by value where compiled code over the whole formula reaches
+    it: an oracle atom, an atom over other terms, a quantifier over a
+    variable free in its body, a vacuous quantifier over a lane node (its
+    tail may not settle it), and a root past the depth bound, within which
+    no node is cut by depth.  Values are range(0, n) or a list.  Where
+    shared, the node budget covers all values, else each value gets it
+    whole.  The memo keeps a node with no lane node below as its pair,
+    equal pairs as one tuple, and a lane node with what it ran, once per
+    batch; codes keeps lane code, and may be shared by batches under one
+    budget."""
 
     __slots__ = ("var", "asg", "values", "env", "budget", "shared", "codes",
                  "full", "memo", "masks", "lanes")
@@ -1127,7 +1005,7 @@ class _Batch:
         far."""
         if phi.height > min(self.budget.depth_bound + 2, DEPTH_CAP) \
                 and phi not in self.memo:  # an atom's height is 2
-            self.memo[phi] = self._lane(phi, True)
+            self.memo[phi] = self._lane(phi)
         return self.lanes
 
     def truths(self, phi: Formula, need: int) -> tuple[int, int]:
@@ -1175,33 +1053,26 @@ class _Batch:
             got = self.truths(phi.body, 0)
             got = got if self.lanes == lanes else None
         if got is None:  # a lane node
-            atom = kind is Eq or kind is Lt or kind is OracleAtom
-            got = self.memo[phi] = self._lane(phi, not atom)
+            got = self.memo[phi] = self._lane(phi)
             return self._run(got, need)
         if self.lanes == lanes:
             got = self.memo[phi] = self.masks.setdefault(got, got)
         return got
 
-    def _lane(self, phi: Formula, compiled: bool) -> _Lane:
-        """A lane node for phi, with its code from codes where compiled."""
-        code = self.codes.get(phi) if compiled else None
-        if compiled and code is None:
+    def _lane(self, phi: Formula) -> _Lane:
+        """A lane node for phi, with its code from codes."""
+        code = self.codes.get(phi)
+        if code is None:
             ev = Evaluator(self.env, self.budget)
             code = self.codes[phi] = ev, ev._compile(phi, (), 0)
-        return _Lane(phi, code, len(self.values), self.budget.node_budget)
+        return _Lane(code, len(self.values), self.budget.node_budget)
 
     def _run(self, lane: _Lane, need: int) -> tuple[int, int]:
-        """A lane node's masks, read at need: an atom's in bulk, compiled
-        code's value by value in order until its own nodes there exceed a
-        shared node budget, as the whole formula's then do."""
+        """A lane node's masks, read at need: its compiled code's, value
+        by value in order until its own nodes there exceed a shared node
+        budget, as the whole formula's then do."""
         self.lanes += 1
-        todo = need & ~lane.ran
-        if not todo:
-            return lane.true, lane.false
-        if lane.code is None:
-            true, false = self._atom_at(lane.phi, todo)
-            lane.ran, lane.true, lane.false = \
-                lane.ran | todo, lane.true | true, lane.false | false
+        if not need & ~lane.ran:
             return lane.true, lane.false
         (ev, code), asg, spent = lane.code, dict(self.asg), 0
         for i in _positions(need):
@@ -1221,58 +1092,6 @@ class _Batch:
                 break
         return lane.true, lane.false
 
-    def _atom_at(self, phi: Formula, todo: int) -> tuple[int, int]:
-        """An atom's (TRUE, FALSE) masks at the values of todo, its terms
-        and oracles called in bulk there."""
-        at = _positions(todo)
-        values = list(map(self.values.__getitem__, at))
-        if type(phi) is OracleAtom:
-            got = self._apply(_oracle_reader(phi.name, self.env), phi.args,
-                              values)
-            yes, no = _T, _F
-        else:
-            got = self._apply(operator.eq if type(phi) is Eq else operator.lt,
-                              (phi.left, phi.right), values)
-            yes, no = True, False
-        return (_scatter(at, map(operator.is_, got, repeat(yes))),
-                _scatter(at, map(operator.is_, got, repeat(no))))
-
-    def _apply(self, fn, terms, values) -> list:
-        """fn at each of values over the terms' values there, each term
-        read where those before it did not fail, as compiled code reads
-        them, and _FAILED where one did or fn leaves the exact fragment."""
-        columns, holes = [], False
-        for t in terms:
-            got = self._at(t, values)
-            if type(got) is _Holes:
-                holes = True
-                values = _Holes(_FAILED if g is _FAILED else v
-                                for g, v in zip(got, values))
-            elif type(got) is not list:
-                got = repeat(got, len(values))
-            columns.append(got)
-        if not holes:
-            return _calls(fn, columns)
-        return _Holes(_calls(_guarded(fn), columns))
-
-    def _at(self, t: Term, values):
-        """t with var at each of values: its value where var is not free
-        in it, else a list of values, a _Holes where one fails."""
-        if self.var not in t.fv:
-            try:
-                return eval_term(t, self.asg, self.env)
-            except _OFF_FRAGMENT:
-                return _Holes(repeat(_FAILED, len(values)))
-        kind = type(t)
-        if kind is Var:
-            return values
-        if kind is Add or kind is Mul:
-            return self._apply(_ARITH[kind], (t.left, t.right), values)
-        fn = self.env.funs.get(t.name)
-        if fn is None:
-            return _Holes(repeat(_FAILED, len(values)))
-        return self._apply(fn, t.args, values)
-
     def _against(self, kind, a, b) -> int:
         """x=c, c=x, x<c or c<x, with values range(0, n) and c an int: the
         bit at c, the bits below it, or those above it."""
@@ -1286,11 +1105,11 @@ class _Batch:
         """out, with one more for each node that compiled code over the
         whole formula visits below phi, off what truths(phi, need) read,
         at the values it visits it at: keyed by their mask for a node
-        visited once a value (an atom, or a vacuous quantifier over no
-        lane node, which its tail settles at once), by (lane, mask) for a
-        lane node's compiled code."""
+        visited once a value (an atom read in bulk, or a vacuous quantifier
+        over no lane node, which its tail settles at once), by (lane, mask)
+        for a lane node."""
         got, kind = self.memo.get(phi), type(phi)
-        if type(got) is _Lane and got.code is not None:
+        if type(got) is _Lane:
             out[got, need] = out.get((got, need), 0) + 1
             return out
         out[need] = out.get(need, 0) + 1
@@ -1302,12 +1121,6 @@ class _Batch:
             self.counts(phi.right, need & ~af if kind is And or kind is Implies
                         else need & ~at if kind is Or else need, out)
         return out
-
-    def cost(self, phi: Formula, need: int) -> int:
-        """Compiled code's nodes at the values of need, in all, for phi
-        with no compiled lane node."""
-        return sum(k * mask.bit_count()
-                   for mask, k in self.counts(phi, need, {}).items())
 
     def kept(self, phi: Formula, need: int) -> int:
         """The values of need at which compiled code's nodes stay within

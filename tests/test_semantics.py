@@ -18,7 +18,7 @@ from selfref.enumeration import unary_formulas
 from selfref.parser import parse_formula
 from selfref.semantics import (
     DEPTH_CAP, Budget, DefinesReport, Evaluator, OracleEnv, OracleUndecided,
-    Truth, _Batch, _bulk_cap, _compile_term, _eventual, _swept, defines,
+    Truth, _Batch, _compile_term, _eventual, _swept, defines,
     defines_all, evaluate, evaluate_full, eval_term, standard_oracle_env,
     t_and, t_iff, t_implies, t_or, truth_at,
 )
@@ -27,7 +27,7 @@ from selfref.syntax import (
     OracleAtom, OracleFun, Or, Var, Zero, free_vars, numeral, preorder,
     render, substitute,
 )
-from selfref import coding, semantics
+from selfref import coding
 
 T, F, U = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
 x, y, w = Var(0), Var(1), Var(2)
@@ -1252,81 +1252,21 @@ def _counting_env(calls: Counter, env=None):
                      atom_supports=dict(env.atom_supports))
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([Exists, Forall]),
-       st.sampled_from([200, 300]),
-       st.one_of(st.integers(0, 3000), st.just(40_000)))
-def test_a_bulk_sweep_calls_the_oracles_the_loop_calls(seed, ctor, bound,
-                                                       nodes):
-    # a bulk read past a stop value or past the node budget would call
-    # oracles the loop never calls, so a sweep calls oracles in bulk only
-    # where it cannot stop and cannot run out of nodes: every evaluation
-    # calls each oracle at each argument as often as the loop does
-    rng = random.Random(seed)
-    v = rng.choice([2, 3])
-    phi = ctor(Var(v), _sweep_formula(rng, 4, (v,)))
-    asg = {0: rng.randrange(12), 1: rng.randrange(12)}
-    budget = Budget(witness_bound=bound, node_budget=nodes)
-    got, looped = Counter(), Counter()
-    report = evaluate_full(phi, _counting_env(got), budget, assignment=asg)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(semantics, "_SWEPT", 10**9)  # every value in the loop
-        loop = evaluate_full(phi, _counting_env(looped), budget,
-                             assignment=asg)
-    assert (report, got) == (loop, looped), render(phi)
-
-
-def test_a_never_true_sweep_calls_its_oracles_in_bulk(monkeypatch):
-    # ∃x′′(Formula(x′′) ∧ ¬(len(x′′) = len(x′′))) never stops: all its
-    # values are read in bulk, in one read, which calls Formula and len
-    # as the loop does, at every value
+def test_a_never_true_sweep_calls_its_oracles_at_every_value():
+    # ∃x′′(Formula(x′′) ∧ ¬(len(x′′) = len(x′′))) never stops: the loop
+    # runs all its values and calls Formula at each, and len twice at
+    # each where Formula holds
     phi = Exists(w, And(OracleAtom("Formula", (w,)),
                         Not(Eq(OracleFun("len", (w,)),
                                OracleFun("len", (w,))))))
-    reads = []
-    sweep = Evaluator._sweep
-
-    def counted(ev, phi, v, asg, values, *args):
-        reads.append(len(values))
-        return sweep(ev, phi, v, asg, values, *args)
-    monkeypatch.setattr(Evaluator, "_sweep", counted)
     calls = Counter()
     env = _counting_env(calls)
     env.atom_supports.pop("Formula")
-    budget = Budget(witness_bound=1000)
-    report = evaluate_full(phi, env, budget)
+    report = evaluate_full(phi, env, Budget(witness_bound=1000))
     # UNKNOWN: a sweep to the witness bound leaves the values past it open
-    assert report.truth is U and reads == [1001]
+    assert report.truth is U
     assert calls == Counter({**{("Formula", (a,)): 1 for a in range(1001)},
                              **{("len", (a,)): 2 for a in range(0, 1001, 2)}})
-    monkeypatch.setattr(semantics, "_SWEPT", 10**9)
-    assert evaluate_full(phi, env, budget) == report
-
-
-def test_the_bulk_cap_is_one_rule_for_every_body():
-    # a sweep body is read in bulk, with or without oracles, where it has
-    # only formula nodes and no quantifier, never takes the stop truth,
-    # holds no oracle atom twice and no oracle function term without the
-    # swept variable x′′; the cap is its formula node count
-    formula, length = OracleAtom("Formula", (w,)), OracleFun("len", (w,))
-    never = Not(Eq(length, length))  # never TRUE
-    assert _bulk_cap(And(formula, never), T, 2) == 4
-    assert _bulk_cap(Not(Eq(w, w)), T, 2) == 2
-    assert _bulk_cap(Lt(Add(w, x), Add(w, x)), T, 2) == 1
-    assert _bulk_cap(Eq(w, w), F, 2) == 1
-    for body, stop in [
-            # may take the stop truth
-            (Eq(w, x), T), (Lt(w, w), F), (Or(formula, never), T),
-            # holds a quantifier
-            (And(Lt(w, w), Exists(y, Eq(y, w))), T),
-            (And(never, Exists(y, Eq(y, length))), T),
-            # an oracle atom twice
-            (And(formula, And(formula, never)), T),
-            # an oracle function term closed, or without x′′
-            *((And(formula, Not(Eq(term, term))), T)
-              for term in (OracleFun("len", (Num(3),)),
-                           OracleFun("len", (x,))))]:
-        assert _bulk_cap(body, stop, 2) is None, render(body)
 
 
 def _undecided_env(undecided=lambda a: a % 7 == 3):
@@ -1363,29 +1303,20 @@ def test_an_oracle_function_of_a_failed_term_is_not_called():
 
 def test_a_bulk_sweep_is_unknown_where_a_term_fails():
     # len is undecided only past the loop's first values, at 500 and up:
-    # ∀x′′(x′′<1000 → len(x′′)+1 = len(x′′)+1) is UNKNOWN, read in bulk
-    # as by the loop
+    # ∀x′′(x′′<1000 → len(x′′)+1 = len(x′′)+1) is UNKNOWN
     env = _undecided_env(lambda a: a >= 500 and a % 7 == 3)
     term = Add(OracleFun("len", (w,)), One())
     phi = Forall(w, Implies(Lt(w, Num(1000)), Eq(term, term)))
-    report = evaluate_full(phi, env)
-    assert report.truth is U
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(semantics, "_SWEPT", 10**9)  # every value in the loop
-        assert evaluate_full(phi, env) == report
+    assert evaluate_full(phi, env).truth is U
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 1), _VALUES, _VALUE_LISTS,
-       _LANE_BUDGETS, st.sampled_from([Exists, Forall]),
-       st.sampled_from([200, 300]),
-       st.one_of(st.integers(0, 3000), st.just(40_000)))
+       _LANE_BUDGETS)
 def test_bulk_reads_of_undecided_terms_equal_the_loop(
-        seed, var, other, values, budget, ctor, bound, nodes):
-    # len undecided at some arguments fails inside bulk maps and under
-    # the terms over it: the shared sweep and the unshared batch read
-    # give the loop's truths, and a long quantifier sweep the loop's
-    # report and oracle calls, whether read in bulk or not
+        seed, var, other, values, budget):
+    # len undecided at some arguments fails in the lane nodes over it:
+    # the shared sweep and the unshared batch read give the loop's truths
     rng = random.Random(seed)
     draw = _lane_formula if seed % 2 else _sweep_formula
     phi, env = draw(rng, 4), _undecided_env()
@@ -1397,22 +1328,3 @@ def test_bulk_reads_of_undecided_terms_equal_the_loop(
     at = truth_at(phi, env, budget)
     assert _rendered(_truths_at(phi, var, values, budget, env),
                      len(values)) == [at({var: v}) for v in values]
-    # a body that cannot stop, so that the sweep runs every value, with
-    # len of x′′ in it, so that no tail settles it
-    v = rng.choice([2, 3])
-    body = draw(rng, 3, (v,))
-    term = Add(OracleFun("len", (Add(Var(v), _lane_term(rng, 1, (v,))),)),
-               _lane_term(rng, 1, (v,)))
-    body = And(body, Not(Eq(term, term))) if ctor is Exists \
-        else Or(body, Eq(term, term))
-    phi = ctor(Var(v), body)
-    asg = {0: rng.randrange(12), 1: rng.randrange(12)}
-    budget = Budget(witness_bound=bound, node_budget=nodes)
-    got, looped = Counter(), Counter()
-    report = evaluate_full(phi, _counting_env(got, _undecided_env()), budget,
-                           assignment=asg)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(semantics, "_SWEPT", 10**9)  # every value in the loop
-        loop = evaluate_full(phi, _counting_env(looped, _undecided_env()),
-                             budget, assignment=asg)
-    assert (report, got) == (loop, looped), render(phi)
