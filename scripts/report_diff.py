@@ -53,9 +53,14 @@ COMMANDS = [
     ["dominate", "--x", "50", "--kotlarski"],
     *(["refute-truth", "--preset", preset]
       for preset in ("everything-true", "nothing-true", "parity")),
+    # verdict failures, exit 1: a code that decodes to nothing, and a
+    # candidate whose sentence the node budget leaves UNKNOWN
+    ["decode", "24"],
+    ["refute-truth", "--candidate", "x=x", "--node-budget", "5"],
     ["diagonalize", "--psi", "x=x"],
     ["rosser"],
     ["goedel"],
+    ["remark-demo"],
     ["selftest"],
     ["tb", "--psi", "x=x"],
     # bounded proof search: a proof, an exhausted frontier, an axiom, a

@@ -31,11 +31,16 @@ use.  A formula whose sweep ran out of nodes is undecided from the
 first value left open, so a small node budget gives UNKNOWN verdicts,
 never different ones.
 
-The inner formula's quantifier over catalogue entries is replayed one
-length at a time: the genuine truth oracle reads an index of the
-description facts, and any other property is judged over a length's
-statement codes by one batch, in blocks that double, up to the first
-TRUE.
+A universe is one definability pass over the catalogue, each reading
+turned into description facts as it comes; a fact reads its solution
+mask by bits, and a second bit rules a value out.  The definability
+table behind the reports replays the inner formula's quantifier over
+catalogue entries one length at a time and answers every length bound
+from those lengths: the genuine truth oracle reads a per-length index of
+the description facts, and any other property is judged over a length's
+statement codes by one batch, in blocks of 1, 2, 4, ... entries up to
+the first TRUE, with lane code shared by the table's batches.  A
+report's truth-biconditional sample is judged by the table's judge.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-from .acceptance import run_all
+from .acceptance import TRUTH_CANDIDATES, run_all
 from .berry import (
     BudgetInsufficient, berry_contradiction_report, build_bundle,
     length_audit, micro_universe,
@@ -41,10 +41,7 @@ from .proofs import (
     tb_stream,
 )
 from .semantics import Budget, evaluate
-from .syntax import (
-    Add, Eq, Exists, Formula, Not, Var, free_vars, is_sentence, length,
-    render,
-)
+from .syntax import Formula, free_vars, is_sentence, length, render
 
 SCHEME_VERSION = "1"
 
@@ -60,11 +57,7 @@ _WITNESS_BOUND_MAX = 10**6
 # 19 there are 28 million formulas
 _MICRO_MAXLEN_MAX = 16
 
-_PRESETS = {
-    "everything-true": Eq(Var(0), Var(0)),
-    "nothing-true": Not(Eq(Var(0), Var(0))),
-    "parity": Exists(Var(2), Eq(Add(Var(2), Var(2)), Var(0))),
-}
+_PRESETS = dict(TRUTH_CANDIDATES)
 
 
 class _Usage(Exception):
@@ -80,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _VerdictFailure(Exception):
-    pass
+    """A verdict failure, carrying the report's verdict_failure dict."""
 
 
 # -- report plumbing --------------------------------------------------------------------
@@ -246,8 +239,7 @@ def _cmd_decode(args, budget) -> tuple[dict, dict]:
     try:
         obj = decode(code)
     except NotACode as err:
-        raise _VerdictFailure(
-            json.dumps({"decodes": False, "reason": str(err)}))
+        raise _VerdictFailure({"decodes": False, "reason": str(err)})
     return inputs, {"decodes": True,
                     "kind": "formula" if isinstance(obj, Formula)
                     else "term",
@@ -291,7 +283,7 @@ def _cmd_refute_truth(args, budget) -> tuple[dict, dict]:
         "lambda_code": _code_payload(report.certificate.theta_code),
     }
     if not report.refuted:
-        raise _VerdictFailure(json.dumps(outputs, sort_keys=True))
+        raise _VerdictFailure(outputs)
     return inputs, outputs
 
 
@@ -320,7 +312,7 @@ def _cmd_berry(args, budget) -> tuple[dict, dict]:
         "note": report.note,
     }
     if not report.uniqueness.unique:
-        raise _VerdictFailure(json.dumps(outputs, sort_keys=True))
+        raise _VerdictFailure(outputs)
     return ({"upsilon": args.upsilon, "micro_maxlen": args.micro_maxlen},
             outputs)
 
@@ -406,7 +398,7 @@ def _cmd_remark_demo(args, budget) -> tuple[dict, dict]:
     }
     if not (report.reduction_to_pr and report.not_delta_check
             and report.remark_check):
-        raise _VerdictFailure(json.dumps(outputs, sort_keys=True))
+        raise _VerdictFailure(outputs)
     return {}, outputs
 
 
@@ -452,8 +444,8 @@ def _cmd_selftest(args, budget) -> tuple[dict, dict]:
     } for r in results]
     outputs = {"criteria": rows, "all_ok": all(r.ok for r in results)}
     if not outputs["all_ok"]:
-        raise _VerdictFailure(json.dumps(
-            {"failed": [r["number"] for r in rows if not r["ok"]]}))
+        raise _VerdictFailure(
+            {"failed": [r["number"] for r in rows if not r["ok"]]})
     return {}, outputs
 
 
@@ -562,7 +554,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "outputs": outputs}
         except (_VerdictFailure, BudgetInsufficient) as err:
             code, report = 1, {"verdict_failure": (
-                json.loads(str(err)) if isinstance(err, _VerdictFailure)
+                err.args[0] if isinstance(err, _VerdictFailure)
                 else {"budget_insufficient": str(err)})}
         report.update(command=args.command, version=SCHEME_VERSION,
                       budgets=dataclasses.asdict(budget),

@@ -368,9 +368,7 @@ class DiagInstanceReport:
     nodes_used: int
 
 
-def check_diag_instance(phi: Formula,
-                        env: OracleEnv | None = None,
-                        budget: Budget | None = None) -> DiagInstanceReport:
+def check_diag_instance(phi: Formula) -> DiagInstanceReport:
     """Evaluate Diag at the code of phi and of its diagonalization.
 
     phi must have x free; the witnesses walk the evaluator straight
@@ -388,8 +386,8 @@ def check_diag_instance(phi: Formula,
     instance = substitute(substitute(diag, 0, numeral(a)),
                           1, numeral(image_code))
     witnesses = _witnesses_for(instance, (), splice)
-    report = evaluate_full(instance, env or standard_oracle_env(),
-                           budget or Budget(), witnesses)
+    report = evaluate_full(instance, standard_oracle_env(), Budget(),
+                           witnesses)
     return DiagInstanceReport(
         source=phi, source_code=a, image=image, image_code=image_code,
         truth=report.truth, nodes_used=report.nodes_used,
@@ -556,7 +554,6 @@ class TruthRefutation:
 
 
 def refute_truth_definition(candidate: Formula,
-                            env: OracleEnv | None = None,
                             budget: Budget | None = None
                             ) -> TruthRefutation:
     """Diagonalize against a proposed arithmetical definition of truth.
@@ -568,8 +565,7 @@ def refute_truth_definition(candidate: Formula,
     value: the candidate misclassifies theta and cannot define truth.
     """
     cert = diagonal_sentence(Not(candidate))
-    env = env or standard_oracle_env()
-    budget = budget or Budget()
+    env, budget = standard_oracle_env(), budget or Budget()
     theta_truth = evaluate(cert.theta, env, budget, cert.witnesses)
     # the certificate's property is the candidate's negation, and
     # normalize_psi renames below a negation as it does without one

@@ -240,15 +240,12 @@ def build_psi(upsilon: Formula) -> PsiBundle:
 # -- the micro environment ---------------------------------------------------------------
 
 
-def micro_domination_env(scheme: Optional[MicroScheme] = None,
-                         budget: Optional[Budget] = None) -> OracleEnv:
+def micro_domination_env() -> OracleEnv:
     """Interpret instance codes over the catalogue (see catalogue_env).
 
     inst(a, m, n) is the code of the statement "catalogue formula a
     holds at (m, n)", which Tr judges by evaluating that formula."""
-    scheme = scheme or micro_scheme()
-    budget = budget or Budget()
-    judges = [truth_at(phi, budget=budget) for phi in scheme.formulas]
+    judges = [truth_at(phi) for phi in micro_scheme().formulas]
 
     def judge(a: int, rest: int) -> Truth:
         m, n = unpair(rest)

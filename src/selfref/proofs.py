@@ -582,8 +582,7 @@ def successor_bound_proof(k: int) -> ProofObject:
     return ProofObject(steps)
 
 
-def remark_one_proof(theory: Optional[TheoryHandle] = None
-                     ) -> tuple[ProofObject, TheoryHandle]:
+def remark_one_proof() -> tuple[ProofObject, TheoryHandle]:
     """Prove the negation of a provable sentence from its own
     anti-provability biconditional.
 
@@ -592,7 +591,7 @@ def remark_one_proof(theory: Optional[TheoryHandle] = None
     then proves ¬¬¬(0=0).  The extension is flagged unsound: that it
     proves both the sentence and its negation is exactly the point.
     """
-    theory = theory or standard_theory()
+    theory = standard_theory()
     base = neg_neg_proof()
     theta = base.conclusion
     code_term = quote(theta)
@@ -1150,7 +1149,7 @@ class RemarkReport:
     note: str = ""
 
 
-def remark_demo(theory: Optional[TheoryHandle] = None) -> RemarkReport:
+def remark_demo() -> RemarkReport:
     """The refutable-fixed-point shortcut, end to end.
 
     For the refutable sentence δ = ¬(0=0), the anti-provability
@@ -1159,7 +1158,7 @@ def remark_demo(theory: Optional[TheoryHandle] = None) -> RemarkReport:
     proves δ's negation outright, and adopting the biconditional for the
     provable sentence ¬δ forces the extended theory to prove ¬¬δ too.
     """
-    theory = theory or standard_theory()
+    theory = standard_theory()
     delta = Not(Eq(Zero(), Zero()))
     not_delta = Not(delta)
     not_delta_proof = neg_neg_proof()
@@ -1168,7 +1167,7 @@ def remark_demo(theory: Optional[TheoryHandle] = None) -> RemarkReport:
     pr_at_delta = pr_sentence(delta)
     reduction = taut_equiv(Iff(Not(pr_at_delta), delta), pr_at_delta)
     pr_verdict = evaluate(pr_at_delta, proofs_env(theory), Budget())
-    remark_proof, remark_theory = remark_one_proof(theory)
+    remark_proof, remark_theory = remark_one_proof()
     remark_check = check_proof(remark_proof, remark_theory)
     note = ("the biconditional for δ reduces to a provability claim; "
             "adopted for the provable sentence instead, it makes the "

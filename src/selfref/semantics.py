@@ -898,20 +898,6 @@ def _positions(mask: int) -> list[int]:
     return list(compress(range(lo, hi), _bits(mask >> lo, hi - lo)))
 
 
-def _scatter(at: list[int], bools) -> int:
-    """The mask with bit at[i] set where the i-th of bools holds, for
-    positions at in order."""
-    if not at:
-        return 0
-    lo, span = at[0], at[-1] + 1 - at[0]
-    if span == len(at):
-        return _mask(bools) << lo
-    dense = bytearray(span)
-    for i, b in zip(at, bools):
-        dense[i - lo] = b
-    return _mask(dense) << lo
-
-
 def _lanes(value):
     """A batched term value as one iterable of its values."""
     return repeat(value) if type(value) is int else value
@@ -968,14 +954,9 @@ class _Batch:
         """phi's (TRUE, FALSE) mask pair, a value in neither where the
         nodes compiled code visits exceed the node budget: up to and at
         it where shared, at it alone otherwise."""
-        lanes = self._root(phi)
+        self._root(phi)
         true, false = self.truths(phi, self.full)
-        # a value visits at most phi.length nodes: without a lane node,
-        # only a budget below that total needs the counts
-        if self.lanes == lanes and self.budget.node_budget >= phi.length * (
-                len(self.values) if self.shared else 1):
-            return true, false
-        kept = self.kept(phi, self.full)
+        kept = self.kept(phi, 0, len(self.values))
         return true & kept, false & kept
 
     def blocks(self, phi: Formula) -> Iterator[tuple]:
@@ -985,28 +966,24 @@ class _Batch:
         budget in neither: for a batch that is not shared."""
         n, lo = len(self.values), 0
         while lo < n:
-            hi, lanes = min(2 * lo + 1, n), self._root(phi)
-            block = (1 << hi) - (1 << lo)
-            true, false = self.truths(phi, block)
-            if self.lanes == lanes:  # phi's masks hold every value
-                hi, block = n, self.full ^ (1 << lo) - 1
-            true, false = true & block, false & block
-            if self.lanes != lanes or self.budget.node_budget < phi.length:
-                kept = self.kept(phi, block)
-                true, false = true & kept, false & kept
-            yield block, true, false
+            hi = min(2 * lo + 1, n)
+            self._root(phi)
+            true, false = self.truths(phi, (1 << hi) - (1 << lo))
+            if type(self.memo.get(phi)) is tuple:  # no lane: all values read
+                hi = n
+            kept = self.kept(phi, lo, hi)
+            true, false = true & kept, false & kept
+            yield (1 << hi) - (1 << lo), true, false
             if true:
                 return
             lo = hi
 
-    def _root(self, phi: Formula) -> int:
+    def _root(self, phi: Formula) -> None:
         """Makes phi one lane node where depth may cut a node of it: past
-        the depth bound, within which none is.  Gives the lane reads so
-        far."""
+        the depth bound, within which none is."""
         if phi.height > min(self.budget.depth_bound + 2, DEPTH_CAP) \
                 and phi not in self.memo:  # an atom's height is 2
             self.memo[phi] = self._lane(phi)
-        return self.lanes
 
     def truths(self, phi: Formula, need: int) -> tuple[int, int]:
         """phi's (TRUE, FALSE) masks, where lane nodes run only at need,
@@ -1122,29 +1099,29 @@ class _Batch:
                         else need & ~at if kind is Or else need, out)
         return out
 
-    def kept(self, phi: Formula, need: int) -> int:
-        """The values of need at which compiled code's nodes stay within
-        the node budget: each value's where not shared, else their running
-        sum over need in order."""
-        at = _positions(need)
-        if not at:
-            return 0
-        lo, span = at[0], at[-1] + 1 - at[0]
-        total = [0] * span
+    def kept(self, phi: Formula, lo: int, hi: int) -> int:
+        """The values lo..hi-1, as a mask, at which compiled code's nodes
+        stay within the node budget: each value's where not shared, else
+        their running sum from lo on."""
+        need, limit = (1 << hi) - (1 << lo), self.budget.node_budget
+        # a value visits at most phi.length nodes: without a lane node
+        # below phi, only a budget below that total needs the counts
+        if type(self.memo.get(phi)) is tuple and limit >= phi.length * (
+                hi - lo if self.shared else 1):
+            return need
+        total = [0] * (hi - lo)
         for key, k in self.counts(phi, need, {}).items():
             if type(key) is int:
-                row = _bits(key >> lo, span)
+                row = _bits(key >> lo, hi - lo)
             else:
-                row = map(operator.mul, _bits(key[1] >> lo, span),
-                          key[0].nodes[lo:lo + span])
+                row = map(operator.mul, _bits(key[1] >> lo, hi - lo),
+                          key[0].nodes[lo:hi])
             total = list(map(operator.add, total,
                              row if k == 1 else map(k.__mul__, row)))
-        counts, limit = compress(total, _bits(need >> lo, span)), \
-            self.budget.node_budget
         if not self.shared:
-            return _scatter(at, map(limit.__ge__, counts))
-        cut = bisect_right(list(accumulate(counts)), limit)
-        return need if cut == len(at) else need & (1 << at[cut]) - 1
+            return _mask(map(limit.__ge__, total)) << lo
+        return need & (1 << lo + bisect_right(list(accumulate(total)),
+                                              limit)) - 1
 
     def term(self, t: Term):
         """t at every value: an int where var is not in t, else the
@@ -1242,7 +1219,7 @@ def standard_oracle_env(prf: Optional[Callable[[Nat, Nat], bool]] = None
     parsed once per environment.
     """
     from . import coding
-    from .syntax import Forall as FA, Iff as IFF, numeral
+    from .syntax import numeral
 
     def len_fn(a: Nat) -> Nat:
         if isinstance(a, int) and a <= 0:
@@ -1279,7 +1256,7 @@ def standard_oracle_env(prf: Optional[Callable[[Nat, Nat], bool]] = None
         if len(fv) != 1:
             return 0
         (index,) = fv
-        sentence = FA(Var(index), IFF(phi, Eq(Var(index), numeral(y))))
+        sentence = Forall(Var(index), Iff(phi, Eq(Var(index), numeral(y))))
         code = coding.encode(sentence)
         return code
 

@@ -20,14 +20,16 @@ the node behaves exactly like the chain it abbreviates.
 
 Nodes are immutable and carry facts that never change: the free-variable
 set, the token length, the height and the structural hash are computed
-once, at construction, from the children's.  The token length is a
-``BigNat`` at and above a ``Num`` over a ``BigNat``.  Each variable and
-explicit numeral is one shared node.  Long nodes also keep their
-code and compact spelling once asked for, joined from their children's
-(``cached_fact``).  Equality, substitution, ``repr`` and those joins use
-explicit stacks, so nesting depth is limited by memory, not by the
-interpreter's recursion limit.  ``preorder`` is the one walk that
-``repr``, those joins and the other modules' subtree walks share.
+once, at construction, from the children's, so ``length`` reads a field.
+The token length is a ``BigNat`` at and above a ``Num`` over a
+``BigNat``.  0, 1, each variable and each explicit numeral is one shared
+node.  Long nodes also keep their code and compact spelling once asked
+for, joined from their children's (``cached_fact``; ``_holds_facts``
+bounds what they keep).  Equality, substitution, ``repr`` and those
+joins use explicit stacks, so nesting depth is limited by memory, not by
+the interpreter's recursion limit.  ``preorder`` is the one walk that
+``repr``, those joins and the other modules' subtree walks share: the
+proof search's, the evaluator's ∧-spine and the diagonal's witness paths.
 """
 
 from __future__ import annotations

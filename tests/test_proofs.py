@@ -290,6 +290,32 @@ def test_generalization_checked():
     assert not check_proof(bad, T)
 
 
+# the step of neg_neg_proof() replaced, its replacement, and the reason
+CHECKER_ROWS = [
+    ("unknown-axiom", 0, ProofStep(ZERO_EQ_ZERO, Axiom("q8")),
+     "unknown axiom q8"),
+    ("not-the-axiom", 0, ProofStep(ZERO_EQ_ZERO, Axiom("q4")),
+     "formula is not axiom q4"),
+    ("antecedent", 2, ProofStep(NOT_DELTA, ModusPonens(1, 1)),
+     "antecedent does not match"),
+    ("consequent", 2, ProofStep(ZERO_EQ_ZERO, ModusPonens(1, 0)),
+     "consequent does not match"),
+    ("gen-index", 2, ProofStep(NOT_DELTA, Generalization(2, 0)),
+     "generalization reference index out of range"),
+    ("unknown-kind", 2, ProofStep(NOT_DELTA, "mp 1 0"),
+     "unknown justification kind"),
+]
+
+
+@pytest.mark.parametrize("at, step, reason", [row[1:] for row in CHECKER_ROWS],
+                         ids=[row[0] for row in CHECKER_ROWS])
+def test_each_check_failure_names_its_step_and_reason(at, step, reason):
+    steps = list(neg_neg_proof().steps)
+    steps[at] = step
+    assert check_proof_report(ProofObject(tuple(steps)), standard_theory()) \
+        == CheckReport(False, at, reason)
+
+
 # -- serialization and codes ----------------------------------------------------
 
 def test_serialize_neg_neg_exact():
@@ -537,6 +563,20 @@ def test_generalization_targets_are_capped_by_tree_size_not_tokens():
         assert _closes(Forall(X, body)) == (size <= cap)
 
 
+@pytest.mark.parametrize("text, nodes", [("∀x(¬(¬(x=x))→(x=x))", 16),
+                                         ("∀x(x=x→(x=x))", 309)])
+def test_search_closes_a_proved_body_under_its_quantifier(text, nodes):
+    # proving the body fires the goal's closure, and the proof ends in
+    # that one gen step
+    T, goal = standard_theory(), parse_formula(text)
+    report = search_report(goal, T, 1000)
+    steps = report.outcome.steps
+    assert report.nodes_used == nodes
+    assert steps[-1] == ProofStep(goal, Generalization(len(steps) - 2, 0))
+    assert [type(s.justification) for s in steps].count(Generalization) == 1
+    assert check_proof(report.outcome, T)
+
+
 def test_search_never_proves_the_false():
     T = standard_theory()
     for budget in (300, 3000, 100_000):
@@ -731,8 +771,7 @@ def test_remark_demo_report():
 
 
 def test_remark_one_proof_pinned():
-    T = standard_theory()
-    proof, handle = remark_one_proof(T)
+    proof, handle = remark_one_proof()
     assert check_proof(proof, handle)
     assert proof.conclusion == Not(NOT_DELTA)
     assert len(proof.steps) == 12

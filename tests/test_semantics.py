@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from selfref.acceptance import _random_formula
 from selfref.bignat import BigNat, BigNatError
@@ -725,6 +725,41 @@ def test_truths_at_reads_lane_nodes(phi):
     at = truth_at(phi, env)
     assert _rendered(_truths_at(phi, 0, values, env=env), len(values)) == \
         [at({0: v}) for v in values]
+
+
+# ∃x′(x′<x ∧ x′·x′=x·x+1) is FALSE at every x, and its bounded range
+# visits more nodes the larger x is: a lane node whose count varies
+_GROWING = Exists(y, And(Lt(y, x), Eq(Mul(y, y), Add(Mul(x, x), One()))))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=3, max_size=20, unique=True),
+       st.integers(0, 31), st.data())
+def test_blocks_cut_part_of_a_later_block_as_truth_at_does(values, k,
+                                                           data):
+    # x<k ∧ _GROWING runs the lane node only where x<k, and is never TRUE,
+    # so blocks reads every block: [0, 1), [1, 3), [3, 7), ...
+    phi, env = And(Lt(x, Num(k) if k else Zero()), _GROWING), OracleEnv()
+    costs = [evaluate_full(phi, env, assignment={0: v}).nodes_used
+             for v in values]
+    lo = data.draw(st.sampled_from([lo for lo in (1, 3, 7, 15)
+                                    if lo + 1 < len(values)]))
+    hi = min(2 * lo + 1, len(values))
+    # a budget within the block's costs cuts some of its values, not all
+    assume(min(costs[lo:hi]) < max(costs[lo:hi]))
+    budget = Budget(node_budget=data.draw(st.integers(min(costs[lo:hi]),
+                                                      max(costs[lo:hi]) - 1)))
+    at = truth_at(phi, env, budget)
+    expected = [at({0: v}) for v in values]
+    assert U in expected[lo:hi] and set(expected[lo:hi]) != {U}
+    got, start = [], 0
+    for block, true, false in _Batch(0, {}, values, env, budget,
+                                     False).blocks(phi):
+        end = block.bit_length()
+        assert block == (1 << end) - (1 << start)
+        got += _rendered((true, false), end)[start:]
+        start = end
+    assert got == expected
 
 
 @pytest.mark.parametrize("depth", range(5))
