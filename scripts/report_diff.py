@@ -18,11 +18,21 @@ import argparse
 import json
 import sys
 import tempfile
+from functools import reduce
 from pathlib import Path
 
-from bench_snapshot import _run
+from bench_snapshot import ROOT, _run
 from paired_runs import _extract, _tree
 
+# a formula of 382 tokens that holds numeral(24) and numeral(23) twice
+# each, so render and encode pass them as shared numerals; every
+# character is one token, so its code folds the pinned token ids
+_N24, _N23 = "1+(" * 23 + "1" + ")" * 23, "1+(" * 22 + "1" + ")" * 22
+_SHARED_NUMERALS = f"{_N24}=x∧({_N23}<x′)∧({_N24}·(x′′)={_N23})"
+_IDS = json.loads((ROOT / "src/selfref/fixtures/codes.json").read_text(
+    encoding="utf-8"))["ids"]
+_SHARED_NUMERALS_CODE = reduce(lambda code, token: code * 24 + _IDS[token],
+                               _SHARED_NUMERALS, 0)
 _BUDGETS = ([], ["--node-budget", "0"], ["--node-budget", "234"],
             ["--node-budget", "2000"],
             ["--witness-bound", "300", "--node-budget", "20000"],
@@ -56,6 +66,9 @@ COMMANDS = [
     # verdict failures, exit 1: a code that decodes to nothing, and a
     # candidate whose sentence the node budget leaves UNKNOWN
     ["decode", "24"],
+    ["parse", _SHARED_NUMERALS],
+    ["encode", _SHARED_NUMERALS],
+    ["decode", str(_SHARED_NUMERALS_CODE)],
     ["refute-truth", "--candidate", "x=x", "--node-budget", "5"],
     ["diagonalize", "--psi", "x=x"],
     ["rosser"],

@@ -11,12 +11,21 @@ explicit stretches plus long periodic runs coming from numeral segments.
 runs of base-24 digits, each ``count`` copies of a ``width``-digit block
 held as one int, as multiple-precision libraries hold words rather than
 digits (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section
-1.1); arithmetic steps a whole stretch per big-int operation.  It
-supports exactly the operations the certificate checker needs: addition,
-subtraction, multiplication by moderate factors or powers of 24, division
-with small divisors, modular reduction, and total ordering.  All of them
-are exact; anything outside the supported fragment raises rather than
-approximating.
+1.1).  It supports exactly the operations the certificate checker needs:
+addition, subtraction, multiplication by moderate factors or powers of
+24, division with small divisors, modular reduction, and total ordering.
+All of them are exact; anything outside the supported fragment raises
+rather than approximating.
+
+Add, sub, multiplication by an int below 24**64, ``divmod_int`` and
+``compare`` do one big-int operation per stretch between run boundaries
+and fast-forward a periodic stretch once its carry, borrow or remainder
+recurs.  A result joins neighbouring runs of one block, and an int added
+without a carry out of the lowest block changes that block alone, so a
+chain of small additions keeps a run form short.  Radix conversion both
+ways divides and conquers at the powers 24**(512 * 2**k) (section 1.7),
+a digit count reads the bit length and one power, and the residues of a
+run use the built-in three-argument ``pow`` on its run count.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from .semantics import (
 )
 from .syntax import (
     Add, And, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Mul, Nat,
-    Not, Num, One, OracleAtom, OracleFun, Or, Term, Var, conj, disj,
+    Not, One, OracleAtom, OracleFun, Or, Term, Var, conj, disj,
     free_vars, length, numeral, preorder, render, substitute, token_pieces,
     _children, _rebuild,
 )
@@ -230,11 +230,12 @@ def _splice_pieces(phi: Formula) -> list:
     A node's compact spelling ends with a whole token, and a prime only
     ever follows x or a prime, so the count within the spelling is exact.
     """
-    pieces = list(token_pieces(phi, []))
+    pieces = token_pieces(phi, [])
     i = 0
     while i < len(pieces):
         p = pieces[i]
-        if not isinstance(p, (str, Num)):
+        # a term without variables (a numeral) spells no x at all
+        if not isinstance(p, str) and (isinstance(p, Formula) or p.fv):
             text = render(p, compact=True)
             if text.count("x") != text.count("x′"):
                 pieces[i:i + 1] = token_pieces(p, [])

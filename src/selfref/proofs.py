@@ -14,7 +14,11 @@ list is fixed and published: ``_SCHEMES`` builds each data-free scheme
 (the checker and the bounded search both read it), and ``_DATA_SCHEMES``
 checks the three that carry data (leibniz, inst, ex_intro).  The
 checker accepts nothing else, so a proof code is meaningful relative to
-this exact calculus.
+this exact calculus.  A theory is a frozen ``TheoryHandle`` of
+``(id, formula)`` axioms: ``standard_theory()`` gives the nine of
+``robinson-order``, and ``extend`` adds more as ``extraN``.  The bounded
+search (``_Searcher``) reads formulas as ints of a search-scoped table
+and seeds schemes by group programs compiled at import.
 
 Everything downstream of the checker stays on the sound side of the
 standard model: theories carry a declared soundness flag, consistency

@@ -23,9 +23,12 @@ set, the token length, the height and the structural hash are computed
 once, at construction, from the children's, so ``length`` reads a field.
 The token length is a ``BigNat`` at and above a ``Num`` over a
 ``BigNat``.  0, 1, each variable and each explicit numeral is one shared
-node.  Long nodes also keep their code and compact spelling once asked
-for, joined from their children's (``cached_fact``; ``_holds_facts``
-bounds what they keep).  Equality, substitution, ``repr`` and those
+node.  Long nodes and the shared numerals from 2 up also keep their code
+and compact spelling once asked for, joined from their children's
+(``cached_fact``; ``_holds_facts`` bounds what they keep), so a render
+or encode passes each of them as one piece.  ``token_pieces`` is the one
+token walk: it builds a list, dispatching on each node's type through
+token tables.  Equality, substitution, ``repr``, that walk and those
 joins use explicit stacks, so nesting depth is limited by memory, not by
 the interpreter's recursion limit.  ``preorder`` is the one walk that
 ``repr``, those joins and the other modules' subtree walks share: the
@@ -426,6 +429,10 @@ _COMPARISONS = (Eq, Lt)
 _BINARY_TOKEN = {Add: "+", Mul: "·", Eq: "=", Lt: "<", And: "∧", Or: "∨",
                  Implies: "→", Iff: "↔"}
 _QUANTIFIER_TOKEN = {Forall: "∀", Exists: "∃"}
+_LEAF_TOKEN = {Zero: "0", One: "1"}
+# the tokens between the operands of a binary node that wraps its right one
+_INFIX = {kind: (token, "(") for kind, token in _BINARY_TOKEN.items()
+          if kind not in _COMPARISONS}
 
 
 # -- construction helpers ----------------------------------------------
@@ -533,72 +540,74 @@ CODE_FACT, TEXT_FACT = 0, 1
 def _holds_facts(node) -> bool:
     """Whether the node keeps its code and compact spelling once asked.
 
-    It does when its token length is at least the floor and has more bits
-    than each child's.  The lengths of such nodes on a root-to-leaf path
-    have distinct bit counts, so a token lies under at most
+    A shared numeral, numeral(2) … numeral(NUMERAL_EXPLICIT_MAX) (the
+    table's entry of its value, tested by identity), does: all 255 of
+    them together keep about 131,000 characters and as many base-24
+    digits, however many trees hold them.  Any other node does when its
+    token length is at least the floor and has more bits than each
+    child's.  The lengths of such nodes on a root-to-leaf path have
+    distinct bit counts, so a token lies under at most
     log2(length / floor) + 1 of them, and the cached digits and
     characters stay within that factor of the tree's token count (and
     within twice it on a chain such as a ¬ tower).
     """
     n = node.length
-    if type(n) is not int or n < _FACT_FLOOR:
+    if type(n) is not int:
+        return False
+    if type(node) is Add and n < 4 * NUMERAL_EXPLICIT_MAX \
+            and _NUMERALS[(n + 3) // 4] is node:  # numeral(k) has 4k-3
+        return True
+    if n < _FACT_FLOOR:
         return False
     bits = n.bit_length()
     return all(c.length.bit_length() < bits for c in _children(node))
 
 
-def token_pieces(x, facts: list | None = None) -> Iterator:
-    """Canonical token stream with lazy numerals left as Num nodes.
-
-    Yields token strings, except that each Num node comes through
-    as itself so that consumers can handle its spelling
-    arithmetically instead of expanding it.  Given a list for facts,
-    so does every node below x that holds facts, and each node that
-    comes through is also appended to that list.
+def token_pieces(x, facts: list | None = None) -> list:
+    """Canonical token pieces of x: its tokens, with each lazy numeral
+    left as its Num node so that consumers can handle its spelling
+    arithmetically.  Given a list for facts, every node below x that
+    holds facts comes through whole too, and each node that comes
+    through is appended to that list.  The walk builds a list,
+    dispatching on node types through the token tables above.
     """
+    out: list = []
     stack: list = [x]
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            yield item
-            continue
-        node = item
-        if isinstance(node, Zero):
-            yield "0"
-        elif isinstance(node, One):
-            yield "1"
-        elif isinstance(node, Var):
-            yield "x"
-            for _ in range(node.index):
-                yield "′"
-        elif isinstance(node, Num) or (
-                facts is not None and node.length >= _FACT_FLOOR
-                and node is not x and _holds_facts(node)):
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+        elif kind is tuple:
+            out += node
+        elif kind in _LEAF_TOKEN:
+            out.append(_LEAF_TOKEN[kind])
+        elif kind is Var:
+            out += ("x",) + ("′",) * node.index
+        elif kind is Num or facts is not None and (
+                kind is Add or node.length >= _FACT_FLOOR) \
+                and node is not x and _holds_facts(node):
             if facts is not None:
                 facts.append(node)
-            yield node
-        elif isinstance(node, _COMPARISONS):
-            stack.extend([node.right, _BINARY_TOKEN[type(node)], node.left])
-        elif isinstance(node, _Binary):
-            stack.extend([")", node.right, "(", _BINARY_TOKEN[type(node)],
-                          node.left])
-        elif isinstance(node, Not):
-            stack.extend([")", node.body, "("])
-            yield "¬"
-        elif isinstance(node, _Quantifier):
-            stack.extend([")", node.body, "(", node.var])
-            yield _QUANTIFIER_TOKEN[type(node)]
-        elif isinstance(node, _Oracle):
-            yield node.name
-            parts: list = ["("]
-            for i, arg in enumerate(node.args):
-                if i:
-                    parts.append(",")
-                parts.append(arg)
-            parts.append(")")
-            stack.extend(reversed(parts))
+            out.append(node)
+        elif kind in _INFIX:
+            stack += (")", node.right, _INFIX[kind], node.left)
+        elif kind in _COMPARISONS:
+            stack += (node.right, _BINARY_TOKEN[kind], node.left)
+        elif kind is Not:
+            out += ("¬", "(")
+            stack += (")", node.body)
+        elif kind in _QUANTIFIER_TOKEN:
+            out.append(_QUANTIFIER_TOKEN[kind])
+            stack += (")", node.body, "(", node.var)
+        elif kind in (OracleFun, OracleAtom):
+            out += (node.name, "(")
+            stack.append(")")
+            for i, arg in enumerate(reversed(node.args)):
+                stack += (",", arg) if i else (arg,)
         else:
             raise SyntaxError_(f"not a term or formula: {node!r}")
+    return out
 
 
 def _known(node, k: int):
@@ -614,12 +623,12 @@ def cached_fact(x, k: int, join):
     """
     if not isinstance(x, _Node):
         raise SyntaxError_(f"not a term or formula: {x!r}")
-    n = x.length
-    if type(n) is int and n < _FACT_FLOOR:  # nothing here holds facts
-        return join(list(token_pieces(x)))
     value = _known(x, k)
     if value is not None:
         return value
+    n = x.length
+    if type(n) is int and n < _FACT_FLOOR:  # too short to keep its own
+        return join(token_pieces(x))
 
     # a node's (node, pieces) pair is listed before the nodes among its
     # pieces, so it comes out after they have filled their facts
@@ -627,7 +636,7 @@ def cached_fact(x, k: int, join):
         if type(item) is tuple or _known(item, k) is not None:
             return []
         found: list = []
-        pieces = list(token_pieces(item, found))
+        pieces = token_pieces(item, found)
         return [(item, pieces), *[p for p in found if not isinstance(p, Num)]]
 
     for item in preorder(x, unfilled):
